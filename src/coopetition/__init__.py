@@ -7,7 +7,6 @@ axis, and solves bargaining-based solution concepts (Kalai-Smorodinsky,
 Nash bargaining, transferable utility, proper coopetitive, win-win).
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .bargaining import (
     BargainingProblem,
     SolutionPoint,
@@ -30,6 +29,7 @@ from .coopetitive import (
     standard_win_win_solution,
     tu_compromise_solution,
     tu_crossing_solution,
+    tu_segment,
     win_win_report,
 )
 from .errors import (
@@ -63,6 +63,7 @@ from .geometry import (
     TaggedPoint,
     TUBoundary,
     extrema,
+    facing_flavor,
     hausdorff_distance,
     orientation_best,
     orientation_worst,
@@ -80,3 +81,6 @@ from .mixed import (
 )
 
 __version__ = "0.1.0"
+
+# Kept for callers that record it; geometry has a single numpy path.
+KERNEL_BACKEND = "python"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateProblem, EmptyFeasibleSet, NoIntersection
 from .games import Orientation, PayoffPoint, strictly_better
-from .geometry import ParetoBoundary, orientation_best, orientation_worst
+from .geometry import ParetoBoundary, facing_flavor, orientation_best, orientation_worst
 
 __all__ = [
     "BargainingProblem",
@@ -157,7 +157,7 @@ def payoff_core(boundary: ParetoBoundary, conservative: PayoffPoint) -> ParetoBo
     Requires the orientation-facing boundary (maximal for GAIN, minimal
     for LOSS).  May be empty; the caller decides what that means.
     """
-    expected = "maximal" if boundary.orientation is Orientation.GAIN else "minimal"
+    expected = facing_flavor(boundary.orientation)
     if boundary.flavor != expected:
         raise ValueError(
             f"payoff core needs the {expected} boundary under "

@@ -17,6 +17,7 @@ via ``--grid``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -33,6 +34,7 @@ from .coopetitive import (
     proper_coopetitive_solution,
     standard_win_win_solution,
     tu_crossing_solution,
+    tu_segment,
     win_win_report,
 )
 from .demo import DemoCheckError, run_paper_demo
@@ -47,8 +49,8 @@ from .errors import (
     UnsupportedGameError,
 )
 from .gamefile import GameSpec, load_game_file, resolve_grid
-from .games import Orientation, PayoffPoint, pure_nash_equilibria
-from .geometry import orientation_best, pareto_filter, sample_image, tu_boundary
+from .games import PayoffPoint, pure_nash_equilibria
+from .geometry import facing_flavor, orientation_best, pareto_filter, sample_image, tu_boundary
 from .mixed import bilinear_map, conservative_bivalue_mixed, mixed_equilibrium_components
 from .render import Scene, write_csv, write_svg
 from .report import build_report, fmt, fmt_point
@@ -77,6 +79,17 @@ def _point(text: str) -> PayoffPoint:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite number greater than zero."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coopetition",
@@ -87,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="print a deterministic analysis report")
     analyze.add_argument("path")
     analyze.add_argument("--grid", type=int, default=None, help="lattice points per axis")
-    analyze.add_argument("--tol", type=float, default=None, help="solution tolerance")
+    analyze.add_argument("--tol", type=_tolerance, default=None, help="solution tolerance")
     analyze.add_argument(
         "--mixed",
         action="store_true",
@@ -102,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--threat", type=_point, default=None, help="threat point 'p1,p2'")
     solve.add_argument("--utopia", type=_point, default=None, help="utopia point 'p1,p2'")
     solve.add_argument("--grid", type=int, default=None)
-    solve.add_argument("--tol", type=float, default=None)
+    solve.add_argument("--tol", type=_tolerance, default=None)
     solve.set_defaults(func=_cmd_solve)
 
     render = sub.add_parser("render", help="emit CSV and/or SVG payoff-space scenes")
@@ -116,10 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--out-dir", required=True)
     demo.set_defaults(func=_cmd_demo)
     return parser
-
-
-def _facing_flavor(orientation: Orientation) -> str:
-    return "maximal" if orientation is Orientation.GAIN else "minimal"
 
 
 class _SolveContext:
@@ -140,7 +149,7 @@ class _SolveContext:
         self.grid_step = 1.0 / (grid_n - 1)
 
     def boundary(self):
-        return pareto_filter(self.cloud, self.orientation, _facing_flavor(self.orientation))
+        return pareto_filter(self.cloud, self.orientation, facing_flavor(self.orientation))
 
     def conservative(self) -> PayoffPoint:
         """Conservative bi-value, or the supremum of the conservative path."""
@@ -249,7 +258,7 @@ def _finite_scene(spec: GameSpec) -> Scene:
     from .geometry import PointCloud
 
     cloud = PointCloud(payoffs, cells, grid_step=1.0)
-    boundary = pareto_filter(cloud, game.orientation, _facing_flavor(game.orientation))
+    boundary = pareto_filter(cloud, game.orientation, facing_flavor(game.orientation))
     nash = sorted(pure_nash_equilibria(game), key=lambda cell: (cell.row, cell.col))
     tub = tu_boundary(cloud, game.orientation, 1e-9)
     scene = Scene(f"finite {game.rows}x{game.cols} game ({game.orientation.value})",
@@ -269,18 +278,15 @@ def _finite_scene(spec: GameSpec) -> Scene:
 def _coopetitive_scene(spec: GameSpec, grid_n: int) -> Scene:
     game = spec.coopetitive
     cloud = sample_image(game.payoff, grid_n)
-    boundary = pareto_filter(cloud, game.orientation, _facing_flavor(game.orientation))
+    boundary = pareto_filter(cloud, game.orientation, facing_flavor(game.orientation))
     zone = nash_zone(game, grid_n)
-    tub = tu_boundary(cloud, game.orientation, 1e-6)
+    tub, p1_lo, p1_hi = tu_segment(cloud, game.orientation, 1e-6)
     scene = Scene(f"coopetitive payoff space ({game.orientation.value})",
                   game.orientation, 3)
     scene.add(cloud.preimages, cloud.payoffs, "cloud")
     scene.add(boundary.preimages, boundary.payoffs, "pareto")
     scene.add(zone.preimages, zone.payoffs, "nash")
     scene.add(tub.witness_preimages, tub.witness_payoffs, "tu")
-    from .coopetitive import _tu_segment
-
-    _, p1_lo, p1_hi = _tu_segment(cloud, game.orientation, 1e-6)
     m = tub.optimal_sum
     scene.tu_segment = (PayoffPoint(p1_lo, m - p1_lo), PayoffPoint(p1_hi, m - p1_hi))
     sol = proper_coopetitive_solution(game, grid_n, 3.0 / (grid_n - 1))

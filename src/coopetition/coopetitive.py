@@ -23,7 +23,9 @@ from .games import FiniteBimatrixGame, Orientation, PayoffPoint, strictly_better
 from .geometry import (
     PayoffMap,
     PointCloud,
+    TUBoundary,
     extrema,
+    facing_flavor,
     orientation_best,
     orientation_worst,
     pareto_filter,
@@ -42,6 +44,7 @@ __all__ = [
     "induced_path",
     "nash_zone",
     "proper_coopetitive_solution",
+    "tu_segment",
     "tu_crossing_solution",
     "tu_compromise_solution",
     "core_supremum",
@@ -220,10 +223,6 @@ def nash_zone(game: CoopetitiveGame, grid_n: int) -> PointCloud:
     )
 
 
-def _facing_flavor(orientation: Orientation) -> Literal["maximal", "minimal"]:
-    return "maximal" if orientation is Orientation.GAIN else "minimal"
-
-
 def proper_coopetitive_solution(
     game: CoopetitiveGame, grid_n: int, tol: float
 ) -> SolutionPoint:
@@ -235,7 +234,7 @@ def proper_coopetitive_solution(
     solution.
     """
     zone = nash_zone(game, grid_n)
-    nstar = pareto_filter(zone, game.orientation, _facing_flavor(game.orientation))
+    nstar = pareto_filter(zone, game.orientation, facing_flavor(game.orientation))
     method = "proper-coopetitive"
     if len(nstar) == 1:
         t = nstar.tagged(0)
@@ -246,7 +245,9 @@ def proper_coopetitive_solution(
     return SolutionPoint(sol.payoff, sol.preimage, method, sol.residual, threat, utopia)
 
 
-def _tu_segment(cloud: PointCloud, orientation: Orientation, witness_tol: float):
+def tu_segment(
+    cloud: PointCloud, orientation: Orientation, witness_tol: float
+) -> tuple[TUBoundary, float, float]:
     """TU boundary data: witnesses plus the p1 range of the full TU segment.
 
     The transferable-utility Pareto boundary is the line p1 + p2 = optimal
@@ -333,7 +334,7 @@ def core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint:
     """
     sec = section_game(game, z)
     boundary = pareto_filter(
-        sample_image(sec.map, grid_n), game.orientation, _facing_flavor(game.orientation)
+        sample_image(sec.map, grid_n), game.orientation, facing_flavor(game.orientation)
     )
     conservative = conservative_bivalue_mixed(sec.as_bimatrix(game.orientation), grid_n)
     core = payoff_core(boundary, conservative)
@@ -377,7 +378,7 @@ def standard_win_win_solution(
         raise MissingInitialZ("the standard win-win solution needs initial_z set")
     L = core_supremum(game, game.initial_z, grid_n)
     cloud = sample_image(game.payoff, grid_n)
-    tub, p1_lo, p1_hi = _tu_segment(cloud, game.orientation, tol)
+    tub, p1_lo, p1_hi = tu_segment(cloud, game.orientation, tol)
     m = tub.optimal_sum
     s = game.orientation.sign
     if not s * m > s * (L.p1 + L.p2):

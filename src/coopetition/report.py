@@ -22,13 +22,12 @@ from .errors import DegenerateProblem, EmptyPortion, NoIntersection, Unsupported
 from .gamefile import GameSpec
 from .games import (
     FiniteBimatrixGame,
-    Orientation,
     PayoffPoint,
     conservative_bivalue,
     dominant_strategies,
     pure_nash_equilibria,
 )
-from .geometry import extrema, pareto_filter, sample_image, tu_boundary
+from .geometry import extrema, facing_flavor, pareto_filter, sample_image, tu_boundary
 from .mixed import bilinear_map, conservative_bivalue_mixed, mixed_equilibrium_components
 
 __all__ = ["AnalysisReport", "build_report", "fmt", "fmt_point"]
@@ -66,10 +65,6 @@ def _solution_lines(name: str, sol: SolutionPoint) -> list[str]:
     if sol.utopia is not None:
         lines.append(f"  utopia b: {fmt_point(sol.utopia)}")
     return lines
-
-
-def _facing_flavor(orientation: Orientation) -> str:
-    return "maximal" if orientation is Orientation.GAIN else "minimal"
 
 
 def _strategy_set(game: FiniteBimatrixGame, player: int, ids: set[int]) -> str:
@@ -128,7 +123,7 @@ def build_finite_report(spec: GameSpec, grid_n: int, tol: float, mixed: bool | N
     v_mixed = conservative_bivalue_mixed(game, grid_n)
     cloud = sample_image(bilinear_map(game), grid_n)
     lo, hi = extrema(cloud)
-    flavor = _facing_flavor(game.orientation)
+    flavor = facing_flavor(game.orientation)
     boundary = pareto_filter(cloud, game.orientation, flavor)
     tub = tu_boundary(cloud, game.orientation, 1e-9)
     sections.append(
@@ -184,7 +179,7 @@ def build_coopetitive_report(spec: GameSpec, grid_n: int, tol: float) -> Analysi
 
     cloud = sample_image(game.payoff, grid_n)
     lo, hi = extrema(cloud)
-    flavor = _facing_flavor(game.orientation)
+    flavor = facing_flavor(game.orientation)
     boundary = pareto_filter(cloud, game.orientation, flavor)
     tub = tu_boundary(cloud, game.orientation, 1e-9)
     cons = induced_path(game, "conservative", grid_n)

@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +156,53 @@ class TestSolve:
         )
         assert code == 4
         assert "SameHalfPlane" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["solve", "--solution", "ks"]], ids=["analyze", "solve-ks"]
+)
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_bad_tol_exits_2(finite_path, command, tol):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main([command[0], finite_path, *command[1:], "--tol", tol])
+    assert exc.value.code == 2
+    assert err.getvalue().splitlines()[-1].endswith(
+        f"argument --tol: must be a finite positive number, got '{tol}'"
+    )
+
+
+# Runs the CLI as ``python -m coopetition.cli`` would (or only imports the
+# package when given no arguments), then prints every loaded scipy module.
+_SCIPY_PROBE = """
+import runpy, sys
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("coopetition.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code in (0, None), exc.code
+else:
+    import coopetition
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["analyze", "--grid", "33"], ["solve", "--solution", "ks", "--grid", "33"]],
+    ids=["import", "analyze", "solve-ks"],
+)
+def test_commands_do_not_load_scipy(finite_path, argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if argv:
+        argv = [argv[0], finite_path, *argv[1:]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestRender:

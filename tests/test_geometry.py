@@ -219,11 +219,12 @@ class TestHausdorff:
         assert hausdorff_distance(a, b) == 0.25
 
     def test_matches_oracle(self):
-        rng = np.random.default_rng(38)
-        for _ in range(25):
-            a = rng.normal(size=(int(rng.integers(1, 40)), 2))
-            b = rng.normal(size=(int(rng.integers(1, 40)), 2))
-            assert abs(hausdorff_distance(a, b) - brute_hausdorff(a, b)) <= 1e-12
+        for seed, draws, max_size in ((38, 25, 40), (52, 50, 80)):
+            rng = np.random.default_rng(seed)
+            for _ in range(draws):
+                a = rng.normal(size=(int(rng.integers(1, max_size)), 2))
+                b = rng.normal(size=(int(rng.integers(1, max_size)), 2))
+                assert abs(hausdorff_distance(a, b) - brute_hausdorff(a, b)) <= 1e-12
 
 
 class TestValidation:
