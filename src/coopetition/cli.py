@@ -50,7 +50,14 @@ from .errors import (
 )
 from .gamefile import GameSpec, load_game_file, resolve_grid
 from .games import PayoffPoint, pure_nash_equilibria
-from .geometry import facing_flavor, orientation_best, pareto_filter, sample_image, tu_boundary
+from .geometry import (
+    PointCloud,
+    facing_flavor,
+    orientation_best,
+    pareto_filter,
+    sample_image,
+    tu_boundary,
+)
 from .mixed import bilinear_map, conservative_bivalue_mixed, mixed_equilibrium_components
 from .render import Scene, write_csv, write_svg
 from .report import build_report, fmt, fmt_point
@@ -154,7 +161,7 @@ class _SolveContext:
     def conservative(self) -> PayoffPoint:
         """Conservative bi-value, or the supremum of the conservative path."""
         if self.spec.kind == "finite":
-            return conservative_bivalue_mixed(self.game, self.grid_n)
+            return conservative_bivalue_mixed(self.game)
         path = induced_path(self.game, "conservative", self.grid_n)
         pts = np.concatenate([pts for _, pts in path.samples], axis=0)
         return PayoffPoint(*pts.max(axis=0))
@@ -255,8 +262,6 @@ def _finite_scene(spec: GameSpec) -> Scene:
             for r, c in cells
         ]
     )
-    from .geometry import PointCloud
-
     cloud = PointCloud(payoffs, cells, grid_step=1.0)
     boundary = pareto_filter(cloud, game.orientation, facing_flavor(game.orientation))
     nash = sorted(pure_nash_equilibria(game), key=lambda cell: (cell.row, cell.col))
@@ -280,15 +285,14 @@ def _coopetitive_scene(spec: GameSpec, grid_n: int) -> Scene:
     cloud = sample_image(game.payoff, grid_n)
     boundary = pareto_filter(cloud, game.orientation, facing_flavor(game.orientation))
     zone = nash_zone(game, grid_n)
-    tub, p1_lo, p1_hi = tu_segment(cloud, game.orientation, 1e-6)
+    tub, tu_ends = tu_segment(cloud, game.orientation, 1e-6)
     scene = Scene(f"coopetitive payoff space ({game.orientation.value})",
                   game.orientation, 3)
     scene.add(cloud.preimages, cloud.payoffs, "cloud")
     scene.add(boundary.preimages, boundary.payoffs, "pareto")
     scene.add(zone.preimages, zone.payoffs, "nash")
     scene.add(tub.witness_preimages, tub.witness_payoffs, "tu")
-    m = tub.optimal_sum
-    scene.tu_segment = (PayoffPoint(p1_lo, m - p1_lo), PayoffPoint(p1_hi, m - p1_hi))
+    scene.tu_segment = tu_ends
     sol = proper_coopetitive_solution(game, grid_n, 3.0 / (grid_n - 1))
     scene.add_solution("proper-coopetitive", sol.preimage, sol.payoff)
     if game.initial_z is not None:

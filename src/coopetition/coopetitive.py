@@ -173,9 +173,9 @@ def _component_samples(component, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
 def induced_path(game: CoopetitiveGame, quantity: PathQuantity, grid_n: int) -> SetValuedPath:
     """Sample the named per-section quantity along ``c_grid``.
 
-    Nash payoff sets come from the sections' mixed equilibrium components,
-    extrema from the sampled section images, and conservative bi-values
-    from the lattice minimax of each section.
+    Nash payoff sets are sampled at ``grid_n`` points per interval of the
+    sections' mixed equilibrium components; extrema (attained at the four
+    corners of the unit square) and conservative bi-values are exact.
     """
     if quantity not in ("nash_payoffs", "supremum", "infimum", "conservative"):
         raise ValueError(f"unsupported path quantity {quantity!r}")
@@ -192,12 +192,12 @@ def induced_path(game: CoopetitiveGame, quantity: PathQuantity, grid_n: int) -> 
                 pts.append(np.stack([p1, p2], axis=1))
             arr = np.concatenate(pts, axis=0)
         elif quantity == "conservative":
-            v = conservative_bivalue_mixed(sec.as_bimatrix(game.orientation), grid_n)
+            v = conservative_bivalue_mixed(sec.as_bimatrix(game.orientation))
             arr = np.array([[v.p1, v.p2]])
         else:
-            lo, hi = extrema(sample_image(sec.map, grid_n))
-            point = hi if quantity == "supremum" else lo
-            arr = np.array([[point.p1, point.p2]])
+            p1, p2 = sec.map.eval_arrays([0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0])
+            pick = np.max if quantity == "supremum" else np.min
+            arr = np.array([[pick(p1), pick(p2)]])
         arr.flags.writeable = False
         samples.append((float(z), arr))
     return SetValuedPath(tuple(samples), quantity)
@@ -247,20 +247,21 @@ def proper_coopetitive_solution(
 
 def tu_segment(
     cloud: PointCloud, orientation: Orientation, witness_tol: float
-) -> tuple[TUBoundary, float, float]:
-    """TU boundary data: witnesses plus the p1 range of the full TU segment.
+) -> tuple[TUBoundary, tuple[PayoffPoint, PayoffPoint]]:
+    """TU boundary data: witnesses plus the ends of the full TU segment.
 
     The transferable-utility Pareto boundary is the line p1 + p2 = optimal
     sum clipped to the componentwise extrema box of the payoff space (with
     transfers any split of the optimal total between those bounds is
     reachable).  Witnesses are the sampled profiles that attain the total.
+    The ends are ordered by p1.
     """
     tub = tu_boundary(cloud, orientation, witness_tol)
     lo, hi = extrema(cloud)
     m = tub.optimal_sum
     p1_lo = max(lo.p1, m - hi.p2)
     p1_hi = min(hi.p1, m - lo.p2)
-    return tub, p1_lo, p1_hi
+    return tub, (PayoffPoint(p1_lo, m - p1_lo), PayoffPoint(p1_hi, m - p1_hi))
 
 
 def _nearest_witness(tub, point: np.ndarray) -> tuple[float, ...]:
@@ -336,7 +337,7 @@ def core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint:
     boundary = pareto_filter(
         sample_image(sec.map, grid_n), game.orientation, facing_flavor(game.orientation)
     )
-    conservative = conservative_bivalue_mixed(sec.as_bimatrix(game.orientation), grid_n)
+    conservative = conservative_bivalue_mixed(sec.as_bimatrix(game.orientation))
     core = payoff_core(boundary, conservative)
     if len(core) == 0:
         raise EmptyPortion(f"the payoff core of the section at z={z} is empty")
@@ -378,7 +379,7 @@ def standard_win_win_solution(
         raise MissingInitialZ("the standard win-win solution needs initial_z set")
     L = core_supremum(game, game.initial_z, grid_n)
     cloud = sample_image(game.payoff, grid_n)
-    tub, p1_lo, p1_hi = tu_segment(cloud, game.orientation, tol)
+    tub, (end_lo, end_hi) = tu_segment(cloud, game.orientation, tol)
     m = tub.optimal_sum
     s = game.orientation.sign
     if not s * m > s * (L.p1 + L.p2):
@@ -387,12 +388,12 @@ def standard_win_win_solution(
             f"initial core supremum total {L.p1 + L.p2:.6g}"
         )
     if game.orientation is Orientation.LOSS:
-        lo = max(p1_lo, m - L.p2)
-        hi = min(p1_hi, L.p1)
+        lo = max(end_lo.p1, m - L.p2)
+        hi = min(end_hi.p1, L.p1)
         utopia = PayoffPoint(lo, m - hi)
     else:
-        lo = max(p1_lo, L.p1)
-        hi = min(p1_hi, m - L.p2)
+        lo = max(end_lo.p1, L.p1)
+        hi = min(end_hi.p1, m - L.p2)
         utopia = PayoffPoint(hi, m - lo)
     if lo > hi:
         raise EmptyPortion("no TU boundary point is weakly better than the core supremum")

@@ -27,6 +27,7 @@ from .coopetitive import (
     proper_coopetitive_solution,
     standard_win_win_solution,
     tu_crossing_solution,
+    tu_segment,
     win_win_report,
 )
 from .errors import CoopetitionError
@@ -190,11 +191,11 @@ def run_paper_demo(out_dir: str | Path, figure_grid_2d: int = 129, figure_grid_3
         _close(pay[0], a_prime, 1e-12) and _close(pay[-1], b_prime, 1e-12),
         "(0,0) and (0,1)",
     )
-    conservative = conservative_bivalue_mixed(m_norm, 1025)
+    conservative = conservative_bivalue_mixed(m_norm)
     check(
         "conservative bi-value of the extension",
-        _close(conservative, b_prime, 1e-6),
-        f"{fmt_point(conservative)} ~ (0, 1) at grid 1025",
+        conservative == b_prime,
+        f"{fmt_point(conservative)} = (0, 1) in closed form",
     )
 
     # Payoff-space geometry of the expected losses.
@@ -389,12 +390,12 @@ def _write_figures(out, grid_2d, grid_3d, ks_solutions, tu_solutions, coop, line
         fig3.add_solution(name, sol.preimage, sol.payoff)
     _emit(out, "bargaining_solutions", fig3, lines)
 
-    tub = tu_boundary(cloud, Orientation.LOSS, 1e-9)
+    tub, tu_ends = tu_segment(cloud, Orientation.LOSS, 1e-9)
     fig4 = Scene("transferable-utility solutions", Orientation.LOSS, 2)
     fig4.add(cloud.preimages, cloud.payoffs, "cloud")
     fig4.add(boundary.preimages, boundary.payoffs, "pareto")
     fig4.add(tub.witness_preimages, tub.witness_payoffs, "tu")
-    fig4.tu_segment = _tu_line_ends(cloud, tub.optimal_sum)
+    fig4.tu_segment = tu_ends
     for name, sol in zip(("H", "K"), tu_solutions):
         fig4.add_solution(name, sol.preimage, sol.payoff)
     _emit(out, "tu_solutions", fig4, lines)
@@ -407,7 +408,7 @@ def _write_figures(out, grid_2d, grid_3d, ks_solutions, tu_solutions, coop, line
     _emit(out, "coopetitive_space", fig5, lines)
 
     zone = nash_zone(coop, grid_3d)
-    coop_tub = tu_boundary(coop_cloud, Orientation.LOSS, 1e-6)
+    coop_tub, coop_tu_ends = tu_segment(coop_cloud, Orientation.LOSS, 1e-6)
     b_prime = PayoffPoint(0.0, 1.0)
     path_inf = PayoffPoint(-1.0, 0.0)
     game_inf = extrema(coop_cloud)[0]
@@ -416,7 +417,7 @@ def _write_figures(out, grid_2d, grid_3d, ks_solutions, tu_solutions, coop, line
     fig6.add(coop_boundary.preimages, coop_boundary.payoffs, "pareto")
     fig6.add(zone.preimages, zone.payoffs, "nash")
     fig6.add(coop_tub.witness_preimages, coop_tub.witness_payoffs, "tu")
-    fig6.tu_segment = _tu_line_ends(coop_cloud, coop_tub.optimal_sum)
+    fig6.tu_segment = coop_tu_ends
     for name, threat in (("H'", b_prime), ("H''", path_inf)):
         sol = ks_solution(
             BargainingProblem(coop_boundary, threat, game_inf), tol=3.0 / (grid_3d - 1)
@@ -426,16 +427,6 @@ def _write_figures(out, grid_2d, grid_3d, ks_solutions, tu_solutions, coop, line
         sol = tu_crossing_solution(coop_cloud, Orientation.LOSS, threat, game_inf)
         fig6.add_solution(name, sol.preimage, sol.payoff)
     _emit(out, "coopetitive_solutions", fig6, lines)
-
-
-def _tu_line_ends(cloud, optimal_sum):
-    lo, hi = extrema(cloud)
-    p1_lo = max(lo.p1, optimal_sum - hi.p2)
-    p1_hi = min(hi.p1, optimal_sum - lo.p2)
-    return (
-        PayoffPoint(p1_lo, optimal_sum - p1_lo),
-        PayoffPoint(p1_hi, optimal_sum - p1_hi),
-    )
 
 
 def _emit(out: Path, stem: str, scene: Scene, lines: list[str]) -> None:

@@ -13,6 +13,7 @@ of the offending key, so the CLI can report ``file:line: message``.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,7 @@ __all__ = [
     "load_game_file",
     "resolve_grid",
     "GRID_ENV_VAR",
+    "MAX_LATTICE_POINTS",
     "DEFAULT_GRID_2D",
     "DEFAULT_GRID_3D",
 ]
@@ -38,6 +40,9 @@ __all__ = [
 GRID_ENV_VAR = "COOPETITION_GRID"
 DEFAULT_GRID_2D = 513
 DEFAULT_GRID_3D = 65
+#: Most lattice points (grid_n ** 2 finite, grid_n ** 3 coopetitive) a run may
+#: sample: at 32-40 bytes of payoffs and preimages each, 0.5-0.7 GB.
+MAX_LATTICE_POINTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,11 @@ class GameSpec:
     coopetitive: CoopetitiveGame | None
     analysis: AnalysisDefaults
     path: str
+
+
+def _is_number(value) -> bool:
+    """A JSON number; ``true``/``false`` load as Python ints but are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _line_of(text: str, key: str) -> int | None:
@@ -155,8 +165,8 @@ def load_game_file(path: str | Path) -> GameSpec:
             raise v.fail("grid_n", f"analysis.grid_n must be an integer >= 2, got {grid_n!r}")
         tol = block.get("tol")
         if tol is not None:
-            if not isinstance(tol, (int, float)) or not tol > 0:
-                raise v.fail("tol", f"analysis.tol must be a positive number, got {tol!r}")
+            if not _is_number(tol) or not (math.isfinite(tol) and tol > 0):
+                raise v.fail("tol", f"analysis.tol must be finite and > 0, got {tol!r}")
             tol = float(tol)
         analysis = AnalysisDefaults(grid_n=grid_n, tol=tol)
 
@@ -185,7 +195,7 @@ def load_game_file(path: str | Path) -> GameSpec:
         if not isinstance(c_size, int) or c_size < 2:
             raise v.fail("c_grid_size", f"c_grid_size must be an integer >= 2, got {c_size!r}")
         initial_z = data.get("initial_z")
-        if initial_z is not None and not isinstance(initial_z, (int, float)):
+        if initial_z is not None and not _is_number(initial_z):
             raise v.fail("initial_z", f"initial_z must be a number, got {initial_z!r}")
         try:
             coopetitive = CoopetitiveGame.with_uniform_grid(
@@ -201,22 +211,33 @@ def load_game_file(path: str | Path) -> GameSpec:
 
 
 def resolve_grid(spec: GameSpec, cli_grid: int | None) -> int:
-    """Grid-size precedence: CLI flag, file analysis block, env var, default."""
+    """Grid-size precedence: CLI flag, file analysis block, env var, default.
+
+    From any source, a lattice over ``MAX_LATTICE_POINTS`` is rejected.
+    """
+    env = os.environ.get(GRID_ENV_VAR)
     if cli_grid is not None:
         if cli_grid < 2:
             raise GameFileError(f"grid size must be at least 2, got {cli_grid}", path=spec.path)
-        return cli_grid
-    if spec.analysis.grid_n is not None:
-        return spec.analysis.grid_n
-    env = os.environ.get(GRID_ENV_VAR)
-    if env is not None:
+        grid_n = cli_grid
+    elif spec.analysis.grid_n is not None:
+        grid_n = spec.analysis.grid_n
+    elif env is not None:
         try:
-            value = int(env)
+            grid_n = int(env)
         except ValueError:
             raise GameFileError(
                 f"{GRID_ENV_VAR} must be an integer, got {env!r}", path=spec.path
             ) from None
-        if value < 2:
-            raise GameFileError(f"{GRID_ENV_VAR} must be at least 2, got {value}", path=spec.path)
-        return value
-    return DEFAULT_GRID_2D if spec.kind == "finite" else DEFAULT_GRID_3D
+        if grid_n < 2:
+            raise GameFileError(f"{GRID_ENV_VAR} must be at least 2, got {grid_n}", path=spec.path)
+    else:
+        grid_n = DEFAULT_GRID_2D if spec.kind == "finite" else DEFAULT_GRID_3D
+    points = grid_n ** (2 if spec.kind == "finite" else 3)
+    if points > MAX_LATTICE_POINTS:
+        raise GameFileError(
+            f"grid size {grid_n} asks for {points} lattice points, "
+            f"more than the limit of {MAX_LATTICE_POINTS}",
+            path=spec.path,
+        )
+    return grid_n

@@ -6,7 +6,8 @@ hers.  Expected payoffs are then bilinear on the unit square, which makes
 the whole equilibrium analysis exact: each player's preference between his
 two pure strategies is a linear function of the opponent's mixture, and
 support enumeration over the nine support profiles yields every
-equilibrium component as a product of closed intervals.
+equilibrium component as a product of closed intervals.  Conservative
+bi-values are closed forms too: the maximum of the lower of two lines.
 
 Degenerate games produce continuum components (segments or rectangles);
 they are reported through their extreme points plus a shape tag, and every
@@ -210,55 +211,34 @@ def mixed_equilibrium_components(game: FiniteBimatrixGame) -> list[EquilibriumCo
     return components
 
 
-def _ternary_max(f, lo: float, hi: float, iters: int = 80) -> float:
-    """Max of a unimodal function on [lo, hi]; returns the best value seen."""
-    best = max(f(lo), f(hi))
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        f1, f2 = f(m1), f(m2)
-        best = max(best, f1, f2)
-        if f1 < f2:
-            lo = m1
-        else:
-            hi = m2
-    return best
+def _maximin_lines(line0: np.ndarray, line1: np.ndarray) -> float:
+    """max over u in [0, 1] of min(line0(u), line1(u)).
+
+    Lines are given by their values at u = 0 and 1.  The maximum sits at an
+    end or at an inner crossing: one division, correctly rounded for integer tables.
+    """
+    (p0, q0), (p1, q1) = line0, line1
+    best = max(min(p0, p1), min(q0, q1))
+    gap0, gap1 = p0 - p1, q0 - q1
+    if gap0 < 0.0 < gap1 or gap1 < 0.0 < gap0:
+        best = max(best, (p0 * q1 - q0 * p1) / (gap0 - gap1))
+    return float(best)
 
 
-def conservative_bivalue_mixed(game: FiniteBimatrixGame, grid_n: int) -> PayoffPoint:
-    """Conservative bi-value of the mixed extension by lattice scan.
+def conservative_bivalue_mixed(game: FiniteBimatrixGame) -> PayoffPoint:
+    """Conservative bi-value of the mixed extension, in closed form.
 
     Under LOSS this is inf-sup of each player's expected payoff (own
-    strategy outside, opponent inside), under GAIN sup-inf.  The lattice
-    scan is refined by a local ternary pass around the best row/column;
-    since the payoffs are bilinear the inner extremum sits on the lattice
-    edge and the outer objective is piecewise linear, so the refinement
-    converges to the exact value.
+    strategy outside, opponent inside), under GAIN sup-inf.  The payoffs
+    are bilinear, so the opponent's extremal reply is pure and each
+    player's guarantee is the lower of two lines in their own mixture.
     """
     _require_2x2(game)
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    m = bilinear_map(game)
     s = game.orientation.sign
-    t = np.linspace(0.0, 1.0, grid_n)
-    x, y = np.meshgrid(t, t, indexing="ij")
-    g1 = s * m.eval_arrays(x, y)[0]
-    g2 = s * m.eval_arrays(x, y)[1]
-
-    values = []
-    for own_axis, g, component in ((1, g1, 0), (0, g2, 1)):
-        guarantees = g.min(axis=own_axis)
-        i = int(np.argmax(guarantees))
-        lo = t[max(i - 1, 0)]
-        hi = t[min(i + 1, grid_n - 1)]
-
-        def guarantee(v: float) -> float:
-            if component == 0:
-                p = m.eval_arrays(np.full_like(t, v), t)[0]
-            else:
-                p = m.eval_arrays(t, np.full_like(t, v))[1]
-            return float((s * p).min())
-
-        best = max(float(guarantees[i]), _ternary_max(guarantee, lo, hi))
-        values.append(s * best)
-    return PayoffPoint(values[0], values[1])
+    x, y = np.meshgrid((0.0, 1.0), (0.0, 1.0), indexing="ij")
+    # g[i, j] is the oriented payoff at the corner x = i, y = j.
+    g1, g2 = (s * p for p in bilinear_map(game).eval_arrays(x, y))
+    v1 = _maximin_lines(g1[:, 0], g1[:, 1])
+    v2 = _maximin_lines(g2[0, :], g2[1, :])
+    # Adding 0.0 turns the -0.0 of a negated zero into 0.0.
+    return PayoffPoint(s * v1 + 0.0, s * v2 + 0.0)

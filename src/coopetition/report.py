@@ -120,7 +120,7 @@ def build_finite_report(spec: GameSpec, grid_n: int, tol: float, mixed: bool | N
         comp_lines.append(f"{comp.description}: extremes {ext}; payoffs {pay}")
     sections.append(("mixed equilibrium components", tuple(comp_lines)))
 
-    v_mixed = conservative_bivalue_mixed(game, grid_n)
+    v_mixed = conservative_bivalue_mixed(game)
     cloud = sample_image(bilinear_map(game), grid_n)
     lo, hi = extrema(cloud)
     flavor = facing_flavor(game.orientation)

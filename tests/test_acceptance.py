@@ -81,7 +81,7 @@ def test_criterion_3_mixed_extension(norm_loss_game):
         assert comp.x_interval == (0.0, 1.0) and comp.y_interval == (0.0, 0.0)
         assert dist(comp.payoff_extremes[0], (0.0, 0.0)) <= 1e-12
         assert dist(comp.payoff_extremes[1], (0.0, 1.0)) <= 1e-12
-        b_prime = conservative_bivalue_mixed(norm_loss_game, 1025)
+        b_prime = conservative_bivalue_mixed(norm_loss_game)
         assert dist(b_prime, (0.0, 1.0)) <= 1e-6
 
 

@@ -153,7 +153,7 @@ class TestNashBargaining:
 
 class TestPayoffCore:
     def test_paper_core(self, f0_boundary_513, norm_loss_game):
-        conservative = conservative_bivalue_mixed(norm_loss_game, 513)
+        conservative = conservative_bivalue_mixed(norm_loss_game)
         core = payoff_core(f0_boundary_513, conservative)
         assert len(core) > 0
         # Core points are exactly the boundary points with p2 <= 1.
@@ -170,7 +170,7 @@ class TestPayoffCore:
         assert len(core) == 0
 
     def test_core_is_nondominated_subset(self, f0_boundary_513, norm_loss_game):
-        conservative = conservative_bivalue_mixed(norm_loss_game, 513)
+        conservative = conservative_bivalue_mixed(norm_loss_game)
         core = payoff_core(f0_boundary_513, conservative)
         refiltered = pareto_filter(core, Orientation.LOSS, "minimal")
         assert len(refiltered) == len(core)
@@ -203,7 +203,7 @@ class TestCompromiseSolution:
         assert sol.payoff == ks.payoff
 
     def test_conservative_pareto(self, f0_boundary_513, norm_loss_game):
-        conservative = conservative_bivalue_mixed(norm_loss_game, 513)
+        conservative = conservative_bivalue_mixed(norm_loss_game)
         sol = compromise_solution(
             "conservative_pareto", f0_boundary_513, conservative=conservative, tol=3.0 / 512
         )

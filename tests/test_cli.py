@@ -1,6 +1,7 @@
 """CLI subcommands: reports, solvers, rendering, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from coopetition.cli import main
-from coopetition.demo import coopetitive_game_dict, finite_game_dict
+from coopetition.demo import coopetitive_game_dict, finite_game_dict, run_paper_demo
 from coopetition.games import Orientation
 from coopetition.geometry import PointCloud, pareto_filter
 
@@ -31,6 +32,14 @@ def coop_path(tmp_path):
     data["analysis"] = {"grid_n": 17}
     path = tmp_path / "coop.json"
     path.write_text(json.dumps(data))
+    return str(path)
+
+
+def loss_file(tmp_path, payoff1, payoff2):
+    path = tmp_path / "loss.json"
+    path.write_text(json.dumps(
+        {"kind": "finite", "orientation": "loss", "payoff1": payoff1, "payoff2": payoff2}
+    ))
     return str(path)
 
 
@@ -88,6 +97,23 @@ class TestAnalyze:
         assert code == 0
         assert "skipped" in out
 
+    @pytest.mark.parametrize(
+        "payoff1, payoff2, expected",
+        [
+            ([[-2, 4], [3, -3]], [[0, -2], [0, 4]], "(0.5, 0)"),
+            # Player 1's guarantee peaks at 0 where the two replies cross.
+            ([[3, -3], [-3, 3]], [[-3, 4], [3, 4]], "(0, 3)"),
+        ],
+    )
+    def test_mixed_conservative_value_prints_no_negative_zero(
+        self, tmp_path, payoff1, payoff2, expected
+    ):
+        path = loss_file(tmp_path, payoff1, payoff2)
+        code, out, _ = run("analyze", path, "--grid", "65")
+        assert code == 0
+        assert f"  conservative bi-value: {expected}" in out.splitlines()
+        assert "-0," not in out and "-0)" not in out
+
     def test_deterministic_output(self, coop_path):
         a = run("analyze", coop_path)
         b = run("analyze", coop_path)
@@ -137,6 +163,14 @@ class TestSolve:
         assert code == 0
         assert "threat a: (0, 3)" in out
 
+    def test_nash_bargaining_from_exact_conservative_value(self, tmp_path):
+        # Player 2 can guarantee a loss of 4 and no less; a threat point
+        # an ulp better than that leaves no feasible boundary point.
+        path = loss_file(tmp_path, [[-2, -2], [4, 4]], [[4, 4], [1, -2]])
+        code, out, err = run("solve", path, "--solution", "nash-bargaining")
+        assert code == 0, err
+        assert "payoff: (-2, 4)" in out.splitlines()
+
     def test_compromise_kinds(self, finite_path):
         for kind in ("compromise:pareto", "compromise:conservative_pareto"):
             code, out, _ = run("solve", finite_path, "--solution", kind, "--grid", "129")
@@ -148,6 +182,12 @@ class TestSolve:
         assert code == 0
         assert "payoff: (-1, -1)" in out
         assert "preimage: (0, 0, 1)" in out
+
+    def test_grid_over_lattice_budget_exits_2(self, coop_path):
+        code, out, err = run("solve", coop_path, "--solution", "tu", "--grid", "300")
+        assert code == 2
+        assert out == ""
+        assert "limit of 16777216" in err
 
     def test_same_half_plane_exits_4(self, coop_path):
         code, _, err = run(
@@ -271,6 +311,22 @@ class TestRender:
         assert code == 2
 
 
+#: SHA-256 of the paper-demo figure files.  Any change to the sampled
+#: geometry, the solutions drawn or the CSV/SVG emission shows up here.
+DEMO_FIGURE_SHA256 = {
+    "payoff_space.csv": "c87dc5ad6f24d038882f85e73cffc51c453f418950440e44a59f543532f068ce",
+    "payoff_space.svg": "72223a5627200083bb4529e4fc186abecbed8815e2091e63e06b5924f4c689b0",
+    "bargaining_solutions.csv": "2f7e171342c0621890c9f53e1462afed0bc589080b10ede6e6af959f3cf3d07f",
+    "bargaining_solutions.svg": "c1d280f860f296f0566d4e9930a21079323a5cc074c64127eb570732310dee1b",
+    "tu_solutions.csv": "54b94efab0f0075065fd234784a3608f8c9766522737f87a2307dcc7958740d8",
+    "tu_solutions.svg": "8f15398bfdc242fcb239f41d9eb4355fc1c46722b65217bc0212ab17c05e4528",
+    "coopetitive_space.csv": "a49632622f7f44094649db909dfe1568f49516d709dac17e126c712e26725f94",
+    "coopetitive_space.svg": "0c69073ec14e549a77923c560e7227c43f1ad1cf9c7f6dff24c84a59624be227",
+    "coopetitive_solutions.csv": "a679395537c7c436f70fc88f68f9851f8aeecb3b2da4aa778da5ac430a2180ce",
+    "coopetitive_solutions.svg": "87d857640dbd8de2a7e5f2e441ead56c91ea273544b6ed71fc121f4bb568d7f0",
+}
+
+
 class TestPaperDemo:
     def test_writes_all_artifacts(self, tmp_path):
         out_dir = tmp_path / "demo"
@@ -290,6 +346,14 @@ class TestPaperDemo:
         ):
             assert f"{stem}.csv" in names
             assert f"{stem}.svg" in names
+
+    def test_figures_match_golden_hashes(self, tmp_path):
+        run_paper_demo(tmp_path)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in DEMO_FIGURE_SHA256
+        }
+        assert digests == DEMO_FIGURE_SHA256
 
     def test_emitted_game_files_load(self, tmp_path):
         out_dir = tmp_path / "demo"

@@ -1,15 +1,19 @@
 """Game-file schema validation and grid resolution."""
 
+import io
 import json
+from contextlib import redirect_stderr
 
 import pytest
 
+from coopetition.cli import main
 from coopetition.demo import coopetitive_game_dict, finite_game_dict
 from coopetition.errors import GameFileError
 from coopetition.gamefile import (
     DEFAULT_GRID_2D,
     DEFAULT_GRID_3D,
     GRID_ENV_VAR,
+    MAX_LATTICE_POINTS,
     load_game_file,
     resolve_grid,
 )
@@ -115,6 +119,33 @@ def test_bad_analysis_block(tmp_path):
         load_game_file(write(tmp_path, data))
 
 
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("finite", "tol", True),
+        ("finite", "tol", float("inf")),
+        ("finite", "grid_n", True),
+        ("coopetitive", "c_grid_size", True),
+        ("coopetitive", "initial_z", True),
+    ],
+    ids=["tol-true", "tol-infinity", "grid_n-true", "c_grid_size-true", "initial_z-true"],
+)
+def test_bad_scalar_exits_2_at_its_line(tmp_path, kind, key, value):
+    data = finite_game_dict() if kind == "finite" else coopetitive_game_dict()
+    if key in ("tol", "grid_n"):
+        data["analysis"] = {key: value}
+    else:
+        data[key] = value
+    path = write(tmp_path, data)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["analyze", str(path), "--grid", "9"])
+    assert code == 2
+    lines = path.read_text().splitlines()
+    line = next(i for i, text in enumerate(lines, start=1) if f'"{key}"' in text)
+    assert f"{path}:{line}: " in err.getvalue()
+
+
 class TestResolveGrid:
     def test_cli_flag_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv(GRID_ENV_VAR, "99")
@@ -149,3 +180,23 @@ class TestResolveGrid:
         spec = load_game_file(write(tmp_path, finite_game_dict()))
         with pytest.raises(GameFileError, match=GRID_ENV_VAR):
             resolve_grid(spec, None)
+
+    @pytest.mark.parametrize("source", ["flag", "file", "env"])
+    def test_coopetitive_lattice_over_budget(self, tmp_path, monkeypatch, source):
+        # 300 ** 3 = 2.7e7 lattice points.
+        monkeypatch.delenv(GRID_ENV_VAR, raising=False)
+        data = coopetitive_game_dict()
+        del data["analysis"]
+        if source == "file":
+            data["analysis"] = {"grid_n": 300}
+        elif source == "env":
+            monkeypatch.setenv(GRID_ENV_VAR, "300")
+        spec = load_game_file(write(tmp_path, data))
+        with pytest.raises(GameFileError, match=f"limit of {MAX_LATTICE_POINTS}"):
+            resolve_grid(spec, 300 if source == "flag" else None)
+
+    def test_finite_lattice_over_budget(self, tmp_path):
+        # 4097 ** 2 is the first square above 2 ** 24.
+        spec = load_game_file(write(tmp_path, finite_game_dict()))
+        with pytest.raises(GameFileError, match=f"limit of {MAX_LATTICE_POINTS}"):
+            resolve_grid(spec, 4097)

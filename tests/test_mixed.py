@@ -144,16 +144,16 @@ class TestEquilibriumComponents:
 
 class TestConservativeBivalueMixed:
     def test_normalized_loss_game(self, norm_loss_game):
-        v = conservative_bivalue_mixed(norm_loss_game, 1025)
+        v = conservative_bivalue_mixed(norm_loss_game)
         assert abs(v.p1 - 0.0) <= 1e-9
         assert abs(v.p2 - 1.0) <= 1e-9
 
     def test_all_zero(self):
         g = FiniteBimatrixGame(np.zeros((2, 2)), np.zeros((2, 2)), Orientation.GAIN)
-        assert conservative_bivalue_mixed(g, 65) == PayoffPoint(0, 0)
+        assert conservative_bivalue_mixed(g) == PayoffPoint(0, 0)
 
     def test_translation_equivariance(self, norm_loss_game, loss_game):
-        v = conservative_bivalue_mixed(loss_game, 513)
+        v = conservative_bivalue_mixed(loss_game)
         assert abs(v.p1 - 0.0) <= 1e-9
         assert abs(v.p2 - (-3.0)) <= 1e-9
 
@@ -164,7 +164,7 @@ class TestConservativeBivalueMixed:
         rng = np.random.default_rng(25)
         for _ in range(40):
             g = random_game(rng, rows=2, cols=2)
-            v = conservative_bivalue_mixed(g, 257)
+            v = conservative_bivalue_mixed(g)
             e1, e2 = exact_conservative_mixed(g)
             assert abs(v.p1 - e1) <= 1e-9
             assert abs(v.p2 - e2) <= 1e-9
@@ -173,7 +173,7 @@ class TestConservativeBivalueMixed:
         rng = np.random.default_rng(26)
         for _ in range(20):
             g = random_game(rng, rows=2, cols=2)
-            v = conservative_bivalue_mixed(g, 257)
+            v = conservative_bivalue_mixed(g)
             s = g.orientation.sign
             t = np.linspace(0, 1, 257)
             from coopetition.mixed import bilinear_map
@@ -186,6 +186,12 @@ class TestConservativeBivalueMixed:
             assert s * v.p1 >= s * o1 - 1e-12
             assert s * v.p2 >= s * o2 - 1e-12
 
-    def test_grid_validation(self, norm_loss_game):
-        with pytest.raises(ValueError):
-            conservative_bivalue_mixed(norm_loss_game, 1)
+    def test_exact_where_the_scan_was_off_by_an_ulp(self):
+        # Whatever their mixture, player 2 can hold the loss to 4 and no
+        # lower; a sampled search reported 3.9999999999999996.
+        g = FiniteBimatrixGame(
+            np.array([[-2.0, -2.0], [4.0, 4.0]]),
+            np.array([[4.0, 4.0], [1.0, -2.0]]),
+            Orientation.LOSS,
+        )
+        assert conservative_bivalue_mixed(g) == PayoffPoint(-2.0, 4.0)
