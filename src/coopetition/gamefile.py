@@ -40,8 +40,8 @@ __all__ = [
 GRID_ENV_VAR = "COOPETITION_GRID"
 DEFAULT_GRID_2D = 513
 DEFAULT_GRID_3D = 65
-#: Most lattice points (grid_n ** 2 finite, grid_n ** 3 coopetitive) a run may
-#: sample: at 32-40 bytes of payoffs and preimages each, 0.5-0.7 GB.
+#: Most lattice points a run may sample (counted by ``resolve_grid``): at
+#: 32-40 bytes of payoffs and preimages each, 0.5-0.7 GB.
 MAX_LATTICE_POINTS = 2**24
 
 
@@ -64,6 +64,14 @@ class GameSpec:
 def _is_number(value) -> bool:
     """A JSON number; ``true``/``false`` load as Python ints but are not."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _float(value) -> float:
+    """``float(value)``, reading an integer past the float range as infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _line_of(text: str, key: str) -> int | None:
@@ -101,6 +109,8 @@ class _Validator:
             raise self.fail(key, f"{key} must be rectangular")
         try:
             out = np.array(raw, dtype=float)
+        except OverflowError:
+            raise self.fail(key, f"{key} entries must be finite") from None
         except (TypeError, ValueError):
             raise self.fail(key, f"{key} entries must be numbers") from None
         if not np.isfinite(out).all():
@@ -124,7 +134,7 @@ class _Validator:
         if not isinstance(raw, list) or len(raw) != 5:
             raise self.fail(key, f"coefficients.{key} must list 5 numbers over (1, x, y, z, xy)")
         try:
-            row = [float(v) for v in raw]
+            row = [_float(v) for v in raw]
         except (TypeError, ValueError):
             raise self.fail(key, f"coefficients.{key} entries must be numbers") from None
         if not all(np.isfinite(row)):
@@ -165,7 +175,7 @@ def load_game_file(path: str | Path) -> GameSpec:
             raise v.fail("grid_n", f"analysis.grid_n must be an integer >= 2, got {grid_n!r}")
         tol = block.get("tol")
         if tol is not None:
-            if not _is_number(tol) or not (math.isfinite(tol) and tol > 0):
+            if not _is_number(tol) or not (math.isfinite(_float(tol)) and tol > 0):
                 raise v.fail("tol", f"analysis.tol must be finite and > 0, got {tol!r}")
             tol = float(tol)
         analysis = AnalysisDefaults(grid_n=grid_n, tol=tol)
@@ -192,8 +202,11 @@ def load_game_file(path: str | Path) -> GameSpec:
             [v.coefficient_row(table, "p1"), v.coefficient_row(table, "p2")]
         )
         c_size = data.get("c_grid_size", 65)
-        if not isinstance(c_size, int) or c_size < 2:
-            raise v.fail("c_grid_size", f"c_grid_size must be an integer >= 2, got {c_size!r}")
+        if not isinstance(c_size, int) or not 2 <= c_size <= MAX_LATTICE_POINTS:
+            raise v.fail(
+                "c_grid_size",
+                f"c_grid_size must be an integer in [2, {MAX_LATTICE_POINTS}], got {c_size!r}",
+            )
         initial_z = data.get("initial_z")
         if initial_z is not None and not _is_number(initial_z):
             raise v.fail("initial_z", f"initial_z must be a number, got {initial_z!r}")
@@ -202,7 +215,7 @@ def load_game_file(path: str | Path) -> GameSpec:
                 PayoffMap(coeffs, arity=3),
                 orientation,
                 c_grid_size=c_size,
-                initial_z=None if initial_z is None else float(initial_z),
+                initial_z=None if initial_z is None else _float(initial_z),
             )
         except ValueError as exc:
             raise v.fail("initial_z", str(exc)) from exc
@@ -213,7 +226,8 @@ def load_game_file(path: str | Path) -> GameSpec:
 def resolve_grid(spec: GameSpec, cli_grid: int | None) -> int:
     """Grid-size precedence: CLI flag, file analysis block, env var, default.
 
-    From any source, a lattice over ``MAX_LATTICE_POINTS`` is rejected.
+    From any source, a lattice over ``MAX_LATTICE_POINTS`` is rejected: ``grid_n**2``
+    points, times ``max(grid_n, c_grid_size)`` for a coopetitive game.
     """
     env = os.environ.get(GRID_ENV_VAR)
     if cli_grid is not None:
@@ -233,7 +247,10 @@ def resolve_grid(spec: GameSpec, cli_grid: int | None) -> int:
             raise GameFileError(f"{GRID_ENV_VAR} must be at least 2, got {grid_n}", path=spec.path)
     else:
         grid_n = DEFAULT_GRID_2D if spec.kind == "finite" else DEFAULT_GRID_3D
-    points = grid_n ** (2 if spec.kind == "finite" else 3)
+    points = grid_n**2
+    if spec.kind == "coopetitive":
+        # The cloud, or a Nash zone holding a full section rectangle for every z.
+        points *= max(grid_n, len(spec.coopetitive.c_grid))
     if points > MAX_LATTICE_POINTS:
         raise GameFileError(
             f"grid size {grid_n} asks for {points} lattice points, "

@@ -16,7 +16,7 @@ sampling was partitioned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -131,9 +131,6 @@ class _PointSet:
             PayoffPoint(*self.payoffs[i]), tuple(float(v) for v in self.preimages[i])
         )
 
-    def iter_tagged(self) -> Iterable[TaggedPoint]:
-        return (self.tagged(i) for i in range(len(self)))
-
     @staticmethod
     def _freeze(payoffs: np.ndarray, preimages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         payoffs = np.ascontiguousarray(payoffs, dtype=float)
@@ -196,13 +193,6 @@ class TUBoundary:
     witness_preimages: np.ndarray
     segment_ends: tuple[PayoffPoint, PayoffPoint]
     tolerance: float
-
-    @property
-    def witnesses(self) -> tuple[TaggedPoint, ...]:
-        return tuple(
-            TaggedPoint(PayoffPoint(*p), tuple(float(v) for v in q))
-            for p, q in zip(self.witness_payoffs, self.witness_preimages)
-        )
 
 
 def sample_image(payoff_map: PayoffMap, grid_n: int) -> PointCloud:

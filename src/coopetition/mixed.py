@@ -11,7 +11,7 @@ bi-values are closed forms too: the maximum of the lower of two lines.
 
 Degenerate games produce continuum components (segments or rectangles);
 they are reported through their extreme points plus a shape tag, and every
-reported point is verified against a best-response grid check.
+reported point is verified against both pure replies of each player.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ __all__ = [
     "conservative_bivalue_mixed",
 ]
 
-#: Grid used by the best-response verification of reported equilibria.
-VERIFY_GRID = 101
+#: Tolerance of the best-response verification, per unit of the largest
+#: table entry: rounding in the expected payoffs grows with the payoffs.
 VERIFY_TOL = 1e-12
 
 
@@ -125,15 +125,16 @@ def _intersect(u: tuple[float, float], v: tuple[float, float]) -> tuple[float, f
     return (lo, hi) if lo <= hi else None
 
 
-def _verify_equilibrium(game: FiniteBimatrixGame, x: float, y: float) -> None:
-    m = bilinear_map(game)
+def _verify_equilibrium(game: FiniteBimatrixGame, m: PayoffMap, x: float, y: float) -> None:
+    # Own payoff is linear in the own mixture, so the two pure replies are
+    # the exact best replies.
     s = game.orientation.sign
-    t = np.linspace(0.0, 1.0, VERIFY_GRID)
-    own1 = s * m.eval_arrays(t, np.full_like(t, y))[0]
-    own2 = s * m.eval_arrays(np.full_like(t, x), t)[1]
-    here1 = s * m.eval_arrays(x, y)[0]
-    here2 = s * m.eval_arrays(x, y)[1]
-    if own1.max() > here1 + VERIFY_TOL or own2.max() > here2 + VERIFY_TOL:
+    pure = np.array([0.0, 1.0])
+    best1 = (s * m.eval_arrays(pure, np.full(2, y))[0]).max()
+    best2 = (s * m.eval_arrays(np.full(2, x), pure)[1]).max()
+    here1, here2 = (s * v for v in m.eval_arrays(x, y))
+    tol = VERIFY_TOL * max(1.0, np.abs(game.payoff1).max(), np.abs(game.payoff2).max())
+    if best1 > here1 + tol or best2 > here2 + tol:
         raise AssertionError(
             f"best-response verification failed at ({x}, {y}); "
             "support enumeration produced a non-equilibrium"
@@ -196,7 +197,7 @@ def mixed_equilibrium_components(game: FiniteBimatrixGame) -> list[EquilibriumCo
         xl, xh, yl, yh = float(xl), float(xh), float(yl), float(yh)
         corners = sorted({(xl, yl), (xl, yh), (xh, yl), (xh, yh)})
         for cx, cy in corners:
-            _verify_equilibrium(game, cx, cy)
+            _verify_equilibrium(game, payoff, cx, cy)
         degenerate = int(xl == xh) + int(yl == yh)
         description = {2: "isolated point", 1: "segment", 0: "rectangle"}[degenerate]
         components.append(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .games import Orientation, PayoffPoint
 
-__all__ = ["SceneRow", "Scene", "write_csv", "write_svg"]
+__all__ = ["Scene", "write_csv", "write_svg"]
 
 #: Cloud points drawn into an SVG are thinned to at most this many.
 SVG_CLOUD_CAP = 4000
@@ -32,36 +32,31 @@ _COLORS = {
 }
 
 
-@dataclass(frozen=True)
-class SceneRow:
-    preimage: tuple[float, ...]
-    p1: float
-    p2: float
-    tag: str
-
-
 @dataclass
 class Scene:
-    """Everything one figure shows, in emission order."""
+    """Everything one figure shows, in emission order.
+
+    ``blocks`` holds one ``(tag, preimages, payoffs)`` triple of float
+    arrays per ``add`` or ``add_solution`` call.
+    """
 
     title: str
     orientation: Orientation
     arity: int
-    rows: list[SceneRow] = field(default_factory=list)
+    blocks: list[tuple[str, np.ndarray, np.ndarray]] = field(default_factory=list)
     tu_segment: tuple[PayoffPoint, PayoffPoint] | None = None
 
     def add(self, preimages, payoffs, tag: str) -> None:
         preimages = np.atleast_2d(np.asarray(preimages, dtype=float))
         payoffs = np.atleast_2d(np.asarray(payoffs, dtype=float))
-        for pre, pay in zip(preimages, payoffs):
-            self.rows.append(
-                SceneRow(tuple(float(v) for v in pre), float(pay[0]), float(pay[1]), tag)
-            )
+        self.blocks.append((tag, preimages[:, : self.arity], payoffs[:, :2]))
 
     def add_solution(self, name: str, preimage, payoff: PayoffPoint) -> None:
         pre = tuple(float(v) for v in preimage) if preimage is not None else ()
         pre = pre + (0.0,) * (self.arity - len(pre))
-        self.rows.append(SceneRow(pre[: self.arity], payoff.p1, payoff.p2, f"solution:{name}"))
+        self.blocks.append(
+            (f"solution:{name}", np.array([pre[: self.arity]]), np.array([[payoff.p1, payoff.p2]]))
+        )
 
 
 def write_csv(path: str | Path, scene: Scene) -> None:
@@ -69,11 +64,8 @@ def write_csv(path: str | Path, scene: Scene) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in scene.rows:
-            writer.writerow(
-                [repr(v) for v in row.preimage[: scene.arity]]
-                + [repr(row.p1), repr(row.p2), row.tag]
-            )
+        for tag, pre, pay in scene.blocks:
+            writer.writerows([*map(repr, row), tag] for row in np.hstack([pre, pay]).tolist())
 
 
 def _fmt(v: float) -> str:
@@ -102,12 +94,19 @@ def _thin(points: np.ndarray, cap: int) -> np.ndarray:
     return points[::stride]
 
 
+def _tagged(scene: Scene, tag: str) -> np.ndarray:
+    """The payoffs of every block tagged ``tag``, in emission order."""
+    return np.concatenate([pay for t, _, pay in scene.blocks if t == tag] or [np.empty((0, 2))])
+
+
+def _circles(parts: list[str], frame: _Frame, points: np.ndarray, style: str) -> None:
+    for p1, p2 in points:
+        x, y = frame.to_px(p1, p2)
+        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" {style}/>')
+
+
 def write_svg(path: str | Path, scene: Scene) -> None:
-    by_tag: dict[str, list[SceneRow]] = {}
-    for row in scene.rows:
-        by_tag.setdefault(row.tag, []).append(row)
-    all_pts = np.array([[r.p1, r.p2] for r in scene.rows])
-    frame = _Frame(all_pts)
+    frame = _Frame(np.concatenate([pay for _, _, pay in scene.blocks]))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(frame.width)}" '
@@ -130,20 +129,16 @@ def write_svg(path: str | Path, scene: Scene) -> None:
     legend.append(f"orientation: {scene.orientation.value} (better = {better})")
     legend.append("scale: 1 payoff unit = 100 px")
 
-    cloud = by_tag.pop("cloud", None)
-    if cloud:
-        pts = _thin(np.array([[r.p1, r.p2] for r in cloud]), SVG_CLOUD_CAP)
-        for p1, p2 in pts:
-            x, y = frame.to_px(p1, p2)
-            parts.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.2" fill="{_COLORS["cloud"]}"/>'
-            )
+    cloud = _tagged(scene, "cloud")
+    if len(cloud):
+        pts = _thin(cloud, SVG_CLOUD_CAP)
+        _circles(parts, frame, pts, f'r="1.2" fill="{_COLORS["cloud"]}"')
         note = f" ({len(pts)} of {len(cloud)} shown)" if len(pts) < len(cloud) else ""
         legend.append(f"cloud: {len(cloud)} sampled payoffs{note}")
 
-    pareto = by_tag.pop("pareto", None)
-    if pareto:
-        pts = sorted((r.p1, r.p2) for r in pareto)
+    pareto = _tagged(scene, "pareto")
+    if len(pareto):
+        pts = sorted(map(tuple, pareto.tolist()))
         path_d = " ".join(
             ("M" if i == 0 else "L") + f"{_fmt(frame.to_px(*p)[0])},{_fmt(frame.to_px(*p)[1])}"
             for i, p in enumerate(pts)
@@ -153,17 +148,11 @@ def write_svg(path: str | Path, scene: Scene) -> None:
         )
         legend.append(f"pareto boundary: {len(pts)} points (blue)")
 
-    nash = by_tag.pop("nash", None)
-    if nash:
-        pts = _thin(np.array([[r.p1, r.p2] for r in nash]), SVG_CLOUD_CAP)
-        for p1, p2 in pts:
-            x, y = frame.to_px(p1, p2)
-            parts.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.6" fill="{_COLORS["nash"]}"/>'
-            )
+    nash = _tagged(scene, "nash")
+    if len(nash):
+        _circles(parts, frame, _thin(nash, SVG_CLOUD_CAP), f'r="1.6" fill="{_COLORS["nash"]}"')
         legend.append(f"nash zone: {len(nash)} points (green)")
 
-    tu = by_tag.pop("tu", None)
     if scene.tu_segment is not None:
         (a, b) = scene.tu_segment
         x1, y1 = frame.to_px(a.p1, a.p2)
@@ -173,19 +162,18 @@ def write_svg(path: str | Path, scene: Scene) -> None:
             f'stroke="{_COLORS["tu"]}" stroke-width="2"/>'
         )
         legend.append("tu line (red)")
-    if tu:
-        for r in tu:
-            x, y = frame.to_px(r.p1, r.p2)
-            parts.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="none" '
-                f'stroke="{_COLORS["tu"]}" stroke-width="1.5"/>'
-            )
+    tu = _tagged(scene, "tu")
+    if len(tu):
+        _circles(
+            parts, frame, tu,
+            f'r="3" fill="none" stroke="{_COLORS["tu"]}" stroke-width="1.5"',
+        )
         legend.append(f"tu witnesses: {len(tu)} points (red circles)")
 
-    solution_tags = sorted(tag for tag in by_tag if tag.startswith("solution:"))
+    solution_tags = sorted({tag for tag, _, _ in scene.blocks if tag.startswith("solution:")})
     for tag in solution_tags:
-        for r in by_tag[tag]:
-            x, y = frame.to_px(r.p1, r.p2)
+        for p1, p2 in _tagged(scene, tag).tolist():
+            x, y = frame.to_px(p1, p2)
             parts.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="{_COLORS["solution"]}"/>'
             )
@@ -193,9 +181,7 @@ def write_svg(path: str | Path, scene: Scene) -> None:
                 f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 6)}" font-size="12" '
                 f'fill="{_COLORS["solution"]}">{tag.split(":", 1)[1]}</text>'
             )
-            legend.append(
-                f"{tag}: ({r.p1:.4g}, {r.p2:.4g})"
-            )
+            legend.append(f"{tag}: ({p1:.4g}, {p2:.4g})")
 
     for i, line in enumerate(legend):
         parts.append(

@@ -134,7 +134,7 @@ def build_finite_report(spec: GameSpec, grid_n: int, tol: float, mixed: bool | N
                 f"image extrema: inf {fmt_point(lo)}, sup {fmt_point(hi)}",
                 f"Pareto {flavor} boundary: {len(boundary)} points",
                 f"TU optimal sum: {fmt(tub.optimal_sum)} "
-                f"({len(tub.witnesses)} witnesses, ends {fmt_point(tub.segment_ends[0])}"
+                f"({len(tub.witness_payoffs)} witnesses, ends {fmt_point(tub.segment_ends[0])}"
                 f" .. {fmt_point(tub.segment_ends[1])})",
             ),
         )
@@ -191,7 +191,7 @@ def build_coopetitive_report(spec: GameSpec, grid_n: int, tol: float) -> Analysi
                 f"image extrema: inf {fmt_point(lo)}, sup {fmt_point(hi)}",
                 f"Pareto {flavor} boundary: {len(boundary)} points",
                 f"TU optimal sum: {fmt(tub.optimal_sum)} "
-                f"({len(tub.witnesses)} witnesses, ends {fmt_point(tub.segment_ends[0])}"
+                f"({len(tub.witness_payoffs)} witnesses, ends {fmt_point(tub.segment_ends[0])}"
                 f" .. {fmt_point(tub.segment_ends[1])})",
                 f"conservative path: z={fmt(first[0])} -> ({fmt(first[1][0][0])}, "
                 f"{fmt(first[1][0][1])}); z={fmt(last[0])} -> ({fmt(last[1][0][0])}, "

@@ -114,6 +114,18 @@ class TestAnalyze:
         assert f"  conservative bi-value: {expected}" in out.splitlines()
         assert "-0," not in out and "-0)" not in out
 
+    def test_mixed_equilibrium_of_large_payoffs_verifies(self, tmp_path):
+        # The indifference at the mixed equilibrium holds only to rounding,
+        # which grows with the payoffs: an absolute tolerance rejected it.
+        path = loss_file(
+            tmp_path,
+            [[813952, 795699], [-67579, 817223]],
+            [[506717, 778527], [974281, -401401]],
+        )
+        code, out, err = run("analyze", path, "--grid", "33")
+        assert code == 0, err
+        assert "isolated point: extremes (0.8350158908, 0.02383465016)" in out
+
     def test_deterministic_output(self, coop_path):
         a = run("analyze", coop_path)
         b = run("analyze", coop_path)
@@ -245,6 +257,39 @@ def test_commands_do_not_load_scipy(finite_path, argv):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def _render_games() -> dict[str, dict]:
+    """The demo's finite and coopetitive files and their negations."""
+    fin = finite_game_dict()
+    coop = coopetitive_game_dict()
+    return {
+        "finite-gain": fin,
+        "finite-loss": dict(
+            fin, orientation="loss",
+            payoff1=[[-v for v in row] for row in fin["payoff1"]],
+            payoff2=[[-v for v in row] for row in fin["payoff2"]],
+        ),
+        "coopetitive-loss": coop,
+        "coopetitive-gain": dict(
+            coop, orientation="gain",
+            coefficients={k: [-v for v in vs] for k, vs in coop["coefficients"].items()},
+        ),
+    }
+
+
+#: SHA-256 of ``render --grid 9`` output on the files of ``_render_games``.
+#: Any change to the scene contents or the CSV/SVG emission shows up here.
+RENDER_SHA256 = {
+    "finite-gain.csv": "f91841def0381201bbe8834239532eb17c0be82f37c193665f6d353b1e70b0f3",
+    "finite-gain.svg": "276081bb1021672de93cb8cc8bc44fc72dcacdd51ece151f12fe2813caf2f1ed",
+    "finite-loss.csv": "a1345a489fc0866492b4e407dc3e7fcd77e98e36ce92167697d4423fe7f9e936",
+    "finite-loss.svg": "bd32a5c3c59be9c21e3435d0cce93760c2d7a36f1a4801c6877e9f9706873025",
+    "coopetitive-loss.csv": "ce5859af8d328d2240b240f668c116b715867087110a09b1aef95a1ea48d0b46",
+    "coopetitive-loss.svg": "776cf76699f6cdbeaf1c33e6b30f099edd87d8d00a7b1528ec9858d58c7e58a8",
+    "coopetitive-gain.csv": "d37ea0a340ae195315c8a13f6450f3a1149253dcf1a766aed20c7c1882ba4ab7",
+    "coopetitive-gain.svg": "6cabb06e69fba85488a7197ab1bdbbe33396f12bd039afb2ca0821a910bd3f82",
+}
+
+
 class TestRender:
     def test_finite_csv_is_cell_scatter(self, finite_path, tmp_path):
         out_csv = tmp_path / "f.csv"
@@ -309,6 +354,20 @@ class TestRender:
     def test_needs_an_output(self, coop_path):
         code, _, err = run("render", coop_path)
         assert code == 2
+
+    @pytest.mark.parametrize("stem", sorted({name.split(".")[0] for name in RENDER_SHA256}))
+    def test_output_matches_golden_hashes(self, tmp_path, stem):
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(_render_games()[stem]))
+        out = {ext: tmp_path / f"{stem}.{ext}" for ext in ("csv", "svg")}
+        code, _, _ = run(
+            "render", str(path), "--grid", "9",
+            "--out-csv", str(out["csv"]), "--out-svg", str(out["svg"]),
+        )
+        assert code == 0
+        for ext, file in out.items():
+            digest = hashlib.sha256(file.read_bytes()).hexdigest()
+            assert digest == RENDER_SHA256[f"{stem}.{ext}"], file.name
 
 
 #: SHA-256 of the paper-demo figure files.  Any change to the sampled

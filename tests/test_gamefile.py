@@ -127,13 +127,27 @@ def test_bad_analysis_block(tmp_path):
         ("finite", "grid_n", True),
         ("coopetitive", "c_grid_size", True),
         ("coopetitive", "initial_z", True),
+        ("coopetitive", "c_grid_size", MAX_LATTICE_POINTS + 1),
+        # 401-digit integer literals, past the float range.
+        ("finite", "tol", 10**400),
+        ("finite", "payoff1", 10**400),
+        ("coopetitive", "p1", -(10**400)),
+        ("coopetitive", "initial_z", 10**400),
     ],
-    ids=["tol-true", "tol-infinity", "grid_n-true", "c_grid_size-true", "initial_z-true"],
+    ids=[
+        "tol-true", "tol-infinity", "grid_n-true", "c_grid_size-true", "initial_z-true",
+        "c_grid_size-over-limit", "tol-huge", "payoff1-huge", "coefficient-huge",
+        "initial_z-huge",
+    ],
 )
 def test_bad_scalar_exits_2_at_its_line(tmp_path, kind, key, value):
     data = finite_game_dict() if kind == "finite" else coopetitive_game_dict()
     if key in ("tol", "grid_n"):
         data["analysis"] = {key: value}
+    elif key == "payoff1":
+        data[key][0][0] = value
+    elif key == "p1":
+        data["coefficients"][key][0] = value
     else:
         data[key] = value
     path = write(tmp_path, data)
@@ -194,6 +208,15 @@ class TestResolveGrid:
         spec = load_game_file(write(tmp_path, data))
         with pytest.raises(GameFileError, match=f"limit of {MAX_LATTICE_POINTS}"):
             resolve_grid(spec, 300 if source == "flag" else None)
+
+    def test_coopetitive_lattice_counts_c_grid(self, tmp_path):
+        # 9 ** 2 * 300000 = 2.43e7 points: a Nash zone may hold a full
+        # section rectangle for every z.
+        data = coopetitive_game_dict()
+        data["c_grid_size"] = 300000
+        spec = load_game_file(write(tmp_path, data))
+        with pytest.raises(GameFileError, match="grid size 9 asks for 24300000 lattice points"):
+            resolve_grid(spec, 9)
 
     def test_finite_lattice_over_budget(self, tmp_path):
         # 4097 ** 2 is the first square above 2 ** 24.

@@ -203,9 +203,9 @@ class TestTUBoundary:
     def test_witnesses_within_tolerance(self):
         cloud = make_cloud([[0.0, 0.0], [0.5, -0.5 + 1e-10], [1.0, -2.0]])
         tub = tu_boundary(cloud, Orientation.GAIN, 1e-9)
-        assert len(tub.witnesses) == 2
-        for w in tub.witnesses:
-            assert abs(w.payoff.p1 + w.payoff.p2 - tub.optimal_sum) <= 1e-9
+        assert len(tub.witness_payoffs) == len(tub.witness_preimages) == 2
+        for p1, p2 in tub.witness_payoffs.tolist():
+            assert abs(p1 + p2 - tub.optimal_sum) <= 1e-9
 
 
 class TestHausdorff:

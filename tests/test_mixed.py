@@ -12,6 +12,8 @@ from coopetition.games import (
 )
 from coopetition.mixed import (
     MixedBistrategy,
+    _verify_equilibrium,
+    bilinear_map,
     conservative_bivalue_mixed,
     expected_payoff,
     mixed_equilibrium_components,
@@ -124,6 +126,18 @@ class TestEquilibriumComponents:
                 for y in grid:
                     if is_mixed_equilibrium(g, x, y):
                         assert any(c.contains(MixedBistrategy(x, y)) for c in comps)
+
+    def test_verification_rejects_a_unit_gain_at_large_scale(self):
+        # Player 1 gains exactly 1 by leaving (row 0, col 0) for row 1; the
+        # tolerance grows with the table (to 1e-6 here) but stays far below that.
+        g = FiniteBimatrixGame(
+            np.array([[1e6, 0.0], [1e6 + 1, 0.0]]),
+            np.array([[1e6, 0.0], [0.0, 0.0]]),
+            Orientation.GAIN,
+        )
+        with pytest.raises(AssertionError, match="non-equilibrium"):
+            _verify_equilibrium(g, bilinear_map(g), 1.0, 1.0)
+        _verify_equilibrium(g, bilinear_map(g), 0.0, 1.0)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(24)
