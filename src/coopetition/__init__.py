@@ -78,6 +78,7 @@ from .mixed import (
     conservative_bivalue_mixed,
     expected_payoff,
     mixed_equilibrium_components,
+    nash_extreme,
 )
 
 __version__ = "0.1.0"

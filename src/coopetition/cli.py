@@ -58,7 +58,12 @@ from .geometry import (
     sample_image,
     tu_boundary,
 )
-from .mixed import bilinear_map, conservative_bivalue_mixed, mixed_equilibrium_components
+from .mixed import (
+    bilinear_map,
+    conservative_bivalue_mixed,
+    mixed_equilibrium_components,
+    nash_extreme,
+)
 from .render import Scene, write_csv, write_svg
 from .report import build_report, fmt, fmt_point
 
@@ -169,16 +174,8 @@ class _SolveContext:
     def nash_extreme(self) -> PayoffPoint:
         """Supremum of the Nash zone in the payoff plane."""
         if self.spec.kind == "finite":
-            pts = np.array(
-                [
-                    [p.p1, p.p2]
-                    for c in mixed_equilibrium_components(self.game)
-                    for p in c.payoff_extremes
-                ]
-            )
-        else:
-            pts = nash_zone(self.game, self.grid_n).payoffs
-        return PayoffPoint(*pts.max(axis=0))
+            return nash_extreme(mixed_equilibrium_components(self.game))
+        return PayoffPoint(*nash_zone(self.game, self.grid_n).payoffs.max(axis=0))
 
     def default_threat(self) -> PayoffPoint:
         return self.conservative()

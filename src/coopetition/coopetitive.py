@@ -8,6 +8,12 @@ The cooperative axis is discretized to ``c_grid``, so induced families
 (Nash payoffs, extrema, conservative bi-values) become sampled set-valued
 paths, and the solution concepts built on them (proper coopetitive,
 transferable-utility compromise, win-win) operate on those samples.
+
+With no xz or yz monomial, section z is the z = 0 section plus c_z * z per
+player.  That constant changes no best reply, so every section has the z = 0
+equilibrium components, and its conservative bi-value and corner extrema
+move by exactly c_z * z: paths and the Nash zone analyse z = 0 once and
+translate the result along ``c_grid`` as arrays.
 """
 
 from __future__ import annotations
@@ -102,19 +108,6 @@ class SectionGame:
     z: float
     map: PayoffMap
 
-    def as_bimatrix(self, orientation: Orientation) -> FiniteBimatrixGame:
-        """The 2x2 table whose mixed extension is this bilinear section.
-
-        Row 0 / column 0 are the probability-one strategies (the corner
-        x = y = 1), matching the mixed-extension embedding.
-        """
-        m = self.map
-        table1 = [[m.eval(1.0, 1.0).p1, m.eval(1.0, 0.0).p1],
-                  [m.eval(0.0, 1.0).p1, m.eval(0.0, 0.0).p1]]
-        table2 = [[m.eval(1.0, 1.0).p2, m.eval(1.0, 0.0).p2],
-                  [m.eval(0.0, 1.0).p2, m.eval(0.0, 0.0).p2]]
-        return FiniteBimatrixGame(np.array(table1), np.array(table2), orientation)
-
 
 @dataclass(frozen=True, eq=False)
 class SetValuedPath:
@@ -160,14 +153,33 @@ def family_roundtrip_check(game: CoopetitiveGame, grid_n: int = 17) -> bool:
     return True
 
 
-def _component_samples(component, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice over an equilibrium component's x/y intervals."""
-    xl, xh = component.x_interval
-    yl, yh = component.y_interval
-    xs = np.array([xl]) if xl == xh else np.linspace(xl, xh, grid_n)
-    ys = np.array([yl]) if yl == yh else np.linspace(yl, yh, grid_n)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return gx.ravel(), gy.ravel()
+def _section_table(game: CoopetitiveGame, z: float) -> FiniteBimatrixGame:
+    """The 2x2 table of the section at ``z``; row 0 / column 0 is x = y = 1."""
+    x, y = np.meshgrid((1.0, 0.0), (1.0, 0.0), indexing="ij")
+    return FiniteBimatrixGame(*game.payoff.section(z).eval_arrays(x, y), game.orientation)
+
+
+def _nash_lattice(game: CoopetitiveGame, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) lattice over each Nash component of the z = 0 section, in order."""
+    xs, ys = [], []
+    for comp in mixed_equilibrium_components(_section_table(game, 0.0)):
+        (xl, xh), (yl, yh) = comp.x_interval, comp.y_interval
+        gx, gy = np.meshgrid(
+            [xl] if xl == xh else np.linspace(xl, xh, grid_n),
+            [yl] if yl == yh else np.linspace(yl, yh, grid_n),
+            indexing="ij",
+        )
+        xs.append(gx.ravel())
+        ys.append(gy.ravel())
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def _section_payoffs(game: CoopetitiveGame, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Payoffs at (x, y) in every section, shape (len(c_grid), len(x), 2)."""
+    c = game.payoff.coeffs
+    const = c[:, 0] + c[:, 3] * game.c_grid[:, None]
+    p = [const[:, k, None] + c[k, 1] * x + c[k, 2] * y + c[k, 4] * x * y for k in (0, 1)]
+    return np.stack(p, axis=-1)
 
 
 def induced_path(game: CoopetitiveGame, quantity: PathQuantity, grid_n: int) -> SetValuedPath:
@@ -175,52 +187,40 @@ def induced_path(game: CoopetitiveGame, quantity: PathQuantity, grid_n: int) -> 
 
     Nash payoff sets are sampled at ``grid_n`` points per interval of the
     sections' mixed equilibrium components; extrema (attained at the four
-    corners of the unit square) and conservative bi-values are exact.
+    corners of the unit square) and conservative bi-values are exact.  Every
+    section has the components of the z = 0 section, and its conservative
+    bi-value is that section's shifted by c_z * z, so one analysis serves all.
     """
     if quantity not in ("nash_payoffs", "supremum", "infimum", "conservative"):
         raise ValueError(f"unsupported path quantity {quantity!r}")
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    samples = []
-    for z in game.c_grid:
-        sec = section_game(game, z)
-        if quantity == "nash_payoffs":
-            pts = []
-            for comp in mixed_equilibrium_components(sec.as_bimatrix(game.orientation)):
-                gx, gy = _component_samples(comp, grid_n)
-                p1, p2 = sec.map.eval_arrays(gx, gy)
-                pts.append(np.stack([p1, p2], axis=1))
-            arr = np.concatenate(pts, axis=0)
-        elif quantity == "conservative":
-            v = conservative_bivalue_mixed(sec.as_bimatrix(game.orientation))
-            arr = np.array([[v.p1, v.p2]])
-        else:
-            p1, p2 = sec.map.eval_arrays([0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0])
-            pick = np.max if quantity == "supremum" else np.min
-            arr = np.array([[pick(p1), pick(p2)]])
-        arr.flags.writeable = False
-        samples.append((float(z), arr))
-    return SetValuedPath(tuple(samples), quantity)
+    if quantity == "nash_payoffs":
+        values = _section_payoffs(game, *_nash_lattice(game, grid_n))
+    elif quantity == "conservative":
+        v = conservative_bivalue_mixed(_section_table(game, 0.0))
+        values = (v.as_array() + game.payoff.coeffs[:, 3] * game.c_grid[:, None])[:, None]
+    else:
+        x, y = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+        corners = _section_payoffs(game, x, y)
+        values = (np.max if quantity == "supremum" else np.min)(corners, axis=1, keepdims=True)
+    values.flags.writeable = False
+    return SetValuedPath(tuple(zip(game.c_grid.tolist(), values)), quantity)
 
 
 def nash_zone(game: CoopetitiveGame, grid_n: int) -> PointCloud:
-    """Union of the sections' Nash payoff sets, tagged with (x, y, z)."""
+    """Union of the sections' Nash payoff sets, tagged with (x, y, z).
+
+    The z = 0 section's component lattice is every section's, so rows run
+    over ``c_grid``, then components, then each component's lattice.
+    """
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    payoff_rows = []
-    preimage_rows = []
-    for z in game.c_grid:
-        sec = section_game(game, z)
-        for comp in mixed_equilibrium_components(sec.as_bimatrix(game.orientation)):
-            gx, gy = _component_samples(comp, grid_n)
-            p1, p2 = sec.map.eval_arrays(gx, gy)
-            payoff_rows.append(np.stack([p1, p2], axis=1))
-            preimage_rows.append(np.stack([gx, gy, np.full_like(gx, z)], axis=1))
-    return PointCloud(
-        np.concatenate(payoff_rows, axis=0),
-        np.concatenate(preimage_rows, axis=0),
-        grid_step=1.0 / (grid_n - 1),
-    )
+    gx, gy = _nash_lattice(game, grid_n)
+    nz, n = len(game.c_grid), len(gx)
+    preimages = np.stack([np.tile(gx, nz), np.tile(gy, nz), np.repeat(game.c_grid, n)], axis=1)
+    payoffs = _section_payoffs(game, gx, gy).reshape(nz * n, 2)
+    return PointCloud(payoffs, preimages, grid_step=1.0 / (grid_n - 1))
 
 
 def proper_coopetitive_solution(
@@ -337,7 +337,7 @@ def core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint:
     boundary = pareto_filter(
         sample_image(sec.map, grid_n), game.orientation, facing_flavor(game.orientation)
     )
-    conservative = conservative_bivalue_mixed(sec.as_bimatrix(game.orientation))
+    conservative = conservative_bivalue_mixed(_section_table(game, z))
     core = payoff_core(boundary, conservative)
     if len(core) == 0:
         raise EmptyPortion(f"the payoff core of the section at z={z} is empty")

@@ -369,8 +369,6 @@ def _write_figures(out, grid_2d, grid_3d, ks_solutions, tu_solutions, coop, line
     f0 = mixed_loss_map()
     cloud = sample_image(f0, grid_2d)
     boundary = pareto_filter(cloud, Orientation.LOSS, "minimal")
-    m_norm = normalized_loss_game()
-    comp = mixed_equilibrium_components(m_norm)[0]
     xs = np.linspace(0.0, 1.0, grid_2d)
     nash_pre = np.stack([xs, np.zeros_like(xs)], axis=1)
     nash_pay = np.stack(list(f0.eval_arrays(xs, np.zeros_like(xs))), axis=1)

@@ -107,12 +107,9 @@ class _Validator:
         width = len(raw[0])
         if any(len(row) != width for row in raw):
             raise self.fail(key, f"{key} must be rectangular")
-        try:
-            out = np.array(raw, dtype=float)
-        except OverflowError:
-            raise self.fail(key, f"{key} entries must be finite") from None
-        except (TypeError, ValueError):
-            raise self.fail(key, f"{key} entries must be numbers") from None
+        if not all(_is_number(v) for row in raw for v in row):
+            raise self.fail(key, f"{key} entries must be numbers")
+        out = np.array([[_float(v) for v in row] for row in raw])
         if not np.isfinite(out).all():
             raise self.fail(key, f"{key} entries must be finite")
         return out
@@ -133,10 +130,9 @@ class _Validator:
         raw = table[key]
         if not isinstance(raw, list) or len(raw) != 5:
             raise self.fail(key, f"coefficients.{key} must list 5 numbers over (1, x, y, z, xy)")
-        try:
-            row = [_float(v) for v in raw]
-        except (TypeError, ValueError):
-            raise self.fail(key, f"coefficients.{key} entries must be numbers") from None
+        if not all(_is_number(v) for v in raw):
+            raise self.fail(key, f"coefficients.{key} entries must be numbers")
+        row = [_float(v) for v in raw]
         if not all(np.isfinite(row)):
             raise self.fail(key, f"coefficients.{key} entries must be finite")
         return row

@@ -32,6 +32,7 @@ __all__ = [
     "bilinear_map",
     "mixed_equilibrium_components",
     "conservative_bivalue_mixed",
+    "nash_extreme",
 ]
 
 #: Tolerance of the best-response verification, per unit of the largest
@@ -210,6 +211,12 @@ def mixed_equilibrium_components(game: FiniteBimatrixGame) -> list[EquilibriumCo
             )
         )
     return components
+
+
+def nash_extreme(components: list[EquilibriumComponent]) -> PayoffPoint:
+    """Componentwise maximum of the components' extreme payoffs."""
+    pts = np.array([p.as_tuple() for c in components for p in c.payoff_extremes])
+    return PayoffPoint(*pts.max(axis=0))
 
 
 def _maximin_lines(line0: np.ndarray, line1: np.ndarray) -> float:

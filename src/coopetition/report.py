@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bargaining import SolutionPoint, compromise_solution
 from .coopetitive import (
     family_roundtrip_check,
@@ -28,7 +26,12 @@ from .games import (
     pure_nash_equilibria,
 )
 from .geometry import extrema, facing_flavor, pareto_filter, sample_image, tu_boundary
-from .mixed import bilinear_map, conservative_bivalue_mixed, mixed_equilibrium_components
+from .mixed import (
+    bilinear_map,
+    conservative_bivalue_mixed,
+    mixed_equilibrium_components,
+    nash_extreme,
+)
 
 __all__ = ["AnalysisReport", "build_report", "fmt", "fmt_point"]
 
@@ -140,13 +143,10 @@ def build_finite_report(spec: GameSpec, grid_n: int, tol: float, mixed: bool | N
         )
     )
 
-    nash_extreme = PayoffPoint(
-        *np.array([[p.p1, p.p2] for c in components for p in c.payoff_extremes]).max(axis=0)
-    )
     sol_lines: list[str] = []
     for kind, kwargs in (
         ("pareto", {}),
-        ("nash_pareto", {"nash_extreme": nash_extreme}),
+        ("nash_pareto", {"nash_extreme": nash_extreme(components)}),
         ("conservative_pareto", {"conservative": v_mixed}),
     ):
         try:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from coopetition.coopetitive import CoopetitiveGame, section_game
 from coopetition.games import FiniteBimatrixGame, Orientation, StrategyCell
-from coopetition.mixed import bilinear_map
+from coopetition.mixed import bilinear_map, conservative_bivalue_mixed, mixed_equilibrium_components
 
 
 def brute_pure_nash(game: FiniteBimatrixGame) -> set[StrategyCell]:
@@ -136,6 +137,54 @@ def exact_conservative_mixed(game: FiniteBimatrixGame) -> tuple[float, float]:
                 candidates.append(t)
         out.append(s * max(guarantee(t) for t in candidates))
     return out[0], out[1]
+
+
+def section_table(game: CoopetitiveGame, z: float) -> FiniteBimatrixGame:
+    """The 2x2 table of the section at ``z``, one cell evaluation at a time."""
+    m = section_game(game, z).map
+    table1 = [[m.eval(1.0, 1.0).p1, m.eval(1.0, 0.0).p1], [m.eval(0.0, 1.0).p1, m.eval(0.0, 0.0).p1]]
+    table2 = [[m.eval(1.0, 1.0).p2, m.eval(1.0, 0.0).p2], [m.eval(0.0, 1.0).p2, m.eval(0.0, 0.0).p2]]
+    return FiniteBimatrixGame(np.array(table1), np.array(table2), game.orientation)
+
+
+def _section_nash(game: CoopetitiveGame, z: float, grid_n: int):
+    """Payoffs and (x, y) lattice of every Nash component of one section."""
+    m = section_game(game, z).map
+    payoffs, lattice = [], []
+    for comp in mixed_equilibrium_components(section_table(game, z)):
+        (xl, xh), (yl, yh) = comp.x_interval, comp.y_interval
+        xs = np.array([xl]) if xl == xh else np.linspace(xl, xh, grid_n)
+        ys = np.array([yl]) if yl == yh else np.linspace(yl, yh, grid_n)
+        gx, gy = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
+        payoffs.append(np.stack(m.eval_arrays(gx, gy), axis=1))
+        lattice.append(np.stack([gx, gy], axis=1))
+    return np.concatenate(payoffs), np.concatenate(lattice)
+
+
+def per_section_path(game: CoopetitiveGame, quantity: str, grid_n: int) -> list:
+    """``induced_path`` samples by a separate 2x2 analysis of every section."""
+    samples = []
+    for z in game.c_grid:
+        if quantity == "nash_payoffs":
+            arr = _section_nash(game, z, grid_n)[0]
+        elif quantity == "conservative":
+            arr = np.array([conservative_bivalue_mixed(section_table(game, z)).as_tuple()])
+        else:
+            table = section_table(game, z)
+            corners = np.stack([table.payoff1.ravel(), table.payoff2.ravel()], axis=1)
+            arr = (corners.max if quantity == "supremum" else corners.min)(axis=0, keepdims=True)
+        samples.append((float(z), arr))
+    return samples
+
+
+def per_section_zone(game: CoopetitiveGame, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nash zone payoffs and (x, y, z) preimages, one section at a time."""
+    payoffs, preimages = [], []
+    for z in game.c_grid:
+        pay, lattice = _section_nash(game, z, grid_n)
+        payoffs.append(pay)
+        preimages.append(np.column_stack([lattice, np.full(len(lattice), z)]))
+    return np.concatenate(payoffs), np.concatenate(preimages)
 
 
 def random_game(rng: np.random.Generator, rows: int | None = None, cols: int | None = None,

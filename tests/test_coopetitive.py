@@ -21,6 +21,9 @@ from coopetition.errors import EmptyPortion, MissingInitialZ, SameHalfPlane
 from coopetition.games import Orientation, PayoffPoint
 from coopetition.geometry import PayoffMap, sample_image, tu_boundary
 from coopetition.bargaining import SolutionPoint
+from coopetition.mixed import mixed_equilibrium_components
+
+from oracles import per_section_path, per_section_zone, section_table
 
 TU_POINT = PayoffPoint(-25.0 / 7.0, -3.0 / 7.0)
 
@@ -194,6 +197,114 @@ class TestNashZone:
             assert y == 0.0
             assert abs(row[0] - (0.0 - z)) <= 1e-12
             assert abs(row[1] - (x - z)) <= 1e-12
+
+
+QUANTITIES = ("nash_payoffs", "supremum", "infimum", "conservative")
+
+
+def assert_matches_per_section(game, grid_n, tol_for):
+    """Translated paths and zone against one 2x2 analysis per section.
+
+    ``tol_for(quantity)`` is the allowed deviation; 0 demands equal bits.
+    """
+    zone = nash_zone(game, grid_n)
+    payoffs, preimages = per_section_zone(game, grid_n)
+    assert zone.payoffs.shape == payoffs.shape
+    assert np.abs(zone.payoffs - payoffs).max() <= tol_for("nash_payoffs")
+    assert np.abs(zone.preimages - preimages).max() <= tol_for("nash_payoffs")
+    assert np.array_equal(zone.preimages[:, 2], preimages[:, 2])
+    for quantity in QUANTITIES:
+        have = induced_path(game, quantity, grid_n).samples
+        want = per_section_path(game, quantity, grid_n)
+        assert [z for z, _ in have] == [z for z, _ in want]
+        for (_, a), (_, b) in zip(have, want):
+            assert a.shape == b.shape and not a.flags.writeable
+            assert np.abs(a - b).max() <= tol_for(quantity), quantity
+
+
+class TestTranslatedSections:
+    # Half-integer coefficients on dyadic c_grids keep every section's table
+    # exact, so the translated answers must carry the per-section bits.  The
+    # conservative value is the exception: the per-section closed form
+    # rounds its crossing once, while the translation rounds it at z = 0 and
+    # again when adding c_z * z, so it may differ in the last bit.
+    @staticmethod
+    def half_integer_tol(scale):
+        return lambda q: 4 * np.finfo(float).eps * scale if q == "conservative" else 0.0
+
+    def test_half_integer_games(self):
+        rng = np.random.default_rng(51)
+        for i in range(60):
+            coeffs = rng.integers(-8, 9, size=(2, 5)) / 2.0
+            orientation = Orientation.GAIN if i % 2 else Orientation.LOSS
+            game = make_coop(coeffs, orientation, c_size=int(rng.choice([2, 5, 9, 17])))
+            scale = max(1.0, np.abs(coeffs).max())
+            assert_matches_per_section(game, int(rng.choice([2, 5, 9])), self.half_integer_tol(scale))
+
+    def test_three_decimal_games(self):
+        # Coefficients like the benchmark inputs: the two orders of rounding
+        # may differ, by far less than the coefficients' scale.
+        rng = np.random.default_rng(52)
+        for i in range(20):
+            coeffs = np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3)
+            orientation = Orientation.GAIN if i % 2 else Orientation.LOSS
+            game = make_coop(coeffs, orientation, c_size=65)
+            scale = max(1.0, np.abs(coeffs).max())
+            assert_matches_per_section(game, 9, lambda q: 1e-12 * scale)
+
+    def test_degenerate_games(self):
+        # Zeroing a player's own-strategy terms makes them indifferent, so
+        # components become segments and rectangles.
+        rng = np.random.default_rng(53)
+        seen = set()
+        for i in range(60):
+            coeffs = rng.integers(-8, 9, size=(2, 5)) / 2.0
+            if rng.integers(2):
+                coeffs[0, [1, 4]] = 0.0
+            if rng.integers(2):
+                coeffs[1, [2, 4]] = 0.0
+            game = make_coop(coeffs, Orientation.GAIN if i % 2 else Orientation.LOSS, c_size=9)
+            seen.update(c.description for c in mixed_equilibrium_components(section_table(game, 0.0)))
+            scale = max(1.0, np.abs(coeffs).max())
+            assert_matches_per_section(game, 5, self.half_integer_tol(scale))
+        assert {"segment", "rectangle"} <= seen
+
+    @pytest.mark.parametrize("c_grid", [[0.5], [0.25, 0.75]])
+    def test_c_grid_without_zero(self, c_grid):
+        rng = np.random.default_rng(54)
+        for i in range(30):
+            coeffs = rng.integers(-8, 9, size=(2, 5)) / 2.0
+            orientation = Orientation.GAIN if i % 2 else Orientation.LOSS
+            game = CoopetitiveGame(PayoffMap(coeffs, arity=3), orientation, np.array(c_grid))
+            scale = max(1.0, np.abs(coeffs).max())
+            assert_matches_per_section(game, 5, self.half_integer_tol(scale))
+
+    @pytest.mark.parametrize("c_size", [2, 9, 65])
+    def test_one_section_analysis_per_call(self, coop_game, monkeypatch, c_size):
+        import coopetition.coopetitive as mod
+
+        calls = {"mixed_equilibrium_components": 0, "conservative_bivalue_mixed": 0, "section": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("mixed_equilibrium_components", "conservative_bivalue_mixed"):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        monkeypatch.setattr(PayoffMap, "section", counted("section", PayoffMap.section))
+        game = CoopetitiveGame.with_uniform_grid(coop_game.payoff, coop_game.orientation, c_size)
+        for run, want in (
+            (lambda: nash_zone(game, 17), (1, 0)),
+            (lambda: induced_path(game, "nash_payoffs", 17), (1, 0)),
+            (lambda: induced_path(game, "conservative", 17), (0, 1)),
+            (lambda: induced_path(game, "supremum", 17), (0, 0)),
+        ):
+            calls.update(dict.fromkeys(calls, 0))
+            run()
+            assert (calls["mixed_equilibrium_components"], calls["conservative_bivalue_mixed"]) == want
+            assert calls["section"] <= 1
 
 
 class TestProperCoopetitive:

@@ -119,6 +119,9 @@ def test_bad_analysis_block(tmp_path):
         load_game_file(write(tmp_path, data))
 
 
+TABLE_3D = [[[1], [2]], [[3], [4]]]
+
+
 @pytest.mark.parametrize(
     "kind, key, value",
     [
@@ -133,17 +136,27 @@ def test_bad_analysis_block(tmp_path):
         ("finite", "payoff1", 10**400),
         ("coopetitive", "p1", -(10**400)),
         ("coopetitive", "initial_z", 10**400),
+        # Entries must be JSON numbers in a 2-D table.
+        ("finite", "payoff1", True),
+        ("finite", "payoff1", "1"),
+        ("coopetitive", "p1", True),
+        ("coopetitive", "p1", "2"),
+        ("finite", "payoff1", {"payoff1": TABLE_3D}),
+        ("finite", "payoff1", {"payoff1": TABLE_3D, "payoff2": TABLE_3D}),
     ],
     ids=[
         "tol-true", "tol-infinity", "grid_n-true", "c_grid_size-true", "initial_z-true",
         "c_grid_size-over-limit", "tol-huge", "payoff1-huge", "coefficient-huge",
-        "initial_z-huge",
+        "initial_z-huge", "payoff1-true", "payoff1-string", "coefficient-true",
+        "coefficient-string", "payoff1-3d", "both-payoffs-3d",
     ],
 )
 def test_bad_scalar_exits_2_at_its_line(tmp_path, kind, key, value):
     data = finite_game_dict() if kind == "finite" else coopetitive_game_dict()
     if key in ("tol", "grid_n"):
         data["analysis"] = {key: value}
+    elif isinstance(value, dict):  # whole payoff tables
+        data.update(value)
     elif key == "payoff1":
         data[key][0][0] = value
     elif key == "p1":
