@@ -200,15 +200,13 @@ def sample_image(payoff_map: PayoffMap, grid_n: int) -> PointCloud:
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     t = np.linspace(0.0, 1.0, grid_n)
-    if payoff_map.arity == 2:
-        x, y = np.meshgrid(t, t, indexing="ij")
-        pre = np.stack([x.ravel(), y.ravel()], axis=1)
-        p1, p2 = payoff_map.eval_arrays(pre[:, 0], pre[:, 1])
-    else:
-        x, y, z = np.meshgrid(t, t, t, indexing="ij")
-        pre = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-        p1, p2 = payoff_map.eval_arrays(pre[:, 0], pre[:, 1], pre[:, 2])
-    payoffs = np.stack([p1, p2], axis=1)
+    # Sparse axes broadcast inside eval_arrays in the same operation order as
+    # full coordinate arrays, so the payoffs are identical without the
+    # full-size coordinate temporaries.
+    axes = np.meshgrid(*([t] * payoff_map.arity), indexing="ij", sparse=True)
+    p1, p2 = payoff_map.eval_arrays(*axes)
+    payoffs = np.stack([p1.ravel(), p2.ravel()], axis=1)
+    pre = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, payoff_map.arity)
     return PointCloud(payoffs, pre, grid_step=1.0 / (grid_n - 1))
 
 
@@ -227,10 +225,37 @@ def _dedupe_sorted(payoffs: np.ndarray, preimages: np.ndarray):
     keep[0] = True
     keep[1:] = np.any(p[1:] != p[:-1], axis=1)
     idx = order[keep]
-    # Free the sorted copies before gathering: on a 129^3 cloud that lowers
-    # the filter's peak memory by ~50 MB.
-    del order, p
     return payoffs[idx], preimages[idx]
+
+
+def _drop_dominated(work: np.ndarray, preimages: np.ndarray):
+    """The O(n) prefilter of ``pareto_filter``, in the minimal frame.
+
+    The p1 range is cut into ``k`` equal buckets, and a row is dropped when
+    its p2 is no smaller than the least p2 of any earlier bucket.
+    """
+    # Tying k to the size keeps the buckets' fixed cost negligible on small
+    # clouds (a Nash zone has a few thousand points).
+    k = min(4096, len(work) // 16)
+    if k < 2:
+        return work, preimages
+    p1 = work[:, 0]
+    p2 = work[:, 1]
+    lo = p1.min()
+    # A constant p1 divides by zero, a span beyond the float range
+    # overflows the subtraction and a subnormal span the division; none
+    # leaves a usable bucket width.
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = k / (p1.max() - lo)
+    if not (np.isfinite(scale) and scale > 0):
+        return work, preimages
+    bucket = ((p1 - lo) * scale).astype(np.intp)
+    np.minimum(bucket, k - 1, out=bucket)
+    least = np.full(k, np.inf)
+    np.minimum.at(least, bucket, p2)
+    earlier = np.concatenate(([np.inf], np.minimum.accumulate(least[:-1])))
+    keep = p2 < earlier[bucket]
+    return work[keep], preimages[keep]
 
 
 def pareto_filter(
@@ -243,15 +268,28 @@ def pareto_filter(
     ``flavor`` is stated in the plane's numeric order: the minimal boundary
     keeps points with no other point componentwise <= and somewhere <, the
     maximal boundary the mirror image.  Equal payoff pairs collapse to the
-    lexicographically smallest preimage.  Sort-and-sweep, O(n log n); the
-    quadratic filter in the test suite serves as its oracle.
+    lexicographically smallest preimage.
+
+    One O(n) pass first cuts the p1 range into equal buckets and drops
+    every row whose p2 is no better than that of a row in an earlier
+    bucket.  The output is still exactly that of sorting every row:
+
+    - the bucket index is monotone in p1, so that earlier row has a
+      strictly better p1 and the dropped row is strictly dominated;
+    - equal payoff pairs share a bucket and so a decision, which leaves
+      the lexicographically-smallest-preimage collapse as it was;
+    - removing dominated rows removes no non-dominated one.
+
+    The m survivors are sorted and swept (Kung, Luccio and Preparata's
+    maxima algorithm), so the cost is O(n) plus O(m log m).  The
+    quadratic filter in the test suite serves as the oracle.
     """
     if flavor not in ("maximal", "minimal"):
         raise ValueError(f"flavor must be 'maximal' or 'minimal', got {flavor!r}")
     if len(cloud) == 0:
         raise ValueError("cannot filter an empty cloud")
     work = cloud.payoffs if flavor == "minimal" else -cloud.payoffs
-    payoffs, preimages = _dedupe_sorted(work, cloud.preimages)
+    payoffs, preimages = _dedupe_sorted(*_drop_dominated(work, cloud.preimages))
     # Rows are unique and sorted by (p1, p2), so a row is non-dominated iff
     # its p2 is strictly below the running minimum of all earlier rows.
     p2 = payoffs[:, 1]
@@ -311,8 +349,10 @@ def tu_boundary(
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    sums = cloud.payoffs.sum(axis=1)
-    opt = float(sums.max() if orientation is Orientation.GAIN else sums.min())
+    sums = cloud.payoffs[:, 0] + cloud.payoffs[:, 1]
+    # A row of two -0.0 sums to -0.0; adding 0.0 reports a zero optimum
+    # as 0.0 whatever the sign bits of the rows attaining it.
+    opt = float(sums.max() if orientation is Orientation.GAIN else sums.min()) + 0.0
     sel = np.nonzero(np.abs(sums - opt) <= tol)[0]
     payoffs = cloud.payoffs[sel]
     preimages = cloud.preimages[sel]

@@ -86,6 +86,40 @@ def brute_pareto_indices(payoffs: np.ndarray, preimages: np.ndarray, flavor: str
     return np.array(sorted(best.values()), dtype=int)
 
 
+def sort_pareto(payoffs: np.ndarray, preimages: np.ndarray, flavor: str):
+    """The sort-everything Pareto filter that the bucket prefilter must match.
+
+    Every row is sorted by (p1, p2, preimage lex) in the minimal frame, one
+    row is kept per payoff pair, and a running minimum of p2 sweeps out the
+    dominated rows; the maximal boundary is mapped back and re-sorted by
+    payoff.  Returns the boundary's (payoffs, preimages).
+    """
+    work = payoffs if flavor == "minimal" else -payoffs
+    keys = [preimages[:, k] for k in range(preimages.shape[1] - 1, -1, -1)]
+    order = np.lexsort(tuple(keys + [work[:, 1], work[:, 0]]))
+    p = work[order]
+    first = np.ones(len(p), dtype=bool)
+    first[1:] = np.any(p[1:] != p[:-1], axis=1)
+    p, pre = p[first], preimages[order[first]]
+    mask = np.ones(len(p), dtype=bool)
+    mask[1:] = p[1:, 1] < np.minimum.accumulate(p[:, 1])[:-1]
+    p, pre = p[mask], pre[mask]
+    if flavor == "maximal":
+        p = -p
+        order = np.lexsort((p[:, 1], p[:, 0]))
+        p, pre = p[order], pre[order]
+    return p, pre
+
+
+def lattice_image(payoff_map, grid_n: int):
+    """Payoffs and preimages of a map on the full meshgrid, stacked by hand."""
+    t = np.linspace(0.0, 1.0, grid_n)
+    grids = np.meshgrid(*([t] * payoff_map.arity), indexing="ij")
+    pre = np.stack([g.ravel() for g in grids], axis=1)
+    p1, p2 = payoff_map.eval_arrays(*(pre[:, k] for k in range(payoff_map.arity)))
+    return np.stack([p1, p2], axis=1), pre
+
+
 def brute_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     d = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))

@@ -1,8 +1,11 @@
 """payoff-geometry: sampling, Pareto filtering, extrema, TU boundary, Hausdorff."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from coopetition import geometry
 from coopetition.games import Orientation, PayoffPoint
 from coopetition.geometry import (
     ParetoBoundary,
@@ -15,7 +18,7 @@ from coopetition.geometry import (
     tu_boundary,
 )
 
-from oracles import brute_hausdorff, brute_pareto_indices, random_cloud
+from oracles import brute_hausdorff, brute_pareto_indices, lattice_image, random_cloud, sort_pareto
 
 
 def make_cloud(payoffs, preimages=None, grid_step=0.5):
@@ -64,6 +67,21 @@ class TestSampleImage:
         cloud = sample_image(coop_game.payoff, 2)
         assert len(cloud) == 8
         assert (-5.0, 1.0) in set(map(tuple, cloud.payoffs))
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_matches_full_meshgrid(self, arity):
+        rng = np.random.default_rng(66)
+        for _ in range(4):
+            c = np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3)
+            c[:, 0] = -0.0
+            if arity == 2:
+                c[:, 3] = 0.0
+            f = PayoffMap(c, arity=arity)
+            cloud = sample_image(f, 17)
+            payoffs, preimages = lattice_image(f, 17)
+            assert np.array_equal(cloud.payoffs, payoffs)
+            assert np.array_equal(np.signbit(cloud.payoffs), np.signbit(payoffs))
+            assert np.array_equal(cloud.preimages, preimages)
 
     def test_preimages_evaluate_back(self, f0):
         cloud = sample_image(f0, 17)
@@ -149,6 +167,99 @@ class TestParetoFilter:
         assert tuple(out.preimages[0]) == (0.5, 0.2)
 
 
+def dense_shaped_map(rng, arity, shape):
+    """A map drawn like the dense-geometry benchmark's: three-decimal
+    coefficients; duplicate-heavy maps depend on x + y only, with the two
+    players' slopes along it opposed or aligned."""
+    c = np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3)
+    if shape != "generic":
+        if (c[0, 1] > 0) == (c[1, 1] > 0) != (shape == "aligned"):
+            c[1, 1] = -c[1, 1]
+        c[:, 2] = c[:, 1]
+        c[:, 4] = 0.0
+    if arity == 2:
+        c[:, 3] = 0.0
+    return PayoffMap(c, arity=arity)
+
+
+def assert_matches_sort(cloud, orientation=Orientation.GAIN):
+    """Both boundaries are the sort-everything filter's, bit for bit."""
+    for flavor in ("maximal", "minimal"):
+        got = pareto_filter(cloud, orientation, flavor)
+        payoffs, preimages = sort_pareto(cloud.payoffs, cloud.preimages, flavor)
+        assert np.array_equal(got.payoffs, payoffs)
+        assert np.array_equal(np.signbit(got.payoffs), np.signbit(payoffs))
+        assert np.array_equal(got.preimages, preimages)
+
+
+class TestParetoPrefilter:
+    @pytest.mark.parametrize("arity, grid_n", [(2, 129), (3, 33)])
+    @pytest.mark.parametrize("seed, shape", [(0, "generic"), (1, "opposed"), (2, "aligned")])
+    def test_dense_maps_match_sort(self, arity, grid_n, seed, shape):
+        rng = np.random.default_rng([60, arity, seed])
+        for _ in range(3):
+            cloud = sample_image(dense_shaped_map(rng, arity, shape), grid_n)
+            for orientation, sign in ((Orientation.GAIN, 1.0), (Orientation.LOSS, -1.0)):
+                assert_matches_sort(
+                    PointCloud(sign * cloud.payoffs, cloud.preimages, cloud.grid_step), orientation
+                )
+
+    def test_half_integer_and_shuffled_clouds(self):
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            n = int(rng.integers(16, 3000))
+            payoffs = rng.integers(-20, 21, size=(n, 2)) / 2.0
+            preimages = rng.integers(0, 5, size=(n, 3)) / 4.0
+            assert_matches_sort(PointCloud(payoffs, preimages, 0.25))
+            perm = rng.permutation(n)
+            assert_matches_sort(PointCloud(payoffs[perm], preimages[perm], 0.25))
+
+    def test_signed_zeros_and_constant_p1(self):
+        rng = np.random.default_rng(62)
+        for _ in range(20):
+            n = int(rng.integers(32, 800))
+            payoffs = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(n, 2))
+            preimages = rng.integers(0, 3, size=(n, 2)) / 2.0
+            assert_matches_sort(PointCloud(payoffs, preimages, 0.5))
+            constant_p1 = np.column_stack([np.full(n, rng.choice([-0.0, 0.0])), payoffs[:, 1]])
+            assert_matches_sort(PointCloud(constant_p1, preimages, 0.5))
+
+    @pytest.mark.parametrize(
+        "values", [[-1e308, 0.0, 1e308], [1.7e308, 1.79e308], [0.0, 5e-324, 1e-323], [-5e-324, 1e-300]]
+    )
+    def test_extreme_spans_raise_no_warning(self, values):
+        rng = np.random.default_rng(63)
+        payoffs = rng.choice(values, size=(500, 2))
+        preimages = rng.integers(0, 4, size=(500, 2)) / 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_sort(PointCloud(payoffs, preimages, 0.5))
+
+    def test_refiltering_a_boundary(self):
+        rng = np.random.default_rng(64)
+        cloud = sample_image(dense_shaped_map(rng, 2, "opposed"), 129)
+        for flavor in ("maximal", "minimal"):
+            boundary = pareto_filter(cloud, Orientation.GAIN, flavor)
+            assert len(boundary) >= 32
+            assert_matches_sort(boundary)
+
+    def test_prefilter_prunes_generic_3d_cloud(self, monkeypatch):
+        # Fails when the prefilter switches itself off and every row is sorted.
+        cloud = sample_image(dense_shaped_map(np.random.default_rng(65), 3, "generic"), 33)
+        sizes = []
+        dedupe = geometry._dedupe_sorted
+
+        def recording(payoffs, preimages):
+            sizes.append(len(payoffs))
+            return dedupe(payoffs, preimages)
+
+        monkeypatch.setattr(geometry, "_dedupe_sorted", recording)
+        for flavor in ("maximal", "minimal"):
+            pareto_filter(cloud, Orientation.GAIN, flavor)
+        assert len(sizes) == 2
+        assert max(sizes) < 0.05 * len(cloud)
+
+
 class TestExtrema:
     def test_f0_extrema(self, f0_cloud_513):
         lo, hi = extrema(f0_cloud_513)
@@ -199,6 +310,13 @@ class TestTUBoundary:
         pre = np.vstack([preimages, [0.0, 0.0]])
         grown = PointCloud(worse, pre, 0.1)
         assert tu_boundary(grown, Orientation.GAIN, 1e-9).optimal_sum == base
+
+    def test_negative_zero_optimum_reads_zero(self):
+        for orientation in Orientation:
+            s = 1.0 if orientation is Orientation.GAIN else -1.0
+            cloud = make_cloud([[-0.0, -0.0], [-s, 0.5 * s], [0.5 * s, -s]])
+            opt = tu_boundary(cloud, orientation, 1e-9).optimal_sum
+            assert opt == 0.0 and not np.signbit(opt)
 
     def test_witnesses_within_tolerance(self):
         cloud = make_cloud([[0.0, 0.0], [0.5, -0.5 + 1e-10], [1.0, -2.0]])
