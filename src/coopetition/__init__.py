@@ -65,6 +65,7 @@ from .geometry import (
     extrema,
     facing_flavor,
     hausdorff_distance,
+    lattice_tu,
     orientation_best,
     orientation_worst,
     pareto_filter,

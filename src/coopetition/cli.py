@@ -17,6 +17,7 @@ via ``--grid``.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -149,16 +150,15 @@ class _SolveContext:
     def __init__(self, spec: GameSpec, grid_n: int):
         self.spec = spec
         self.grid_n = grid_n
-        if spec.kind == "finite":
-            game = spec.finite
-            self.orientation = game.orientation
-            self.cloud = sample_image(bilinear_map(game), grid_n)
-        else:
-            game = spec.coopetitive
-            self.orientation = game.orientation
-            self.cloud = sample_image(game.payoff, grid_n)
-        self.game = game
+        self.game = spec.finite if spec.kind == "finite" else spec.coopetitive
+        self.orientation = self.game.orientation
         self.grid_step = 1.0 / (grid_n - 1)
+
+    @functools.cached_property
+    def cloud(self) -> PointCloud:
+        """The sampled image, built on first use: the coopetitive concepts never read it."""
+        payoff_map = bilinear_map(self.game) if self.spec.kind == "finite" else self.game.payoff
+        return sample_image(payoff_map, self.grid_n)
 
     def boundary(self):
         return pareto_filter(self.cloud, self.orientation, facing_flavor(self.orientation))

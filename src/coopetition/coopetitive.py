@@ -32,6 +32,7 @@ from .geometry import (
     TUBoundary,
     extrema,
     facing_flavor,
+    lattice_tu,
     orientation_best,
     orientation_worst,
     pareto_filter,
@@ -257,11 +258,15 @@ def tu_segment(
     The ends are ordered by p1.
     """
     tub = tu_boundary(cloud, orientation, witness_tol)
-    lo, hi = extrema(cloud)
+    return tub, _tu_ends(tub, *extrema(cloud))
+
+
+def _tu_ends(tub: TUBoundary, lo: PayoffPoint, hi: PayoffPoint) -> tuple[PayoffPoint, PayoffPoint]:
+    """The TU line clipped to the extrema box [lo, hi], ends ordered by p1."""
     m = tub.optimal_sum
     p1_lo = max(lo.p1, m - hi.p2)
     p1_hi = min(hi.p1, m - lo.p2)
-    return tub, (PayoffPoint(p1_lo, m - p1_lo), PayoffPoint(p1_hi, m - p1_hi))
+    return PayoffPoint(p1_lo, m - p1_lo), PayoffPoint(p1_hi, m - p1_hi)
 
 
 def _nearest_witness(tub, point: np.ndarray) -> tuple[float, ...]:
@@ -285,16 +290,24 @@ def tu_crossing_solution(
 ) -> SolutionPoint:
     """Crossing of the segment [a, b] with the TU line of a cloud.
 
-    ``a`` and ``b`` must straddle the line p1 + p2 = optimal sum; the
-    returned payoff is the crossing itself, and the reported preimage is
-    the witness profile nearest it (the players realize the optimal total
-    there and transfer utility to reach the agreed split).
+    ``a`` and ``b`` must straddle the line p1 + p2 = optimal sum, or one
+    of them lie on it; the returned payoff is the crossing itself, and the
+    reported preimage is the witness profile nearest it (the players
+    realize the optimal total there and transfer utility to reach the
+    agreed split).
     """
-    tub = tu_boundary(cloud, orientation, witness_tol)
+    return _tu_crossing(tu_boundary(cloud, orientation, witness_tol), a, b, method)
+
+
+def _tu_crossing(tub: TUBoundary, a: PayoffPoint, b: PayoffPoint, method: str) -> SolutionPoint:
+    """``tu_crossing_solution`` on a computed TU boundary."""
     m = tub.optimal_sum
     sum_a = a.p1 + a.p2
     sum_b = b.p1 + b.p2
-    if (sum_a - m) * (sum_b - m) >= 0:
+    # One end on the line is a crossing (s = 0 or 1); two ends on the same
+    # side, or both on the line, straddle nothing.  Signs, not a product,
+    # so that two tiny same-side distances cannot underflow to a crossing.
+    if np.sign(sum_a - m) == np.sign(sum_b - m):
         raise SameHalfPlane(
             f"threat sum {sum_a:.6g} and utopia sum {sum_b:.6g} do not straddle "
             f"the TU line p1+p2 = {m:.6g}"
@@ -321,9 +334,13 @@ def tu_compromise_solution(
     grid_n: int,
     tol: float = 1e-6,
 ) -> SolutionPoint:
-    """Transferable-utility compromise of the coopetitive game."""
-    cloud = sample_image(game.payoff, grid_n)
-    return tu_crossing_solution(cloud, game.orientation, a, b, witness_tol=tol)
+    """Transferable-utility compromise of the coopetitive game.
+
+    The TU witnesses are read on the ``grid_n`` lattice without building
+    the cloud (:func:`~coopetition.geometry.lattice_tu`).
+    """
+    tub, _, _ = lattice_tu(game.payoff, grid_n, game.orientation, tol)
+    return _tu_crossing(tub, a, b, "tu-compromise")
 
 
 def core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint:
@@ -378,8 +395,8 @@ def standard_win_win_solution(
     if game.initial_z is None:
         raise MissingInitialZ("the standard win-win solution needs initial_z set")
     L = core_supremum(game, game.initial_z, grid_n)
-    cloud = sample_image(game.payoff, grid_n)
-    tub, (end_lo, end_hi) = tu_segment(cloud, game.orientation, tol)
+    tub, *box = lattice_tu(game.payoff, grid_n, game.orientation, tol)
+    end_lo, end_hi = _tu_ends(tub, *box)
     m = tub.optimal_sum
     s = game.orientation.sign
     if not s * m > s * (L.p1 + L.p2):
@@ -408,6 +425,4 @@ def standard_win_win_solution(
             threat=L,
             utopia=PayoffPoint(*point),
         )
-    return tu_crossing_solution(
-        cloud, game.orientation, L, utopia, witness_tol=tol, method="standard-win-win"
-    )
+    return _tu_crossing(tub, L, utopia, "standard-win-win")

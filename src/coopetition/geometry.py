@@ -36,6 +36,7 @@ __all__ = [
     "orientation_worst",
     "facing_flavor",
     "tu_boundary",
+    "lattice_tu",
     "hausdorff_distance",
 ]
 
@@ -82,7 +83,11 @@ class PayoffMap:
         c = self.coeffs
         out = []
         for k in range(2):
-            out.append(c[k, 0] + c[k, 1] * x + c[k, 2] * y + c[k, 3] * z + c[k, 4] * x * y)
+            p = c[k, 0] + c[k, 1] * x + c[k, 2] * y + c[k, 3] * z
+            # The same sum in the same order; adding the xy term in place
+            # writes into the full-size temporary instead of a new array.
+            p += c[k, 4] * x * y
+            out.append(p)
         return out[0], out[1]
 
     def eval(self, x: float, y: float, z: float | None = None) -> PayoffPoint:
@@ -195,8 +200,8 @@ class TUBoundary:
     tolerance: float
 
 
-def sample_image(payoff_map: PayoffMap, grid_n: int) -> PointCloud:
-    """Evaluate the map on a uniform lattice with ``grid_n`` points per axis."""
+def _lattice(payoff_map: PayoffMap, grid_n: int):
+    """The uniform axis ``t``, sparse lattice axes and the (p1, p2) arrays on them."""
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     t = np.linspace(0.0, 1.0, grid_n)
@@ -205,7 +210,13 @@ def sample_image(payoff_map: PayoffMap, grid_n: int) -> PointCloud:
     # full-size coordinate temporaries.
     axes = np.meshgrid(*([t] * payoff_map.arity), indexing="ij", sparse=True)
     p1, p2 = payoff_map.eval_arrays(*axes)
-    payoffs = np.stack([p1.ravel(), p2.ravel()], axis=1)
+    return t, axes, p1.ravel(), p2.ravel()
+
+
+def sample_image(payoff_map: PayoffMap, grid_n: int) -> PointCloud:
+    """Evaluate the map on a uniform lattice with ``grid_n`` points per axis."""
+    _, axes, p1, p2 = _lattice(payoff_map, grid_n)
+    payoffs = np.stack([p1, p2], axis=1)
     pre = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, payoff_map.arity)
     return PointCloud(payoffs, pre, grid_step=1.0 / (grid_n - 1))
 
@@ -316,9 +327,10 @@ def extrema(cloud: PointCloud | ParetoBoundary) -> tuple[PayoffPoint, PayoffPoin
     """Componentwise (infimum, supremum) of the sampled payoffs."""
     if len(cloud) == 0:
         raise ValueError("cannot take extrema of an empty point set")
-    lo = cloud.payoffs.min(axis=0)
-    hi = cloud.payoffs.max(axis=0)
-    return PayoffPoint(*lo), PayoffPoint(*hi)
+    # One reduction per column: numpy reduces an (n, 2) array along axis 0
+    # two elements at a time, an order of magnitude slower.
+    p1, p2 = cloud.payoffs[:, 0], cloud.payoffs[:, 1]
+    return PayoffPoint(p1.min(), p2.min()), PayoffPoint(p1.max(), p2.max())
 
 
 def orientation_best(cloud: PointCloud | ParetoBoundary, orientation: Orientation) -> PayoffPoint:
@@ -338,6 +350,26 @@ def facing_flavor(orientation: Orientation) -> Literal["maximal", "minimal"]:
     return "maximal" if orientation is Orientation.GAIN else "minimal"
 
 
+def _tu_witnesses(p1, p2, preimages_of, orientation: Orientation, tol: float) -> TUBoundary:
+    """The TU rule on payoff columns; ``preimages_of(sel)`` gives the rows' preimages."""
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    sums = p1 + p2
+    # A row of two -0.0 sums to -0.0; adding 0.0 reports a zero optimum
+    # as 0.0 whatever the sign bits of the rows attaining it.
+    opt = float(sums.max() if orientation is Orientation.GAIN else sums.min()) + 0.0
+    # |sums - opt| in place: full-size temporaries cost more than the arithmetic.
+    np.abs(np.subtract(sums, opt, out=sums), out=sums)
+    sel = np.nonzero(sums <= tol)[0]
+    payoffs = np.stack([p1[sel], p2[sel]], axis=1)
+    preimages = preimages_of(sel)
+    order = _lex_order(payoffs, preimages)
+    payoffs = payoffs[order]
+    preimages = preimages[order]
+    ends = (PayoffPoint(*payoffs[0]), PayoffPoint(*payoffs[-1]))
+    return TUBoundary(opt, payoffs, preimages, ends, tol)
+
+
 def tu_boundary(
     cloud: PointCloud, orientation: Orientation, tol: float = 1e-9
 ) -> TUBoundary:
@@ -346,21 +378,40 @@ def tu_boundary(
     The optimum is the max of the coordinate sum under GAIN and the min
     under LOSS; witnesses are the sampled points within ``tol`` of it,
     ordered by p1, and ``segment_ends`` are the extreme witness payoffs.
+    For a payoff map, :func:`lattice_tu` reads the same witnesses on the
+    lattice without building the cloud.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    sums = cloud.payoffs[:, 0] + cloud.payoffs[:, 1]
-    # A row of two -0.0 sums to -0.0; adding 0.0 reports a zero optimum
-    # as 0.0 whatever the sign bits of the rows attaining it.
-    opt = float(sums.max() if orientation is Orientation.GAIN else sums.min()) + 0.0
-    sel = np.nonzero(np.abs(sums - opt) <= tol)[0]
-    payoffs = cloud.payoffs[sel]
-    preimages = cloud.preimages[sel]
-    order = _lex_order(payoffs, preimages)
-    payoffs = payoffs[order]
-    preimages = preimages[order]
-    ends = (PayoffPoint(*payoffs[0]), PayoffPoint(*payoffs[-1]))
-    return TUBoundary(opt, payoffs, preimages, ends, tol)
+    return _tu_witnesses(
+        cloud.payoffs[:, 0], cloud.payoffs[:, 1], lambda sel: cloud.preimages[sel], orientation, tol
+    )
+
+
+def lattice_tu(
+    payoff_map: PayoffMap, grid_n: int, orientation: Orientation, tol: float = 1e-9
+) -> tuple[TUBoundary, PayoffPoint, PayoffPoint]:
+    """``tu_boundary`` and ``extrema`` of ``sample_image(payoff_map, grid_n)``.
+
+    The witnesses are read on the lattice without building the cloud: the
+    payoff arrays are evaluated once, and preimages are formed for the
+    witness rows only.  The results are bit for bit those of the cloud.
+    Returns the TU boundary and the componentwise (infimum, supremum).
+    """
+    t, _, p1, p2 = _lattice(payoff_map, grid_n)
+    # A lattice payoff is -0.0 only when each monomial term is, which needs
+    # a -0.0 constant and no positive coefficient, and then no payoff is
+    # +0.0.  So a column's zeros share one sign, and these contiguous
+    # reductions give a zero extremum the sign that extrema's strided
+    # column reductions of the cloud give it.
+    ext = np.array([p1.min(), p2.min(), p1.max(), p2.max()])
+    if not np.isfinite(ext).all():
+        raise ValueError("payoffs must be finite")
+    shape = (grid_n,) * payoff_map.arity
+
+    def preimages_of(sel):
+        return np.stack([t[i] for i in np.unravel_index(sel, shape)], axis=1)
+
+    tub = _tu_witnesses(p1, p2, preimages_of, orientation, tol)
+    return tub, PayoffPoint(*ext[:2]), PayoffPoint(*ext[2:])
 
 
 def hausdorff_distance(a, b) -> float:

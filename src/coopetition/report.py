@@ -16,7 +16,13 @@ from .coopetitive import (
     standard_win_win_solution,
     win_win_report,
 )
-from .errors import DegenerateProblem, EmptyPortion, NoIntersection, UnsupportedGameError
+from .errors import (
+    DegenerateProblem,
+    EmptyPortion,
+    NoIntersection,
+    SameHalfPlane,
+    UnsupportedGameError,
+)
 from .gamefile import GameSpec
 from .games import (
     FiniteBimatrixGame,
@@ -200,9 +206,12 @@ def build_coopetitive_report(spec: GameSpec, grid_n: int, tol: float) -> Analysi
         )
     )
 
-    sol_lines = _solution_lines(
-        "proper-coopetitive", proper_coopetitive_solution(game, grid_n, tol)
-    )
+    try:
+        sol_lines = _solution_lines(
+            "proper-coopetitive", proper_coopetitive_solution(game, grid_n, tol)
+        )
+    except (DegenerateProblem, NoIntersection) as exc:
+        sol_lines = [f"proper-coopetitive: unavailable ({exc})"]
     if game.initial_z is not None:
         try:
             www = standard_win_win_solution(game, grid_n)
@@ -212,7 +221,7 @@ def build_coopetitive_report(spec: GameSpec, grid_n: int, tol: float) -> Analysi
                 f"  core supremum L: {fmt_point(report.core_sup)}, "
                 f"margin {fmt_point(report.margin)}, win-win: {report.is_win_win}"
             )
-        except EmptyPortion as exc:
+        except (EmptyPortion, SameHalfPlane) as exc:
             sol_lines.append(f"standard-win-win: unavailable ({exc})")
     sections.append(("solutions", tuple(sol_lines)))
     return AnalysisReport(tuple(sections))

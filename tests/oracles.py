@@ -9,8 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from coopetition.coopetitive import CoopetitiveGame, section_game
-from coopetition.games import FiniteBimatrixGame, Orientation, StrategyCell
+from coopetition.bargaining import SolutionPoint
+from coopetition.coopetitive import (
+    CoopetitiveGame,
+    core_supremum,
+    section_game,
+    tu_crossing_solution,
+    tu_segment,
+)
+from coopetition.errors import EmptyPortion, MissingInitialZ
+from coopetition.games import FiniteBimatrixGame, Orientation, PayoffPoint, StrategyCell
+from coopetition.geometry import sample_image
 from coopetition.mixed import bilinear_map, conservative_bivalue_mixed, mixed_equilibrium_components
 
 
@@ -219,6 +228,53 @@ def per_section_zone(game: CoopetitiveGame, grid_n: int) -> tuple[np.ndarray, np
         payoffs.append(pay)
         preimages.append(np.column_stack([lattice, np.full(len(lattice), z)]))
     return np.concatenate(payoffs), np.concatenate(preimages)
+
+
+def cloud_tu_compromise(game: CoopetitiveGame, a, b, grid_n: int, tol: float = 1e-6):
+    """``tu_compromise_solution`` on the full sampled cloud of the game."""
+    return tu_crossing_solution(sample_image(game.payoff, grid_n), game.orientation, a, b, tol)
+
+
+def cloud_standard_win_win(game: CoopetitiveGame, grid_n: int, tol: float = 1e-6) -> SolutionPoint:
+    """``standard_win_win_solution`` from the public cloud functions.
+
+    The TU data come from ``tu_segment`` and ``tu_crossing_solution`` on
+    ``sample_image`` of the whole cube, each running its own TU pass.
+    """
+    if game.initial_z is None:
+        raise MissingInitialZ("the standard win-win solution needs initial_z set")
+    L = core_supremum(game, game.initial_z, grid_n)
+    cloud = sample_image(game.payoff, grid_n)
+    tub, (end_lo, end_hi) = tu_segment(cloud, game.orientation, tol)
+    m = tub.optimal_sum
+    s = game.orientation.sign
+    if not s * m > s * (L.p1 + L.p2):
+        raise EmptyPortion(
+            f"optimal collective payoff {m:.6g} does not improve on the "
+            f"initial core supremum total {L.p1 + L.p2:.6g}"
+        )
+    if game.orientation is Orientation.LOSS:
+        lo = max(end_lo.p1, m - L.p2)
+        hi = min(end_hi.p1, L.p1)
+        utopia = PayoffPoint(lo, m - hi)
+    else:
+        lo = max(end_lo.p1, L.p1)
+        hi = min(end_hi.p1, m - L.p2)
+        utopia = PayoffPoint(hi, m - lo)
+    if lo > hi:
+        raise EmptyPortion("no TU boundary point is weakly better than the core supremum")
+    if lo == hi:
+        # The single improving point is the solution, tagged with the
+        # nearest witness (ties to the smaller payoff, then preimage).
+        point = np.array([lo, m - lo])
+        w, pre = tub.witness_payoffs, tub.witness_preimages
+        best = min(
+            range(len(w)),
+            key=lambda i: (float(np.hypot(*(w[i] - point))), w[i, 0], w[i, 1], tuple(pre[i])),
+        )
+        nearest = tuple(float(v) for v in pre[best])
+        return SolutionPoint(PayoffPoint(*point), nearest, "standard-win-win", 0.0, L, PayoffPoint(*point))
+    return tu_crossing_solution(cloud, game.orientation, L, utopia, tol, "standard-win-win")
 
 
 def random_game(rng: np.random.Generator, rows: int | None = None, cols: int | None = None,

@@ -13,8 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coopetition import cli, report
 from coopetition.cli import main
 from coopetition.demo import coopetitive_game_dict, finite_game_dict, run_paper_demo
+from coopetition.errors import DegenerateProblem, EmptyPortion, NoIntersection, SameHalfPlane
 from coopetition.games import Orientation
 from coopetition.geometry import PointCloud, pareto_filter
 
@@ -208,6 +210,61 @@ class TestSolve:
         )
         assert code == 4
         assert "SameHalfPlane" in err
+
+
+    def test_utopia_on_the_tu_line_is_answered(self, tmp_path):
+        # The utopia sum equals the TU optimum 6.741, so the crossing is the utopia.
+        path = tmp_path / "on_line.json"
+        path.write_text(json.dumps({
+            "kind": "coopetitive",
+            "orientation": "gain",
+            "coefficients": {
+                "p1": [-0.191, 0.133, -0.088, 1.766, 0.797],
+                "p2": [1.506, 1.769, -0.962, 0.238, 1.773],
+            },
+            "c_grid_size": 65,
+            "initial_z": 0.890625,
+        }))
+        code, out, err = run("analyze", str(path))
+        assert code == 0, err
+        assert "standard-win-win: payoff" in out
+        for solution in ("win-win", "tu"):
+            code, out, err = run("solve", str(path), "--solution", solution)
+            assert code == 0, err
+            line = next(v for v in out.splitlines() if v.startswith("payoff: "))
+            p1, p2 = (float(v) for v in line[len("payoff: ("):-1].split(", "))
+            assert abs(p1 + p2 - 6.741) <= 1e-12
+
+    @pytest.mark.parametrize("solution", ["proper-coopetitive", "win-win"])
+    def test_coopetitive_concepts_sample_no_cloud(self, coop_path, monkeypatch, solution):
+        def refuse(*args):
+            raise AssertionError("the command sampled the whole cloud")
+
+        monkeypatch.setattr(cli, "sample_image", refuse)
+        code, _, err = run("solve", coop_path, "--solution", solution)
+        assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "exc, concept",
+    [
+        (NoIntersection, "proper_coopetitive_solution"),
+        (DegenerateProblem, "proper_coopetitive_solution"),
+        (SameHalfPlane, "standard_win_win_solution"),
+        (EmptyPortion, "standard_win_win_solution"),
+    ],
+)
+def test_coopetitive_report_names_unavailable_concepts(coop_path, monkeypatch, exc, concept):
+    def refuse(*args, **kwargs):
+        raise exc("forced")
+
+    monkeypatch.setattr(report, concept, refuse)
+    code, out, err = run("analyze", coop_path)
+    assert code == 0, err
+    label = "proper-coopetitive" if concept.startswith("proper") else "standard-win-win"
+    assert f"  {label}: unavailable (forced)" in out.splitlines()
+    other = "standard-win-win: payoff" if label == "proper-coopetitive" else "proper-coopetitive: payoff"
+    assert other in out
 
 
 @pytest.mark.parametrize(

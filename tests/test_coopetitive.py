@@ -1,10 +1,12 @@
 """coopetition: sections, paths, Nash zone, TU and win-win solutions."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from coopetition import coopetitive, geometry
 from coopetition.coopetitive import (
     CoopetitiveGame,
     core_supremum,
@@ -19,11 +21,17 @@ from coopetition.coopetitive import (
 )
 from coopetition.errors import EmptyPortion, MissingInitialZ, SameHalfPlane
 from coopetition.games import Orientation, PayoffPoint
-from coopetition.geometry import PayoffMap, sample_image, tu_boundary
+from coopetition.geometry import PayoffMap, extrema, sample_image, tu_boundary
 from coopetition.bargaining import SolutionPoint
 from coopetition.mixed import mixed_equilibrium_components
 
-from oracles import per_section_path, per_section_zone, section_table
+from oracles import (
+    cloud_standard_win_win,
+    cloud_tu_compromise,
+    per_section_path,
+    per_section_zone,
+    section_table,
+)
 
 TU_POINT = PayoffPoint(-25.0 / 7.0, -3.0 / 7.0)
 
@@ -354,6 +362,14 @@ class TestTUCompromise:
                 coop_game, PayoffPoint(0, 1), PayoffPoint(0, 0), grid_n=33
             )
 
+    def test_end_on_the_line_is_the_crossing(self, coop_game):
+        # The TU line is p1 + p2 = -4; an end on it is the answer itself.
+        on_line, off_line = PayoffPoint(-3, -1), PayoffPoint(0, 1)
+        for a, b in ((off_line, on_line), (on_line, off_line)):
+            sol = tu_compromise_solution(coop_game, a, b, grid_n=33)
+            assert sol.payoff == on_line
+            assert sol.residual == 0.0
+
     def test_coop_tu_beats_every_section(self, coop_game):
         coop_sum = tu_boundary(
             sample_image(coop_game.payoff, 33), Orientation.LOSS, 1e-9
@@ -414,6 +430,63 @@ class TestWinWin:
                       c_size=5, initial_z=0.0)
         sol = standard_win_win_solution(g, 17)
         assert err(sol.payoff, PayoffPoint(2, 2)) <= 1e-9
+
+
+def sweep_style_games(seed: int, count: int):
+    """Games drawn like the section-sweep benchmark's: coefficients in
+    [-2, 2] to three decimals, alternating orientation, grid 65 along z;
+    ``initial_z`` is any member of the grid."""
+    rng = random.Random(seed)
+    for i in range(count):
+        coeffs = [[round(rng.uniform(-2.0, 2.0), 3) for _ in range(5)] for _ in range(2)]
+        orientation = (Orientation.GAIN, Orientation.LOSS)[i % 2]
+        yield make_coop(coeffs, orientation, c_size=65, initial_z=rng.randrange(65) / 64)
+
+
+def outcome(solve) -> str:
+    try:
+        return repr(solve())
+    except (EmptyPortion, SameHalfPlane) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestLatticeSolutions:
+    """Win-win and TU compromise read the TU data on the lattice, with the
+    cloud path's answers."""
+
+    # Utopia exactly on the TU line p1 + p2 = 6.741.
+    ON_LINE = [[-0.191, 0.133, -0.088, 1.766, 0.797], [1.506, 1.769, -0.962, 0.238, 1.773]]
+
+    def test_match_the_cloud_path(self, coop_game):
+        games = [coop_game, make_coop(self.ON_LINE, Orientation.GAIN, 65, 57 / 64)]
+        games += [g for seed in (1, 2) for g in sweep_style_games(seed, 30)]
+        answered = 0
+        for game in games:
+            got = outcome(lambda: standard_win_win_solution(game, 65))
+            assert got == outcome(lambda: cloud_standard_win_win(game, 65))
+            answered += got.startswith("SolutionPoint")
+            lo, hi = extrema(sample_image(game.payoff, 33))
+            worst, best = (lo, hi) if game.orientation is Orientation.GAIN else (hi, lo)
+            for a, b in ((worst, best), (best, worst), (best, best)):
+                assert outcome(lambda: tu_compromise_solution(game, a, b, 33)) == outcome(
+                    lambda: cloud_tu_compromise(game, a, b, 33)
+                )
+        assert answered >= 20
+
+    def test_win_win_samples_no_cube(self, coop_game, monkeypatch):
+        # Fails if win-win or the TU compromise falls back to the cube's cloud.
+        arities = []
+        sample = geometry.sample_image
+
+        def recording(payoff_map, grid_n):
+            arities.append(payoff_map.arity)
+            return sample(payoff_map, grid_n)
+
+        monkeypatch.setattr(geometry, "sample_image", recording)
+        monkeypatch.setattr(coopetitive, "sample_image", recording)
+        standard_win_win_solution(coop_game, 33)
+        tu_compromise_solution(coop_game, PayoffPoint(0, 1), PayoffPoint(-5, -1), 33)
+        assert arities == [2]
 
 
 class TestValidation:

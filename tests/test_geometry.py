@@ -13,6 +13,7 @@ from coopetition.geometry import (
     PointCloud,
     extrema,
     hausdorff_distance,
+    lattice_tu,
     pareto_filter,
     sample_image,
     tu_boundary,
@@ -276,6 +277,19 @@ class TestExtrema:
         lo, hi = extrema(cloud)
         assert lo == hi == PayoffPoint(2, 3)
 
+    def test_column_reductions_match_axis_reduction(self):
+        # The reference is the (n, 2) reduction along axis 0, zero signs included.
+        rng = np.random.default_rng(38)
+        for i in range(400):
+            n = int(rng.integers(1, 300))
+            values = [-0.0, 0.0] if i % 2 else [-0.0, 0.0, -1.0, 1.0]
+            cloud = make_cloud(rng.choice(values, size=(n, 2)))
+            lo, hi = extrema(cloud)
+            for got, want in ((lo, cloud.payoffs.min(axis=0)), (hi, cloud.payoffs.max(axis=0))):
+                got = np.array(got.as_tuple())
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestTUBoundary:
     def test_f0_loss_optimum(self, f0_cloud_513):
@@ -324,6 +338,80 @@ class TestTUBoundary:
         assert len(tub.witness_payoffs) == len(tub.witness_preimages) == 2
         for p1, p2 in tub.witness_payoffs.tolist():
             assert abs(p1 + p2 - tub.optimal_sum) <= 1e-9
+
+
+def assert_lattice_matches_cloud(payoff_map, grid_n, orientation, tol=1e-9):
+    """``lattice_tu`` is ``tu_boundary`` and ``extrema`` of the cloud, bit for bit."""
+    cloud = sample_image(payoff_map, grid_n)
+    want = tu_boundary(cloud, orientation, tol)
+    got, lo, hi = lattice_tu(payoff_map, grid_n, orientation, tol)
+    pairs = [
+        (got.optimal_sum, want.optimal_sum),
+        (got.witness_payoffs, want.witness_payoffs),
+        (got.witness_preimages, want.witness_preimages),
+        ([p.as_tuple() for p in got.segment_ends], [p.as_tuple() for p in want.segment_ends]),
+        ([lo.as_tuple(), hi.as_tuple()], [p.as_tuple() for p in extrema(cloud)]),
+    ]
+    for a, b in pairs:
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert got.tolerance == want.tolerance
+    return got
+
+
+class TestLatticeTU:
+    @pytest.mark.parametrize("arity, grid_n", [(2, 2), (2, 17), (2, 65), (3, 2), (3, 17), (3, 65)])
+    def test_random_three_decimal_maps(self, arity, grid_n):
+        rng = np.random.default_rng([66, arity, grid_n])
+        for _ in range(3):
+            c = np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3)
+            if arity == 2:
+                c[:, 3] = 0.0
+            for orientation in Orientation:
+                assert_lattice_matches_cloud(PayoffMap(c, arity), grid_n, orientation, 1e-6)
+
+    @pytest.mark.parametrize("grid_n", [2, 17, 65])
+    def test_degenerate_maps_fill_edges_and_faces(self, grid_n):
+        # With the sum's x, y, z or xy coefficient zero the optimum is
+        # attained along an edge or over a face, so witnesses are many.
+        rng = np.random.default_rng([67, grid_n])
+        sizes = []
+        flats = ((1,), (2,), (3,), (4,), (1, 4), (2, 4), (1, 2, 4), (3, 4), (1, 2, 3, 4))
+        for i, flat in enumerate(flats * 2):
+            c = np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3)
+            c[:, 0] = (-0.0, 0.0, 0.5)[i % 3]
+            for k in flat:
+                if rng.integers(2):
+                    c[1, k] = -c[0, k]
+                else:
+                    c[:, k] = rng.choice([-0.0, 0.0], size=2)
+            for orientation in Orientation:
+                tub = assert_lattice_matches_cloud(PayoffMap(c, 3), grid_n, orientation)
+                sizes.append(len(tub.witness_payoffs))
+        assert max(sizes) >= grid_n**2
+
+    def test_signed_zero_maps(self):
+        rng = np.random.default_rng(68)
+        for _ in range(200):
+            arity = int(rng.integers(2, 4))
+            c = rng.choice([-0.0, 0.0, -1.0, 1.0, 0.5, -0.25], size=(2, 5))
+            if arity == 2:
+                c[:, 3] = rng.choice([-0.0, 0.0], size=2)
+            for orientation in Orientation:
+                assert_lattice_matches_cloud(PayoffMap(c, arity), int(rng.choice([2, 5, 17])), orientation)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_payoffs_raise_like_the_cloud(self, sign):
+        m = PayoffMap(sign * np.array([[1e308, 1.7e308, 1e307, 0, 0], [1.0, 0, 0, 0, 0]]), arity=3)
+        for build in (lambda: sample_image(m, 17), lambda: lattice_tu(m, 17, Orientation.GAIN)):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="payoffs must be finite"):
+                build()
+
+    def test_argument_checks(self, f0):
+        with pytest.raises(ValueError, match="grid_n"):
+            lattice_tu(f0, 1, Orientation.LOSS)
+        with pytest.raises(ValueError, match="tol"):
+            lattice_tu(f0, 17, Orientation.LOSS, 0.0)
 
 
 class TestHausdorff:
