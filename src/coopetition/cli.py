@@ -290,13 +290,17 @@ def _coopetitive_scene(spec: GameSpec, grid_n: int) -> Scene:
     scene.add(zone.preimages, zone.payoffs, "nash")
     scene.add(tub.witness_preimages, tub.witness_payoffs, "tu")
     scene.tu_segment = tu_ends
-    sol = proper_coopetitive_solution(game, grid_n, 3.0 / (grid_n - 1))
-    scene.add_solution("proper-coopetitive", sol.preimage, sol.payoff)
+    # A refused concept gets no marker, as analyze prints it "unavailable".
+    try:
+        sol = proper_coopetitive_solution(game, grid_n, 3.0 / (grid_n - 1))
+        scene.add_solution("proper-coopetitive", sol.preimage, sol.payoff)
+    except (DegenerateProblem, NoIntersection):
+        pass
     if game.initial_z is not None:
         try:
             www = standard_win_win_solution(game, grid_n)
             scene.add_solution("standard-win-win", www.preimage, www.payoff)
-        except EmptyPortion:
+        except (EmptyPortion, SameHalfPlane):
             pass
     return scene
 

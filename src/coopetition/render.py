@@ -1,17 +1,19 @@
 """Deterministic CSV and SVG emission for payoff-space scenes.
 
 CSV columns are exactly ``x,y[,z],p1,p2,tag``; floats are written with
-``repr`` so they round-trip bit-exactly.  SVG output is hand-assembled
-with fixed formatting: payoff axes at 100 px per unit, an origin cross,
-and a text legend.  Neither format embeds timestamps or locale-dependent
+``repr`` so they round-trip bit-exactly, and a tag may hold no character
+that CSV would quote.  SVG output is hand-assembled with fixed
+formatting: payoff axes at 100 px per unit, an origin cross, and a text
+legend.  Neither format embeds timestamps or locale-dependent
 content, so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
+
 import numpy as np
 
 from .games import Orientation, PayoffPoint
@@ -22,6 +24,8 @@ __all__ = ["Scene", "write_csv", "write_svg"]
 SVG_CLOUD_CAP = 4000
 PX_PER_UNIT = 100.0
 PAD_PX = 60.0
+#: Rows formatted per write by ``write_csv``; bounds its string tables.
+_CSV_CHUNK_ROWS = 1 << 14
 
 _COLORS = {
     "cloud": "#b8b8b8",
@@ -47,11 +51,13 @@ class Scene:
     tu_segment: tuple[PayoffPoint, PayoffPoint] | None = None
 
     def add(self, preimages, payoffs, tag: str) -> None:
+        _check_tag(tag)
         preimages = np.atleast_2d(np.asarray(preimages, dtype=float))
         payoffs = np.atleast_2d(np.asarray(payoffs, dtype=float))
         self.blocks.append((tag, preimages[:, : self.arity], payoffs[:, :2]))
 
     def add_solution(self, name: str, preimage, payoff: PayoffPoint) -> None:
+        _check_tag(name)
         pre = tuple(float(v) for v in preimage) if preimage is not None else ()
         pre = pre + (0.0,) * (self.arity - len(pre))
         self.blocks.append(
@@ -59,13 +65,36 @@ class Scene:
         )
 
 
+def _check_tag(tag: str) -> None:
+    # write_csv writes tags unquoted, so a tag holding a delimiter, a quote
+    # or a line break, which csv.writer would quote or a reader would split,
+    # is refused rather than written differently.
+    if any(c in tag for c in ',"\r\n'):
+        raise ValueError(f"scene tag must not contain ',', '\"', CR or LF, got {tag!r}")
+
+
 def write_csv(path: str | Path, scene: Scene) -> None:
+    """Write ``scene`` as CSV rows ``x,y[,z],p1,p2,tag`` in emission order.
+
+    Every float is written as its ``repr``, bit-exact, but each distinct
+    value is formatted once per chunk of rows: the chunk's values are
+    reduced to their distinct int64 bit patterns (bits, not floats, so
+    ``-0.0`` and ``0.0`` stay apart) and the strings gathered back.  The
+    bytes are those of ``csv.writer`` with a ``"\\n"`` line terminator,
+    since no tag holds a character that it would quote.
+    """
     header = ["x", "y", "z"][: scene.arity] + ["p1", "p2", "tag"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for tag, pre, pay in scene.blocks:
-            writer.writerows([*map(repr, row), tag] for row in np.hstack([pre, pay]).tolist())
+            end = repeat(tag + "\n")
+            for start in range(0, len(pre), _CSV_CHUNK_ROWS):
+                stop = start + _CSV_CHUNK_ROWS
+                vals = np.hstack([pre[start:stop], pay[start:stop]])
+                bits, inverse = np.unique(vals.view(np.int64).ravel(), return_inverse=True)
+                text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+                cols = text[inverse.reshape(vals.shape).T].tolist()
+                fh.write("".join(map(",".join, zip(*cols, end))))
 
 
 def _fmt(v: float) -> str:

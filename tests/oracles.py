@@ -7,6 +7,8 @@ must agree with these on every input the tests feed both sides.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from coopetition.bargaining import SolutionPoint
@@ -132,6 +134,16 @@ def lattice_image(payoff_map, grid_n: int):
 def brute_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     d = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def csv_reference(path, scene) -> None:
+    """The scene CSV written row by row: ``csv.writer`` and ``repr`` per float."""
+    header = ["x", "y", "z"][: scene.arity] + ["p1", "p2", "tag"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for tag, pre, pay in scene.blocks:
+            writer.writerows([*map(repr, row), tag] for row in np.hstack([pre, pay]).tolist())
 
 
 def is_mixed_equilibrium(game: FiniteBimatrixGame, x: float, y: float, grid: int = 101,

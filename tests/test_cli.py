@@ -245,15 +245,16 @@ class TestSolve:
         assert code == 0, err
 
 
-@pytest.mark.parametrize(
-    "exc, concept",
-    [
-        (NoIntersection, "proper_coopetitive_solution"),
-        (DegenerateProblem, "proper_coopetitive_solution"),
-        (SameHalfPlane, "standard_win_win_solution"),
-        (EmptyPortion, "standard_win_win_solution"),
-    ],
-)
+#: Each refusal a coopetitive solution concept can raise, and the concept.
+REFUSALS = [
+    (NoIntersection, "proper_coopetitive_solution"),
+    (DegenerateProblem, "proper_coopetitive_solution"),
+    (SameHalfPlane, "standard_win_win_solution"),
+    (EmptyPortion, "standard_win_win_solution"),
+]
+
+
+@pytest.mark.parametrize("exc, concept", REFUSALS)
 def test_coopetitive_report_names_unavailable_concepts(coop_path, monkeypatch, exc, concept):
     def refuse(*args, **kwargs):
         raise exc("forced")
@@ -281,10 +282,12 @@ def test_bad_tol_exits_2(finite_path, command, tol):
     )
 
 
-# Runs the CLI as ``python -m coopetition.cli`` would (or only imports the
-# package when given no arguments), then prints every loaded scipy module.
+# Blocks scipy, then runs the CLI as ``python -m coopetition.cli`` would (or
+# only imports the package when given no arguments) and prints every scipy
+# module loaded anyway.  An import of scipy raises ImportError.
 _SCIPY_PROBE = """
 import runpy, sys
+sys.modules["scipy"] = None
 if len(sys.argv) > 1:
     try:
         runpy.run_module("coopetition.cli", run_name="__main__")
@@ -292,20 +295,25 @@ if len(sys.argv) > 1:
         assert exc.code in (0, None), exc.code
 else:
     import coopetition
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None))
 """
 
 
 @pytest.mark.parametrize(
     "argv",
-    [[], ["analyze", "--grid", "33"], ["solve", "--solution", "ks", "--grid", "33"]],
-    ids=["import", "analyze", "solve-ks"],
+    [
+        [],
+        ["analyze", "{finite}", "--grid", "33"],
+        ["solve", "{finite}", "--solution", "ks", "--grid", "33"],
+        ["render", "{coop}", "--out-csv", "{out}/c.csv", "--out-svg", "{out}/c.svg"],
+        ["paper-demo", "--out-dir", "{out}/demo"],
+    ],
+    ids=["import", "analyze", "solve-ks", "render", "paper-demo"],
 )
-def test_commands_do_not_load_scipy(finite_path, argv):
+def test_commands_do_not_load_scipy(finite_path, coop_path, tmp_path, argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    if argv:
-        argv = [argv[0], finite_path, *argv[1:]]
+    argv = [a.format(finite=finite_path, coop=coop_path, out=tmp_path) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, *argv],
         capture_output=True, text=True, env=env, timeout=120,
@@ -411,6 +419,43 @@ class TestRender:
     def test_needs_an_output(self, coop_path):
         code, _, err = run("render", coop_path)
         assert code == 2
+
+    @pytest.mark.parametrize("exc, concept", REFUSALS)
+    def test_refused_concept_has_no_marker(self, coop_path, tmp_path, monkeypatch, exc, concept):
+        def refuse(*args, **kwargs):
+            raise exc("forced")
+
+        monkeypatch.setattr(cli, concept, refuse)
+        out = {ext: tmp_path / f"c.{ext}" for ext in ("csv", "svg")}
+        code, _, err = run("render", coop_path, "--out-csv", str(out["csv"]),
+                           "--out-svg", str(out["svg"]), "--grid", "9")
+        assert code == 0, err
+        label = "proper-coopetitive" if concept.startswith("proper") else "standard-win-win"
+        other = "standard-win-win" if label == "proper-coopetitive" else "proper-coopetitive"
+        tags = {r["tag"] for r in csv.DictReader(out["csv"].open())}
+        assert f"solution:{other}" in tags and f"solution:{label}" not in tags
+        svg = out["svg"].read_text()
+        assert f">{other}</text>" in svg and label not in svg
+
+    def test_no_intersection_game_renders(self, tmp_path):
+        # proper-coopetitive refuses this game with NoIntersection.
+        path = tmp_path / "no-intersection.json"
+        path.write_text(json.dumps({
+            "kind": "coopetitive", "orientation": "loss",
+            "coefficients": {"p1": [-0.172, 1.153, 1.631, -0.124, -1.867],
+                             "p2": [-0.691, -1.384, 0.046, -0.701, -0.726]},
+            "c_grid_size": 257, "initial_z": 0,
+        }))
+        code, out, _ = run("analyze", str(path))
+        assert code == 0
+        assert "proper-coopetitive: unavailable (nearest boundary point" in out
+        files = {ext: tmp_path / f"c.{ext}" for ext in ("csv", "svg")}
+        code, _, err = run("render", str(path), "--out-csv", str(files["csv"]),
+                           "--out-svg", str(files["svg"]))
+        assert code == 0, err
+        tags = {r["tag"] for r in csv.DictReader(files["csv"].open())}
+        assert "solution:standard-win-win" in tags and "solution:proper-coopetitive" not in tags
+        assert files["svg"].read_text().startswith("<svg")
 
     @pytest.mark.parametrize("stem", sorted({name.split(".")[0] for name in RENDER_SHA256}))
     def test_output_matches_golden_hashes(self, tmp_path, stem):

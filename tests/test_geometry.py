@@ -432,6 +432,65 @@ class TestHausdorff:
                 b = rng.normal(size=(int(rng.integers(1, max_size)), 2))
                 assert abs(hausdorff_distance(a, b) - brute_hausdorff(a, b)) <= 1e-12
 
+    @staticmethod
+    def assert_matches_oracle(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        want = brute_hausdorff(a, b)
+        assert hausdorff_distance(a, b) == pytest.approx(want, rel=1e-14, abs=1e-300)
+        assert hausdorff_distance(b, a) == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+    def test_ties_in_x(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            # Few distinct x values, so runs of equal x straddle every block.
+            a = np.stack([rng.integers(0, 4, 300) / 4, rng.normal(size=300)], axis=1)
+            b = np.stack([rng.integers(0, 5, 40) / 4, rng.normal(size=40)], axis=1)
+            self.assert_matches_oracle(a, b)
+
+    def test_one_x_for_every_point(self):
+        # The whole other set is in every block's band, wider than one band slice.
+        rng = np.random.default_rng(4)
+        a = np.stack([np.zeros(600), rng.normal(size=600)], axis=1)
+        b = np.stack([np.zeros(5000), rng.normal(size=5000) * 3], axis=1)
+        self.assert_matches_oracle(a, b)
+        # Every point of b is the nearest point of one point of a.
+        b = np.stack([np.zeros(5000), rng.permutation(5000).astype(float)], axis=1)
+        a = np.concatenate([b[rng.permutation(5000)], [[0.0, 2500.25]]])
+        assert hausdorff_distance(a, b) == 0.25
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(30, 2))
+        a = np.concatenate([base, base[rng.integers(0, 30, 500)]])
+        b = np.concatenate([base[:10], base[:10], rng.normal(size=(7, 2))])
+        self.assert_matches_oracle(a, b)
+        assert hausdorff_distance(a, np.concatenate([base, base])) == 0.0
+
+    def test_single_points(self):
+        assert hausdorff_distance([[1.0, 2.0]], [[4.0, 6.0]]) == 5.0
+        assert hausdorff_distance([[1.0, 2.0]], [[1.0, 2.0]]) == 0.0
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            self.assert_matches_oracle(rng.normal(size=(1, 2)), rng.normal(size=(300, 2)))
+
+    def test_very_unequal_sizes(self):
+        rng = np.random.default_rng(8)
+        t = np.sort(rng.random(20000))
+        curve = np.stack([t, -t * t], axis=1)
+        for n in (1, 2, 3, 257):
+            self.assert_matches_oracle(rng.random((n, 2)) * [1.0, -1.0], curve)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            hausdorff_distance([[0.0, bad]], [[0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            hausdorff_distance([[0.0, 0.0]], [[bad, 0.0]])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            hausdorff_distance(np.zeros((0, 2)), [[0.0, 0.0]])
+
 
 class TestValidation:
     def test_empty_cloud_rejected(self):
