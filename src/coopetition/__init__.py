@@ -27,9 +27,7 @@ from .coopetitive import (
     proper_coopetitive_solution,
     section_game,
     standard_win_win_solution,
-    tu_compromise_solution,
     tu_crossing_solution,
-    tu_segment,
     win_win_report,
 )
 from .errors import (
@@ -41,6 +39,7 @@ from .errors import (
     MissingInitialZ,
     NoIntersection,
     SameHalfPlane,
+    SolverRefusal,
     UnsupportedGameError,
 )
 from .games import (
@@ -71,6 +70,7 @@ from .geometry import (
     pareto_filter,
     sample_image,
     tu_boundary,
+    tu_line,
 )
 from .mixed import (
     EquilibriumComponent,

@@ -11,14 +11,14 @@ payoff and preimage, so results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
 
 from .errors import DegenerateProblem, EmptyFeasibleSet, NoIntersection
 from .games import Orientation, PayoffPoint, strictly_better
-from .geometry import ParetoBoundary, facing_flavor, orientation_best, orientation_worst
+from .geometry import ParetoBoundary, _lex_order, facing_flavor, orientation_best, orientation_worst
 
 __all__ = [
     "BargainingProblem",
@@ -86,11 +86,9 @@ def _segment_distances(points: np.ndarray, a: PayoffPoint, b: PayoffPoint) -> np
     return np.hypot(*(points - proj).T)
 
 
-def _pick(boundary: ParetoBoundary, primary: np.ndarray, secondary: np.ndarray) -> int:
-    """Deterministic argmin over (primary, secondary, payoff, preimage)."""
-    keys = [boundary.preimages[:, k] for k in range(boundary.preimages.shape[1] - 1, -1, -1)]
-    keys += [boundary.payoffs[:, 1], boundary.payoffs[:, 0], secondary, primary]
-    return int(np.lexsort(tuple(keys))[0])
+def _pick(boundary: ParetoBoundary, *leading: np.ndarray) -> int:
+    """Deterministic argmin over (the leading keys in turn, payoff, preimage)."""
+    return int(_lex_order(boundary.payoffs, boundary.preimages, *leading)[0])
 
 
 def ks_solution(problem: BargainingProblem, tol: float) -> SolutionPoint:
@@ -140,7 +138,7 @@ def nash_bargaining(
             f"no boundary point weakly improves on {disagreement.as_tuple()}"
         )
     product = np.where(feasible, gains[:, 0] * gains[:, 1], -np.inf)
-    i = _pick(boundary, -product, np.zeros(len(boundary)))
+    i = _pick(boundary, -product)
     return SolutionPoint(
         payoff=boundary.tagged(i).payoff,
         preimage=boundary.tagged(i).preimage,
@@ -174,48 +172,30 @@ def payoff_core(boundary: ParetoBoundary, conservative: PayoffPoint) -> ParetoBo
     )
 
 
-def _single_point(boundary: ParetoBoundary, method: str) -> SolutionPoint:
-    t = boundary.tagged(0)
-    return SolutionPoint(t.payoff, t.preimage, method, residual=0.0)
-
-
 def compromise_solution(
     kind: CompromiseKind,
     boundary: ParetoBoundary,
-    nash_extreme: PayoffPoint | None = None,
-    conservative: PayoffPoint | None = None,
+    threat: PayoffPoint | None = None,
     tol: float = 1e-2,
 ) -> SolutionPoint:
     """The three compromise constructions, solved by Kalai-Smorodinsky.
 
     The utopia point is always the orientation-best extremum of the
     boundary.  The threat point is the orientation-worst extremum for
-    ``pareto``, the supplied Nash-zone extreme for ``nash_pareto``, and
-    the supplied conservative value for ``conservative_pareto``.  A
-    single-point boundary is its own solution for every kind.
+    ``pareto``, and the supplied ``threat`` for the other kinds: the
+    Nash-zone extreme for ``nash_pareto``, the conservative value for
+    ``conservative_pareto``.  A single-point boundary is its own solution
+    for every kind.
     """
     if kind not in ("pareto", "nash_pareto", "conservative_pareto"):
         raise ValueError(f"unknown compromise kind {kind!r}")
     method = f"compromise:{kind}"
     if len(boundary) == 1:
-        return _single_point(boundary, method)
-    utopia = orientation_best(boundary, boundary.orientation)
+        t = boundary.tagged(0)
+        return SolutionPoint(t.payoff, t.preimage, method, residual=0.0)
     if kind == "pareto":
         threat = orientation_worst(boundary, boundary.orientation)
-    elif kind == "nash_pareto":
-        if nash_extreme is None:
-            raise ValueError("nash_pareto compromise needs nash_extreme")
-        threat = nash_extreme
-    else:
-        if conservative is None:
-            raise ValueError("conservative_pareto compromise needs conservative")
-        threat = conservative
-    solution = ks_solution(BargainingProblem(boundary, threat, utopia), tol)
-    return SolutionPoint(
-        payoff=solution.payoff,
-        preimage=solution.preimage,
-        method=method,
-        residual=solution.residual,
-        threat=threat,
-        utopia=utopia,
-    )
+    elif threat is None:
+        raise ValueError(f"{kind} compromise needs a threat point")
+    utopia = orientation_best(boundary, boundary.orientation)
+    return replace(ks_solution(BargainingProblem(boundary, threat, utopia), tol), method=method)

@@ -35,29 +35,21 @@ from .coopetitive import (
     proper_coopetitive_solution,
     standard_win_win_solution,
     tu_crossing_solution,
-    tu_segment,
     win_win_report,
 )
 from .demo import DemoCheckError, run_paper_demo
-from .errors import (
-    DegenerateProblem,
-    EmptyFeasibleSet,
-    EmptyPortion,
-    GameFileError,
-    MissingInitialZ,
-    NoIntersection,
-    SameHalfPlane,
-    UnsupportedGameError,
-)
+from .errors import GameFileError, MissingInitialZ, SolverRefusal, UnsupportedGameError
 from .gamefile import GameSpec, load_game_file, resolve_grid
 from .games import PayoffPoint, pure_nash_equilibria
 from .geometry import (
     PointCloud,
+    extrema,
     facing_flavor,
     orientation_best,
     pareto_filter,
     sample_image,
     tu_boundary,
+    tu_line,
 )
 from .mixed import (
     bilinear_map,
@@ -177,9 +169,6 @@ class _SolveContext:
             return nash_extreme(mixed_equilibrium_components(self.game))
         return PayoffPoint(*nash_zone(self.game, self.grid_n).payoffs.max(axis=0))
 
-    def default_threat(self) -> PayoffPoint:
-        return self.conservative()
-
     def default_utopia(self) -> PayoffPoint:
         return orientation_best(self.cloud, self.orientation)
 
@@ -205,16 +194,16 @@ def _cmd_solve(args) -> int:
     if name in ("proper-coopetitive", "win-win") and spec.kind != "coopetitive":
         raise UnsupportedGameError(f"{name} solutions need a coopetitive game file")
     if name == "ks":
-        threat = args.threat or ctx.default_threat()
+        threat = args.threat or ctx.conservative()
         utopia = args.utopia or ctx.default_utopia()
         sol = ks_solution(BargainingProblem(ctx.boundary(), threat, utopia), ks_tol)
     elif name == "nash-bargaining":
-        threat = args.threat or ctx.default_threat()
+        threat = args.threat or ctx.conservative()
         sol = nash_bargaining(ctx.boundary(), threat, ctx.orientation)
     elif name == "tu":
-        threat = args.threat or ctx.default_threat()
+        threat = args.threat or ctx.conservative()
         utopia = args.utopia or ctx.default_utopia()
-        sol = tu_crossing_solution(ctx.cloud, ctx.orientation, threat, utopia, tu_tol)
+        sol = tu_crossing_solution(tu_boundary(ctx.cloud, ctx.orientation, tu_tol), threat, utopia)
     elif name == "proper-coopetitive":
         sol = proper_coopetitive_solution(ctx.game, grid_n, ks_tol)
     elif name == "win-win":
@@ -227,12 +216,12 @@ def _cmd_solve(args) -> int:
         ]
     else:
         kind = name.split(":", 1)[1]
-        kwargs = {}
+        threat = None
         if kind == "nash_pareto":
-            kwargs["nash_extreme"] = args.threat or ctx.nash_extreme()
+            threat = args.threat or ctx.nash_extreme()
         elif kind == "conservative_pareto":
-            kwargs["conservative"] = args.threat or ctx.conservative()
-        sol = compromise_solution(kind, ctx.boundary(), tol=ks_tol, **kwargs)
+            threat = args.threat or ctx.conservative()
+        sol = compromise_solution(kind, ctx.boundary(), threat, ks_tol)
 
     print(f"solution: {sol.method}")
     print(f"payoff: {fmt_point(sol.payoff)}")
@@ -282,25 +271,25 @@ def _coopetitive_scene(spec: GameSpec, grid_n: int) -> Scene:
     cloud = sample_image(game.payoff, grid_n)
     boundary = pareto_filter(cloud, game.orientation, facing_flavor(game.orientation))
     zone = nash_zone(game, grid_n)
-    tub, tu_ends = tu_segment(cloud, game.orientation, 1e-6)
+    tub = tu_boundary(cloud, game.orientation, 1e-6)
     scene = Scene(f"coopetitive payoff space ({game.orientation.value})",
                   game.orientation, 3)
     scene.add(cloud.preimages, cloud.payoffs, "cloud")
     scene.add(boundary.preimages, boundary.payoffs, "pareto")
     scene.add(zone.preimages, zone.payoffs, "nash")
     scene.add(tub.witness_preimages, tub.witness_payoffs, "tu")
-    scene.tu_segment = tu_ends
+    scene.tu_segment = tu_line(tub, *extrema(cloud))
     # A refused concept gets no marker, as analyze prints it "unavailable".
     try:
         sol = proper_coopetitive_solution(game, grid_n, 3.0 / (grid_n - 1))
         scene.add_solution("proper-coopetitive", sol.preimage, sol.payoff)
-    except (DegenerateProblem, NoIntersection):
+    except SolverRefusal:
         pass
     if game.initial_z is not None:
         try:
             www = standard_win_win_solution(game, grid_n)
             scene.add_solution("standard-win-win", www.preimage, www.payoff)
-        except (EmptyPortion, SameHalfPlane):
+        except SolverRefusal:
             pass
     return scene
 
@@ -357,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UnsupportedGameError, MissingInitialZ) as exc:
         print(f"error: unsupported analysis: {exc}", file=sys.stderr)
         return 3
-    except (DegenerateProblem, NoIntersection, EmptyFeasibleSet, SameHalfPlane, EmptyPortion) as exc:
+    except SolverRefusal as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     except DemoCheckError as exc:

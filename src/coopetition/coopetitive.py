@@ -18,26 +18,24 @@ translate the result along ``c_grid`` as arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
 
-from .bargaining import BargainingProblem, SolutionPoint, ks_solution, payoff_core
+from .bargaining import SolutionPoint, compromise_solution, payoff_core
 from .errors import EmptyPortion, MissingInitialZ, SameHalfPlane
 from .games import FiniteBimatrixGame, Orientation, PayoffPoint, strictly_better
 from .geometry import (
     PayoffMap,
     PointCloud,
     TUBoundary,
-    extrema,
+    _lex_order,
     facing_flavor,
     lattice_tu,
-    orientation_best,
-    orientation_worst,
     pareto_filter,
     sample_image,
-    tu_boundary,
+    tu_line,
 )
 from .mixed import conservative_bivalue_mixed, mixed_equilibrium_components
 
@@ -51,9 +49,7 @@ __all__ = [
     "induced_path",
     "nash_zone",
     "proper_coopetitive_solution",
-    "tu_segment",
     "tu_crossing_solution",
-    "tu_compromise_solution",
     "core_supremum",
     "win_win_report",
     "standard_win_win_solution",
@@ -230,77 +226,33 @@ def proper_coopetitive_solution(
     """Kalai-Smorodinsky over the Pareto boundary of the Nash zone.
 
     Cooperation happens on the z axis only; the players stay selfish on
-    (x, y).  The bargaining problem runs from the boundary's worst corner
-    to its best corner per orientation; a single-point boundary is its own
-    solution.
+    (x, y).  This is the ``pareto`` compromise of the zone's
+    orientation-facing boundary: the bargaining problem runs from its
+    worst corner to its best corner per orientation, and a single-point
+    boundary is its own solution.
     """
     zone = nash_zone(game, grid_n)
     nstar = pareto_filter(zone, game.orientation, facing_flavor(game.orientation))
-    method = "proper-coopetitive"
-    if len(nstar) == 1:
-        t = nstar.tagged(0)
-        return SolutionPoint(t.payoff, t.preimage, method, residual=0.0)
-    threat = orientation_worst(nstar, game.orientation)
-    utopia = orientation_best(nstar, game.orientation)
-    sol = ks_solution(BargainingProblem(nstar, threat, utopia), tol)
-    return SolutionPoint(sol.payoff, sol.preimage, method, sol.residual, threat, utopia)
+    return replace(compromise_solution("pareto", nstar, tol=tol), method="proper-coopetitive")
 
 
-def tu_segment(
-    cloud: PointCloud, orientation: Orientation, witness_tol: float
-) -> tuple[TUBoundary, tuple[PayoffPoint, PayoffPoint]]:
-    """TU boundary data: witnesses plus the ends of the full TU segment.
-
-    The transferable-utility Pareto boundary is the line p1 + p2 = optimal
-    sum clipped to the componentwise extrema box of the payoff space (with
-    transfers any split of the optimal total between those bounds is
-    reachable).  Witnesses are the sampled profiles that attain the total.
-    The ends are ordered by p1.
-    """
-    tub = tu_boundary(cloud, orientation, witness_tol)
-    return tub, _tu_ends(tub, *extrema(cloud))
-
-
-def _tu_ends(tub: TUBoundary, lo: PayoffPoint, hi: PayoffPoint) -> tuple[PayoffPoint, PayoffPoint]:
-    """The TU line clipped to the extrema box [lo, hi], ends ordered by p1."""
-    m = tub.optimal_sum
-    p1_lo = max(lo.p1, m - hi.p2)
-    p1_hi = min(hi.p1, m - lo.p2)
-    return PayoffPoint(p1_lo, m - p1_lo), PayoffPoint(p1_hi, m - p1_hi)
-
-
-def _nearest_witness(tub, point: np.ndarray) -> tuple[float, ...]:
-    dist = tub.witness_payoffs - point
-    order = np.lexsort(
-        tuple(
-            [tub.witness_preimages[:, k] for k in range(tub.witness_preimages.shape[1] - 1, -1, -1)]
-            + [tub.witness_payoffs[:, 1], tub.witness_payoffs[:, 0], np.hypot(*dist.T)]
-        )
-    )
-    return tuple(float(v) for v in tub.witness_preimages[order[0]])
+def _nearest_witness(tub: TUBoundary, point: np.ndarray) -> tuple[float, ...]:
+    w, pre = tub.witness_payoffs, tub.witness_preimages
+    return tuple(float(v) for v in pre[_lex_order(w, pre, np.hypot(*(w - point).T))[0]])
 
 
 def tu_crossing_solution(
-    cloud: PointCloud,
-    orientation: Orientation,
-    a: PayoffPoint,
-    b: PayoffPoint,
-    witness_tol: float = 1e-6,
-    method: str = "tu-compromise",
+    tub: TUBoundary, a: PayoffPoint, b: PayoffPoint, method: str = "tu-compromise"
 ) -> SolutionPoint:
-    """Crossing of the segment [a, b] with the TU line of a cloud.
+    """Crossing of the segment [a, b] with the TU line of ``tub``.
 
     ``a`` and ``b`` must straddle the line p1 + p2 = optimal sum, or one
     of them lie on it; the returned payoff is the crossing itself, and the
     reported preimage is the witness profile nearest it (the players
     realize the optimal total there and transfer utility to reach the
-    agreed split).
+    agreed split).  ``tub`` comes from ``tu_boundary`` of a cloud or from
+    ``lattice_tu`` of a payoff map, which builds no cloud.
     """
-    return _tu_crossing(tu_boundary(cloud, orientation, witness_tol), a, b, method)
-
-
-def _tu_crossing(tub: TUBoundary, a: PayoffPoint, b: PayoffPoint, method: str) -> SolutionPoint:
-    """``tu_crossing_solution`` on a computed TU boundary."""
     m = tub.optimal_sum
     sum_a = a.p1 + a.p2
     sum_b = b.p1 + b.p2
@@ -325,22 +277,6 @@ def _tu_crossing(tub: TUBoundary, a: PayoffPoint, b: PayoffPoint, method: str) -
         threat=a,
         utopia=b,
     )
-
-
-def tu_compromise_solution(
-    game: CoopetitiveGame,
-    a: PayoffPoint,
-    b: PayoffPoint,
-    grid_n: int,
-    tol: float = 1e-6,
-) -> SolutionPoint:
-    """Transferable-utility compromise of the coopetitive game.
-
-    The TU witnesses are read on the ``grid_n`` lattice without building
-    the cloud (:func:`~coopetition.geometry.lattice_tu`).
-    """
-    tub, _, _ = lattice_tu(game.payoff, grid_n, game.orientation, tol)
-    return _tu_crossing(tub, a, b, "tu-compromise")
 
 
 def core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint:
@@ -396,7 +332,7 @@ def standard_win_win_solution(
         raise MissingInitialZ("the standard win-win solution needs initial_z set")
     L = core_supremum(game, game.initial_z, grid_n)
     tub, *box = lattice_tu(game.payoff, grid_n, game.orientation, tol)
-    end_lo, end_hi = _tu_ends(tub, *box)
+    end_lo, end_hi = tu_line(tub, *box)
     m = tub.optimal_sum
     s = game.orientation.sign
     if not s * m > s * (L.p1 + L.p2):
@@ -425,4 +361,4 @@ def standard_win_win_solution(
             threat=L,
             utopia=PayoffPoint(*point),
         )
-    return _tu_crossing(tub, L, utopia, "standard-win-win")
+    return tu_crossing_solution(tub, L, utopia, "standard-win-win")

@@ -27,7 +27,6 @@ from .coopetitive import (
     proper_coopetitive_solution,
     standard_win_win_solution,
     tu_crossing_solution,
-    tu_segment,
     win_win_report,
 )
 from .errors import CoopetitionError
@@ -48,6 +47,7 @@ from .geometry import (
     pareto_filter,
     sample_image,
     tu_boundary,
+    tu_line,
 )
 from .mixed import bilinear_map, conservative_bivalue_mixed, mixed_equilibrium_components
 from .render import Scene, write_csv, write_svg
@@ -65,6 +65,13 @@ __all__ = [
     "coopetitive_game_dict",
     "run_paper_demo",
 ]
+
+
+#: Points per cooperative axis of the coopetitive entry game.
+ENTRY_C_GRID = 65
+#: Lattice points per axis of the figures on the square and on the cube.
+FIGURE_GRID_2D = 129
+FIGURE_GRID_3D = 33
 
 
 class DemoCheckError(CoopetitionError):
@@ -102,9 +109,9 @@ def coopetitive_loss_map() -> PayoffMap:
     return PayoffMap(np.array([[0.0, 0.0, 0.0, -1.0, -4.0], [0.0, 1.0, 1.0, -1.0, 0.0]]), arity=3)
 
 
-def coopetitive_entry_game(c_grid_size: int = 65) -> CoopetitiveGame:
+def coopetitive_entry_game() -> CoopetitiveGame:
     return CoopetitiveGame.with_uniform_grid(
-        coopetitive_loss_map(), Orientation.LOSS, c_grid_size, initial_z=0.0
+        coopetitive_loss_map(), Orientation.LOSS, ENTRY_C_GRID, initial_z=0.0
     )
 
 
@@ -126,7 +133,7 @@ def coopetitive_game_dict() -> dict:
         "kind": "coopetitive",
         "orientation": "loss",
         "coefficients": {"p1": m.coeffs[0].tolist(), "p2": m.coeffs[1].tolist()},
-        "c_grid_size": 65,
+        "c_grid_size": ENTRY_C_GRID,
         "initial_z": 0.0,
         "analysis": {"grid_n": 65},
     }
@@ -136,7 +143,7 @@ def _close(p: PayoffPoint, q: PayoffPoint, tol: float) -> bool:
     return math.hypot(p.p1 - q.p1, p.p2 - q.p2) <= tol
 
 
-def run_paper_demo(out_dir: str | Path, figure_grid_2d: int = 129, figure_grid_3d: int = 33) -> str:
+def run_paper_demo(out_dir: str | Path) -> str:
     """Run the full scenario, write artifacts into ``out_dir``, return the report."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -268,8 +275,9 @@ def run_paper_demo(out_dir: str | Path, figure_grid_2d: int = 129, figure_grid_3
     )
 
     # TU solutions on the expected-loss space (optimal collective loss -2).
-    tu_h = tu_crossing_solution(cloud_513, Orientation.LOSS, b_prime, lo, method="tu-compromise")
-    tu_k = tu_crossing_solution(cloud_513, Orientation.LOSS, core_inf, lo, method="tu-compromise")
+    tub_513 = tu_boundary(cloud_513, Orientation.LOSS, 1e-6)
+    tu_h = tu_crossing_solution(tub_513, b_prime, lo)
+    tu_k = tu_crossing_solution(tub_513, core_inf, lo)
 
     # Coopetitive extension.
     coop = coopetitive_entry_game()
@@ -292,7 +300,7 @@ def run_paper_demo(out_dir: str | Path, figure_grid_2d: int = 129, figure_grid_3
     # TU compromise from the conservative value toward the image infimum:
     # the segment (0,1)+s(-5,-2) meets p1+p2 = -4 at s = 5/7.
     tu_exact = PayoffPoint(-25.0 / 7.0, -3.0 / 7.0)
-    tu_coop = tu_crossing_solution(cloud_coop, Orientation.LOSS, b_prime, coop_lo)
+    tu_coop = tu_crossing_solution(coop_tub, b_prime, coop_lo)
     check(
         "coopetitive TU compromise",
         _close(tu_coop.payoff, tu_exact, 1e-2),
@@ -331,15 +339,7 @@ def run_paper_demo(out_dir: str | Path, figure_grid_2d: int = 129, figure_grid_3
     )
 
     # Figure analogues.
-    _write_figures(
-        out,
-        figure_grid_2d,
-        figure_grid_3d,
-        solutions_513,
-        (tu_h, tu_k),
-        coop,
-        lines,
-    )
+    _write_figures(out, solutions_513, (tu_h, tu_k), coop, lines)
 
     (out / "paper-finite.json").write_text(
         json.dumps(finite_game_dict(), indent=2) + "\n", encoding="utf-8"
@@ -365,11 +365,11 @@ def run_paper_demo(out_dir: str | Path, figure_grid_2d: int = 129, figure_grid_3
     return text
 
 
-def _write_figures(out, grid_2d, grid_3d, ks_solutions, tu_solutions, coop, lines) -> None:
+def _write_figures(out, ks_solutions, tu_solutions, coop, lines) -> None:
     f0 = mixed_loss_map()
-    cloud = sample_image(f0, grid_2d)
+    cloud = sample_image(f0, FIGURE_GRID_2D)
     boundary = pareto_filter(cloud, Orientation.LOSS, "minimal")
-    xs = np.linspace(0.0, 1.0, grid_2d)
+    xs = np.linspace(0.0, 1.0, FIGURE_GRID_2D)
     nash_pre = np.stack([xs, np.zeros_like(xs)], axis=1)
     nash_pay = np.stack(list(f0.eval_arrays(xs, np.zeros_like(xs))), axis=1)
 
@@ -388,41 +388,41 @@ def _write_figures(out, grid_2d, grid_3d, ks_solutions, tu_solutions, coop, line
         fig3.add_solution(name, sol.preimage, sol.payoff)
     _emit(out, "bargaining_solutions", fig3, lines)
 
-    tub, tu_ends = tu_segment(cloud, Orientation.LOSS, 1e-9)
+    tub = tu_boundary(cloud, Orientation.LOSS, 1e-9)
     fig4 = Scene("transferable-utility solutions", Orientation.LOSS, 2)
     fig4.add(cloud.preimages, cloud.payoffs, "cloud")
     fig4.add(boundary.preimages, boundary.payoffs, "pareto")
     fig4.add(tub.witness_preimages, tub.witness_payoffs, "tu")
-    fig4.tu_segment = tu_ends
+    fig4.tu_segment = tu_line(tub, *extrema(cloud))
     for name, sol in zip(("H", "K"), tu_solutions):
         fig4.add_solution(name, sol.preimage, sol.payoff)
     _emit(out, "tu_solutions", fig4, lines)
 
-    coop_cloud = sample_image(coop.payoff, grid_3d)
+    coop_cloud = sample_image(coop.payoff, FIGURE_GRID_3D)
     coop_boundary = pareto_filter(coop_cloud, Orientation.LOSS, "minimal")
     fig5 = Scene("coopetitive payoff space", Orientation.LOSS, 3)
     fig5.add(coop_cloud.preimages, coop_cloud.payoffs, "cloud")
     fig5.add(coop_boundary.preimages, coop_boundary.payoffs, "pareto")
     _emit(out, "coopetitive_space", fig5, lines)
 
-    zone = nash_zone(coop, grid_3d)
-    coop_tub, coop_tu_ends = tu_segment(coop_cloud, Orientation.LOSS, 1e-6)
+    zone = nash_zone(coop, FIGURE_GRID_3D)
+    coop_tub = tu_boundary(coop_cloud, Orientation.LOSS, 1e-6)
     b_prime = PayoffPoint(0.0, 1.0)
     path_inf = PayoffPoint(-1.0, 0.0)
-    game_inf = extrema(coop_cloud)[0]
+    game_inf, game_sup = extrema(coop_cloud)
     fig6 = Scene("coopetitive solutions", Orientation.LOSS, 3)
     fig6.add(coop_cloud.preimages, coop_cloud.payoffs, "cloud")
     fig6.add(coop_boundary.preimages, coop_boundary.payoffs, "pareto")
     fig6.add(zone.preimages, zone.payoffs, "nash")
     fig6.add(coop_tub.witness_preimages, coop_tub.witness_payoffs, "tu")
-    fig6.tu_segment = coop_tu_ends
+    fig6.tu_segment = tu_line(coop_tub, game_inf, game_sup)
     for name, threat in (("H'", b_prime), ("H''", path_inf)):
         sol = ks_solution(
-            BargainingProblem(coop_boundary, threat, game_inf), tol=3.0 / (grid_3d - 1)
+            BargainingProblem(coop_boundary, threat, game_inf), tol=3.0 / (FIGURE_GRID_3D - 1)
         )
         fig6.add_solution(name, sol.preimage, sol.payoff)
     for name, threat in (("K'", b_prime), ("K''", path_inf)):
-        sol = tu_crossing_solution(coop_cloud, Orientation.LOSS, threat, game_inf)
+        sol = tu_crossing_solution(coop_tub, threat, game_inf)
         fig6.add_solution(name, sol.preimage, sol.payoff)
     _emit(out, "coopetitive_solutions", fig6, lines)
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
 The CLI maps these onto exit codes: schema problems exit 2, unsupported
-analyses exit 3, solver failures exit 4, I/O failures exit 5.
+analyses exit 3, solver refusals (:class:`SolverRefusal`) exit 4, I/O
+failures exit 5.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ __all__ = [
     "CoopetitionError",
     "GameFileError",
     "UnsupportedGameError",
+    "SolverRefusal",
     "DegenerateProblem",
     "NoIntersection",
     "EmptyFeasibleSet",
@@ -39,23 +41,27 @@ class UnsupportedGameError(CoopetitionError):
     """The requested analysis is not defined for this game shape."""
 
 
-class DegenerateProblem(CoopetitionError):
+class SolverRefusal(CoopetitionError):
+    """A solver declined the problem as posed; the CLI exits 4."""
+
+
+class DegenerateProblem(SolverRefusal):
     """A bargaining problem has no usable threat/utopia pair."""
 
 
-class NoIntersection(CoopetitionError):
+class NoIntersection(SolverRefusal):
     """No boundary point lies close enough to the threat-utopia segment."""
 
 
-class EmptyFeasibleSet(CoopetitionError):
+class EmptyFeasibleSet(SolverRefusal):
     """No boundary point weakly improves on the disagreement point."""
 
 
-class SameHalfPlane(CoopetitionError):
+class SameHalfPlane(SolverRefusal):
     """Threat and utopia do not straddle the transferable-utility line."""
 
 
-class EmptyPortion(CoopetitionError):
+class EmptyPortion(SolverRefusal):
     """No transferable-utility point improves on the reference point."""
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "facing_flavor",
     "tu_boundary",
     "lattice_tu",
+    "tu_line",
     "hausdorff_distance",
 ]
 
@@ -226,10 +227,11 @@ def sample_image(payoff_map: PayoffMap, grid_n: int) -> PointCloud:
     return PointCloud(payoffs, pre, grid_step=1.0 / (grid_n - 1))
 
 
-def _lex_order(payoffs: np.ndarray, preimages: np.ndarray) -> np.ndarray:
-    """Indices sorting rows by (p1, p2, then the preimage lexicographically)."""
+def _lex_order(payoffs: np.ndarray, preimages: np.ndarray, *leading: np.ndarray) -> np.ndarray:
+    """Indices sorting rows by the ``leading`` keys in turn, then (p1, p2), then
+    the preimage lexicographically: the package's one tie-break."""
     keys = [preimages[:, k] for k in range(preimages.shape[1] - 1, -1, -1)]
-    keys += [payoffs[:, 1], payoffs[:, 0]]
+    keys += [payoffs[:, 1], payoffs[:, 0], *reversed(leading)]
     return np.lexsort(tuple(keys))
 
 
@@ -417,6 +419,19 @@ def lattice_tu(
 
     tub = _tu_witnesses(p1, p2, preimages_of, orientation, tol)
     return tub, PayoffPoint(*ext[:2]), PayoffPoint(*ext[2:])
+
+
+def tu_line(tub: TUBoundary, lo: PayoffPoint, hi: PayoffPoint) -> tuple[PayoffPoint, PayoffPoint]:
+    """The TU line p1 + p2 = optimal sum clipped to the extrema box [lo, hi].
+
+    With transfers, any split of the optimal total between the payoff
+    space's componentwise bounds is reachable, so this segment is the
+    transferable-utility Pareto boundary.  The ends are ordered by p1.
+    """
+    m = tub.optimal_sum
+    p1_lo = max(lo.p1, m - hi.p2)
+    p1_hi = min(hi.p1, m - lo.p2)
+    return PayoffPoint(p1_lo, m - p1_lo), PayoffPoint(p1_hi, m - p1_hi)
 
 
 def _directed_hausdorff_sq(p: np.ndarray, q: np.ndarray) -> float:

@@ -54,6 +54,15 @@ class Scene:
         _check_tag(tag)
         preimages = np.atleast_2d(np.asarray(preimages, dtype=float))
         payoffs = np.atleast_2d(np.asarray(payoffs, dtype=float))
+        # A short or misaligned block would be written as rows that do not
+        # match the header, so it is refused here rather than in write_csv.
+        short = preimages.shape[1] < self.arity or payoffs.shape[1] < 2
+        if short or len(preimages) != len(payoffs):
+            raise ValueError(
+                f"block {tag!r} needs at least {self.arity} preimage and 2 payoff "
+                f"columns in equal numbers of rows, got shapes {preimages.shape} "
+                f"and {payoffs.shape}"
+            )
         self.blocks.append((tag, preimages[:, : self.arity], payoffs[:, :2]))
 
     def add_solution(self, name: str, preimage, payoff: PayoffPoint) -> None:

@@ -16,13 +16,7 @@ from .coopetitive import (
     standard_win_win_solution,
     win_win_report,
 )
-from .errors import (
-    DegenerateProblem,
-    EmptyPortion,
-    NoIntersection,
-    SameHalfPlane,
-    UnsupportedGameError,
-)
+from .errors import SolverRefusal, UnsupportedGameError
 from .gamefile import GameSpec
 from .games import (
     FiniteBimatrixGame,
@@ -150,14 +144,14 @@ def build_finite_report(spec: GameSpec, grid_n: int, tol: float, mixed: bool | N
     )
 
     sol_lines: list[str] = []
-    for kind, kwargs in (
-        ("pareto", {}),
-        ("nash_pareto", {"nash_extreme": nash_extreme(components)}),
-        ("conservative_pareto", {"conservative": v_mixed}),
+    for kind, threat in (
+        ("pareto", None),
+        ("nash_pareto", nash_extreme(components)),
+        ("conservative_pareto", v_mixed),
     ):
         try:
-            sol = compromise_solution(kind, boundary, tol=tol, **kwargs)
-        except (DegenerateProblem, NoIntersection) as exc:
+            sol = compromise_solution(kind, boundary, threat, tol)
+        except SolverRefusal as exc:
             sol_lines.append(f"compromise:{kind}: unavailable ({exc})")
             continue
         sol_lines.extend(_solution_lines(sol.method, sol))
@@ -210,7 +204,7 @@ def build_coopetitive_report(spec: GameSpec, grid_n: int, tol: float) -> Analysi
         sol_lines = _solution_lines(
             "proper-coopetitive", proper_coopetitive_solution(game, grid_n, tol)
         )
-    except (DegenerateProblem, NoIntersection) as exc:
+    except SolverRefusal as exc:
         sol_lines = [f"proper-coopetitive: unavailable ({exc})"]
     if game.initial_z is not None:
         try:
@@ -221,7 +215,7 @@ def build_coopetitive_report(spec: GameSpec, grid_n: int, tol: float) -> Analysi
                 f"  core supremum L: {fmt_point(report.core_sup)}, "
                 f"margin {fmt_point(report.margin)}, win-win: {report.is_win_win}"
             )
-        except (EmptyPortion, SameHalfPlane) as exc:
+        except SolverRefusal as exc:
             sol_lines.append(f"standard-win-win: unavailable ({exc})")
     sections.append(("solutions", tuple(sol_lines)))
     return AnalysisReport(tuple(sections))

@@ -17,11 +17,10 @@ from coopetition.coopetitive import (
     core_supremum,
     section_game,
     tu_crossing_solution,
-    tu_segment,
 )
 from coopetition.errors import EmptyPortion, MissingInitialZ
 from coopetition.games import FiniteBimatrixGame, Orientation, PayoffPoint, StrategyCell
-from coopetition.geometry import sample_image
+from coopetition.geometry import extrema, sample_image, tu_boundary, tu_line
 from coopetition.mixed import bilinear_map, conservative_bivalue_mixed, mixed_equilibrium_components
 
 
@@ -243,21 +242,23 @@ def per_section_zone(game: CoopetitiveGame, grid_n: int) -> tuple[np.ndarray, np
 
 
 def cloud_tu_compromise(game: CoopetitiveGame, a, b, grid_n: int, tol: float = 1e-6):
-    """``tu_compromise_solution`` on the full sampled cloud of the game."""
-    return tu_crossing_solution(sample_image(game.payoff, grid_n), game.orientation, a, b, tol)
+    """The TU compromise with its TU pass on the full sampled cloud of the game."""
+    tub = tu_boundary(sample_image(game.payoff, grid_n), game.orientation, tol)
+    return tu_crossing_solution(tub, a, b)
 
 
 def cloud_standard_win_win(game: CoopetitiveGame, grid_n: int, tol: float = 1e-6) -> SolutionPoint:
     """``standard_win_win_solution`` from the public cloud functions.
 
-    The TU data come from ``tu_segment`` and ``tu_crossing_solution`` on
-    ``sample_image`` of the whole cube, each running its own TU pass.
+    The TU data come from ``tu_boundary`` and ``extrema`` of
+    ``sample_image`` of the whole cube, not from ``lattice_tu``.
     """
     if game.initial_z is None:
         raise MissingInitialZ("the standard win-win solution needs initial_z set")
     L = core_supremum(game, game.initial_z, grid_n)
     cloud = sample_image(game.payoff, grid_n)
-    tub, (end_lo, end_hi) = tu_segment(cloud, game.orientation, tol)
+    tub = tu_boundary(cloud, game.orientation, tol)
+    end_lo, end_hi = tu_line(tub, *extrema(cloud))
     m = tub.optimal_sum
     s = game.orientation.sign
     if not s * m > s * (L.p1 + L.p2):
@@ -286,7 +287,7 @@ def cloud_standard_win_win(game: CoopetitiveGame, grid_n: int, tol: float = 1e-6
         )
         nearest = tuple(float(v) for v in pre[best])
         return SolutionPoint(PayoffPoint(*point), nearest, "standard-win-win", 0.0, L, PayoffPoint(*point))
-    return tu_crossing_solution(cloud, game.orientation, L, utopia, tol, "standard-win-win")
+    return tu_crossing_solution(tub, L, utopia, "standard-win-win")
 
 
 def random_game(rng: np.random.Generator, rows: int | None = None, cols: int | None = None,

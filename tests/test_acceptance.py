@@ -118,9 +118,7 @@ def test_criterion_7_coopetitive_tu(coop_game, coop_cloud_65):
         tub = tu_boundary(coop_cloud_65, Orientation.LOSS, 1e-6)
         assert abs(tub.optimal_sum - (-4.0)) <= 1e-6
         assert tuple(tub.witness_preimages[0]) == (1.0, 1.0, 1.0)
-        sol = tu_crossing_solution(
-            coop_cloud_65, Orientation.LOSS, PayoffPoint(0, 1), PayoffPoint(-5, -1)
-        )
+        sol = tu_crossing_solution(tub, PayoffPoint(0, 1), PayoffPoint(-5, -1))
         assert dist(sol.payoff, (-25.0 / 7.0, -3.0 / 7.0)) <= 1e-2
 
 

@@ -195,7 +195,7 @@ class TestCompromiseSolution:
 
     def test_nash_pareto_matches_ks(self, f0_boundary_513):
         sol = compromise_solution(
-            "nash_pareto", f0_boundary_513, nash_extreme=B_PRIME, tol=3.0 / 512
+            "nash_pareto", f0_boundary_513, threat=B_PRIME, tol=3.0 / 512
         )
         ks = ks_solution(
             BargainingProblem(f0_boundary_513, B_PRIME, PayoffPoint(-4, 0)), tol=3.0 / 512
@@ -205,7 +205,7 @@ class TestCompromiseSolution:
     def test_conservative_pareto(self, f0_boundary_513, norm_loss_game):
         conservative = conservative_bivalue_mixed(norm_loss_game)
         sol = compromise_solution(
-            "conservative_pareto", f0_boundary_513, conservative=conservative, tol=3.0 / 512
+            "conservative_pareto", f0_boundary_513, threat=conservative, tol=3.0 / 512
         )
         assert err(sol.payoff, KS_FROM_CONSERVATIVE) <= 1e-2
 

@@ -16,12 +16,12 @@ from coopetition.coopetitive import (
     proper_coopetitive_solution,
     section_game,
     standard_win_win_solution,
-    tu_compromise_solution,
+    tu_crossing_solution,
     win_win_report,
 )
 from coopetition.errors import EmptyPortion, MissingInitialZ, SameHalfPlane
 from coopetition.games import Orientation, PayoffPoint
-from coopetition.geometry import PayoffMap, extrema, sample_image, tu_boundary
+from coopetition.geometry import PayoffMap, extrema, lattice_tu, sample_image, tu_boundary
 from coopetition.bargaining import SolutionPoint
 from coopetition.mixed import mixed_equilibrium_components
 
@@ -336,37 +336,35 @@ class TestProperCoopetitive:
         assert sol.payoff == PayoffPoint(3.0, 3.0)
 
 
+@pytest.fixture(scope="module")
+def coop_tu(coop_game):
+    """The entry game's TU pass on the lattice, keyed by points per axis."""
+    return {n: lattice_tu(coop_game.payoff, n, coop_game.orientation, 1e-6)[0] for n in (33, 65)}
+
+
 class TestTUCompromise:
-    def test_paper_example(self, coop_game):
-        sol = tu_compromise_solution(
-            coop_game, PayoffPoint(0, 1), PayoffPoint(-5, -1), grid_n=65
-        )
+    def test_paper_example(self, coop_tu):
+        sol = tu_crossing_solution(coop_tu[65], PayoffPoint(0, 1), PayoffPoint(-5, -1))
         assert err(sol.payoff, TU_POINT) <= 1e-2
         assert sol.preimage == (1.0, 1.0, 1.0)
 
-    def test_symmetric_crossing(self, coop_game):
-        sol = tu_compromise_solution(
-            coop_game, PayoffPoint(0, 0), PayoffPoint(-4, -4), grid_n=33
-        )
+    def test_symmetric_crossing(self, coop_tu):
+        sol = tu_crossing_solution(coop_tu[33], PayoffPoint(0, 0), PayoffPoint(-4, -4))
         assert err(sol.payoff, PayoffPoint(-2, -2)) <= 1e-9
 
-    def test_points_on_line_rejected(self, coop_game):
+    def test_points_on_line_rejected(self, coop_tu):
         with pytest.raises(SameHalfPlane):
-            tu_compromise_solution(
-                coop_game, PayoffPoint(-2, -2), PayoffPoint(-3, -1), grid_n=33
-            )
+            tu_crossing_solution(coop_tu[33], PayoffPoint(-2, -2), PayoffPoint(-3, -1))
 
-    def test_same_side_rejected(self, coop_game):
+    def test_same_side_rejected(self, coop_tu):
         with pytest.raises(SameHalfPlane):
-            tu_compromise_solution(
-                coop_game, PayoffPoint(0, 1), PayoffPoint(0, 0), grid_n=33
-            )
+            tu_crossing_solution(coop_tu[33], PayoffPoint(0, 1), PayoffPoint(0, 0))
 
-    def test_end_on_the_line_is_the_crossing(self, coop_game):
+    def test_end_on_the_line_is_the_crossing(self, coop_tu):
         # The TU line is p1 + p2 = -4; an end on it is the answer itself.
         on_line, off_line = PayoffPoint(-3, -1), PayoffPoint(0, 1)
         for a, b in ((off_line, on_line), (on_line, off_line)):
-            sol = tu_compromise_solution(coop_game, a, b, grid_n=33)
+            sol = tu_crossing_solution(coop_tu[33], a, b)
             assert sol.payoff == on_line
             assert sol.residual == 0.0
 
@@ -467,8 +465,9 @@ class TestLatticeSolutions:
             answered += got.startswith("SolutionPoint")
             lo, hi = extrema(sample_image(game.payoff, 33))
             worst, best = (lo, hi) if game.orientation is Orientation.GAIN else (hi, lo)
+            tub = lattice_tu(game.payoff, 33, game.orientation, 1e-6)[0]
             for a, b in ((worst, best), (best, worst), (best, best)):
-                assert outcome(lambda: tu_compromise_solution(game, a, b, 33)) == outcome(
+                assert outcome(lambda: tu_crossing_solution(tub, a, b)) == outcome(
                     lambda: cloud_tu_compromise(game, a, b, 33)
                 )
         assert answered >= 20
@@ -485,7 +484,8 @@ class TestLatticeSolutions:
         monkeypatch.setattr(geometry, "sample_image", recording)
         monkeypatch.setattr(coopetitive, "sample_image", recording)
         standard_win_win_solution(coop_game, 33)
-        tu_compromise_solution(coop_game, PayoffPoint(0, 1), PayoffPoint(-5, -1), 33)
+        tub = lattice_tu(coop_game.payoff, 33, coop_game.orientation, 1e-6)[0]
+        tu_crossing_solution(tub, PayoffPoint(0, 1), PayoffPoint(-5, -1))
         assert arities == [2]
 
 

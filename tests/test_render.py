@@ -111,3 +111,19 @@ def test_tags_that_csv_would_quote_are_refused(bad):
     with pytest.raises(ValueError, match="scene tag"):
         scene.add_solution(f"ks{bad}x", (0.0, 0.0), PayoffPoint(1.0, 1.0))
     assert scene.blocks == []
+
+
+@pytest.mark.parametrize(
+    "preimages, payoffs",
+    [
+        ([[0.5, 0.25]], [[1.0, 2.0]]),
+        ([[0.5, 0.25, 1.0]], [[1.0]]),
+        ([[0.5, 0.25, 1.0], [0.0, 0.0, 0.0]], [[1.0, 2.0]]),
+    ],
+    ids=["fewer-preimage-columns-than-arity", "one-payoff-column", "row-counts-differ"],
+)
+def test_malformed_blocks_are_refused(preimages, payoffs):
+    scene = Scene("shapes", Orientation.GAIN, 3)
+    with pytest.raises(ValueError, match="needs at least 3 preimage and 2 payoff columns"):
+        scene.add(preimages, payoffs, "cloud")
+    assert scene.blocks == []
