@@ -53,13 +53,11 @@ from .games import (
     pure_nash_equilibria,
     strictly_better,
     translate,
-    weakly_better,
 )
 from .geometry import (
     ParetoBoundary,
     PayoffMap,
     PointCloud,
-    TaggedPoint,
     TUBoundary,
     extrema,
     facing_flavor,

@@ -111,8 +111,8 @@ def ks_solution(problem: BargainingProblem, tol: float) -> SolutionPoint:
             f"segment (tolerance {tol:.6g})"
         )
     return SolutionPoint(
-        payoff=problem.boundary.tagged(i).payoff,
-        preimage=problem.boundary.tagged(i).preimage,
+        payoff=PayoffPoint(*problem.boundary.payoffs[i]),
+        preimage=tuple(problem.boundary.preimages[i].tolist()),
         method="ks",
         residual=float(d[i]),
         threat=problem.initial,
@@ -140,8 +140,8 @@ def nash_bargaining(
     product = np.where(feasible, gains[:, 0] * gains[:, 1], -np.inf)
     i = _pick(boundary, -product)
     return SolutionPoint(
-        payoff=boundary.tagged(i).payoff,
-        preimage=boundary.tagged(i).preimage,
+        payoff=PayoffPoint(*boundary.payoffs[i]),
+        preimage=tuple(boundary.preimages[i].tolist()),
         method="nash-bargaining",
         residual=0.0,
         threat=disagreement,
@@ -191,8 +191,8 @@ def compromise_solution(
         raise ValueError(f"unknown compromise kind {kind!r}")
     method = f"compromise:{kind}"
     if len(boundary) == 1:
-        t = boundary.tagged(0)
-        return SolutionPoint(t.payoff, t.preimage, method, residual=0.0)
+        payoff = PayoffPoint(*boundary.payoffs[0])
+        return SolutionPoint(payoff, tuple(boundary.preimages[0].tolist()), method, residual=0.0)
     if kind == "pareto":
         threat = orientation_worst(boundary, boundary.orientation)
     elif threat is None:

@@ -73,6 +73,15 @@ SOLUTIONS = (
     "compromise:conservative_pareto",
 )
 
+#: The point flags each concept reads; passing any other is a usage error.
+POINT_FLAGS = {
+    "ks": ("threat", "utopia"),
+    "nash-bargaining": ("threat",),
+    "tu": ("threat", "utopia"),
+    "compromise:nash_pareto": ("threat",),
+    "compromise:conservative_pareto": ("threat",),
+}
+
 
 def _point(text: str) -> PayoffPoint:
     parts = text.split(",")
@@ -337,7 +346,12 @@ def _merge_point_flags(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(_merge_point_flags(list(argv)))
+    parser = _build_parser()
+    args = parser.parse_args(_merge_point_flags(list(argv)))
+    if args.command == "solve":
+        for flag in ("threat", "utopia"):
+            if getattr(args, flag) is not None and flag not in POINT_FLAGS.get(args.solution, ()):
+                parser.error(f"argument --{flag}: not read by --solution {args.solution}")
     try:
         return args.func(args)
     except GameFileError as exc:

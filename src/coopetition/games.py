@@ -34,7 +34,6 @@ __all__ = [
     "conservative_bivalue",
     "translate",
     "negate_orientation",
-    "weakly_better",
     "strictly_better",
 ]
 
@@ -85,12 +84,6 @@ class PayoffPoint:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p1, self.p2])
-
-
-def weakly_better(p: PayoffPoint, q: PayoffPoint, orientation: Orientation) -> bool:
-    """True when ``p`` is at least as good as ``q`` in both components."""
-    s = orientation.sign
-    return s * p.p1 >= s * q.p1 and s * p.p2 >= s * q.p2
 
 
 def strictly_better(p: PayoffPoint, q: PayoffPoint, orientation: Orientation) -> bool:

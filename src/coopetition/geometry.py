@@ -15,6 +15,8 @@ sampling was partitioned.
 
 from __future__ import annotations
 
+import ctypes
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -25,7 +27,6 @@ from .games import Orientation, PayoffPoint
 __all__ = [
     "BASIS_NAMES",
     "PayoffMap",
-    "TaggedPoint",
     "PointCloud",
     "ParetoBoundary",
     "TUBoundary",
@@ -44,10 +45,48 @@ __all__ = [
 #: Monomial basis of payoff-map coefficients, in storage order.
 BASIS_NAMES = ("1", "x", "y", "z", "xy")
 
+#: Rows per block of the passes over a whole cloud (sampling, the Pareto
+#: prefilter, the TU optimum), so that their temporaries stay below the
+#: mmap threshold; sampling takes at least one x-plane per block.
+_BLOCK = 1 << 16
+
+#: ``mallopt`` parameters from glibc's <malloc.h>, and the size from which
+#: every allocation gets its own mapping.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 1 << 20
+
+
+def _fix_mmap_threshold() -> None:
+    """Give every allocation of 1 MiB or more its own mapping, on glibc.
+
+    glibc raises its mmap threshold to the size of each mapped block it
+    frees, up to 32 MiB, and from then on serves blocks below it from the
+    brk heap, keeping up to twice that size free there.  Clouds and their
+    scratch arrays are such blocks, and where they then land among
+    unrelated small allocations decides how much freed memory stays
+    resident: the peak RSS of the same sampling run moved by 14 to 45 MB
+    with the input seed.  With the threshold fixed, the large arrays are
+    mapped and unmapped whole, and the heap holds only the block-sized
+    temporaries, which are reused from one block to the next.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:  # a C library without mallopt
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
+_fix_mmap_threshold()
+
 #: Points per block of the Hausdorff band sweep, and of the other set per
-#: slice of its band: each pairwise table holds at most 256 x 4096 floats.
-_HAUSDORFF_BLOCK = 256
-_HAUSDORFF_BAND = 4096
+#: slice of its band: each pairwise table holds at most 64 x 1024 floats,
+#: so it stays below the mmap threshold and is reused from the heap.
+_HAUSDORFF_BLOCK = 64
+_HAUSDORFF_BAND = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,20 +148,6 @@ class PayoffMap:
         c[:, 3] = 0.0
         return PayoffMap(c, arity=2)
 
-    def translated(self, v: PayoffPoint) -> "PayoffMap":
-        c = self.coeffs.copy()
-        c[0, 0] += v.p1
-        c[1, 0] += v.p2
-        return PayoffMap(c, arity=self.arity)
-
-
-@dataclass(frozen=True)
-class TaggedPoint:
-    """A payoff point together with the domain point that produced it."""
-
-    payoff: PayoffPoint
-    preimage: tuple[float, ...]
-
 
 class _PointSet:
     """Shared array-backed storage for clouds and boundaries."""
@@ -136,11 +161,6 @@ class _PointSet:
     @property
     def arity(self) -> int:
         return self.preimages.shape[1]
-
-    def tagged(self, i: int) -> TaggedPoint:
-        return TaggedPoint(
-            PayoffPoint(*self.payoffs[i]), tuple(float(v) for v in self.preimages[i])
-        )
 
     @staticmethod
     def _freeze(payoffs: np.ndarray, preimages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,23 +226,29 @@ class TUBoundary:
     tolerance: float
 
 
-def _lattice(payoff_map: PayoffMap, grid_n: int):
-    """The uniform axis ``t``, sparse lattice axes and the (p1, p2) arrays on them."""
+def _axis(grid_n: int) -> np.ndarray:
+    """The uniform lattice axis: ``grid_n`` points from 0 to 1."""
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    t = np.linspace(0.0, 1.0, grid_n)
-    # Sparse axes broadcast inside eval_arrays in the same operation order as
-    # full coordinate arrays, so the payoffs are identical without the
-    # full-size coordinate temporaries.
-    axes = np.meshgrid(*([t] * payoff_map.arity), indexing="ij", sparse=True)
-    p1, p2 = payoff_map.eval_arrays(*axes)
-    return t, axes, p1.ravel(), p2.ravel()
+    return np.linspace(0.0, 1.0, grid_n)
 
 
 def sample_image(payoff_map: PayoffMap, grid_n: int) -> PointCloud:
     """Evaluate the map on a uniform lattice with ``grid_n`` points per axis."""
-    _, axes, p1, p2 = _lattice(payoff_map, grid_n)
-    payoffs = np.stack([p1, p2], axis=1)
+    # Sparse axes broadcast inside eval_arrays in the same operation order as
+    # full coordinate arrays, so the payoffs are identical without the
+    # full-size coordinate temporaries.  The map is evaluated a slab of
+    # x-planes at a time, straight into the output: the x axis varies
+    # slowest, so each slab is a contiguous run of rows.
+    axes = np.meshgrid(*([_axis(grid_n)] * payoff_map.arity), indexing="ij", sparse=True)
+    plane = grid_n ** (payoff_map.arity - 1)
+    payoffs = np.empty((grid_n * plane, 2))
+    step = max(1, _BLOCK // plane)
+    for i in range(0, grid_n, step):
+        p1, p2 = payoff_map.eval_arrays(axes[0][i:i + step], *axes[1:])
+        rows = slice(i * plane, i * plane + p1.size)
+        payoffs[rows, 0] = p1.reshape(-1)
+        payoffs[rows, 1] = p2.reshape(-1)
     pre = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, payoff_map.arity)
     return PointCloud(payoffs, pre, grid_step=1.0 / (grid_n - 1))
 
@@ -246,34 +272,44 @@ def _dedupe_sorted(payoffs: np.ndarray, preimages: np.ndarray):
     return payoffs[idx], preimages[idx]
 
 
-def _drop_dominated(work: np.ndarray, preimages: np.ndarray):
+def _drop_dominated(payoffs: np.ndarray, preimages: np.ndarray, sign: float):
     """The O(n) prefilter of ``pareto_filter``, in the minimal frame.
 
-    The p1 range is cut into ``k`` equal buckets, and a row is dropped when
-    its p2 is no smaller than the least p2 of any earlier bucket.
+    The frame is ``sign * payoffs``, built a block of rows at a time, and
+    the surviving rows are returned in it.  The p1 range is cut into ``k``
+    equal buckets, and a row is dropped when its p2 is no smaller than the
+    least p2 of any earlier bucket.
     """
     # Tying k to the size keeps the buckets' fixed cost negligible on small
     # clouds (a Nash zone has a few thousand points).
-    k = min(4096, len(work) // 16)
+    k = min(4096, len(payoffs) // 16)
     if k < 2:
-        return work, preimages
-    p1 = work[:, 0]
-    p2 = work[:, 1]
-    lo = p1.min()
+        return sign * payoffs, preimages
+    p1 = payoffs[:, 0]
+    lo, hi = (p1.min(), p1.max()) if sign > 0 else (-p1.max(), -p1.min())
     # A constant p1 divides by zero, a span beyond the float range
     # overflows the subtraction and a subnormal span the division; none
     # leaves a usable bucket width.
     with np.errstate(over="ignore", divide="ignore"):
-        scale = k / (p1.max() - lo)
+        scale = k / (hi - lo)
     if not (np.isfinite(scale) and scale > 0):
-        return work, preimages
-    bucket = ((p1 - lo) * scale).astype(np.intp)
-    np.minimum(bucket, k - 1, out=bucket)
+        return sign * payoffs, preimages
+    blocks = [slice(s, s + _BLOCK) for s in range(0, len(payoffs), _BLOCK)]
+    # k <= 4096, so a bucket index fits in 16 bits.
+    bucket = np.empty(len(payoffs), dtype=np.int16)
     least = np.full(k, np.inf)
-    np.minimum.at(least, bucket, p2)
+    for rows in blocks:
+        b = ((sign * payoffs[rows, 0] - lo) * scale).astype(np.intp)
+        np.minimum(b, k - 1, out=b)
+        np.minimum.at(least, b, sign * payoffs[rows, 1])
+        bucket[rows] = b
     earlier = np.concatenate(([np.inf], np.minimum.accumulate(least[:-1])))
-    keep = p2 < earlier[bucket]
-    return work[keep], preimages[keep]
+    keep = np.empty(len(payoffs), dtype=bool)
+    for rows in blocks:
+        keep[rows] = sign * payoffs[rows, 1] < earlier[bucket[rows]]
+    work = payoffs[keep]
+    work *= sign
+    return work, preimages[keep]
 
 
 def pareto_filter(
@@ -306,8 +342,8 @@ def pareto_filter(
         raise ValueError(f"flavor must be 'maximal' or 'minimal', got {flavor!r}")
     if len(cloud) == 0:
         raise ValueError("cannot filter an empty cloud")
-    work = cloud.payoffs if flavor == "minimal" else -cloud.payoffs
-    payoffs, preimages = _dedupe_sorted(*_drop_dominated(work, cloud.preimages))
+    sign = 1.0 if flavor == "minimal" else -1.0
+    payoffs, preimages = _dedupe_sorted(*_drop_dominated(cloud.payoffs, cloud.preimages, sign))
     # Rows are unique and sorted by (p1, p2), so a row is non-dominated iff
     # its p2 is strictly below the running minimum of all earlier rows.
     p2 = payoffs[:, 1]
@@ -361,13 +397,27 @@ def _tu_witnesses(p1, p2, preimages_of, orientation: Orientation, tol: float) ->
     """The TU rule on payoff columns; ``preimages_of(sel)`` gives the rows' preimages."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    sums = p1 + p2
+    gain = orientation is Orientation.GAIN
+    best, pick = (np.max, np.maximum) if gain else (np.min, np.minimum)
+    # One pass, a block at a time, against the best sum so far.  A witness
+    # of the final optimum is within tol of that running best too: under
+    # GAIN its sum s is at most the running best r, which is at most the
+    # optimum, so 0 >= s - r >= s - opt, and rounding keeps the order.
+    # The candidates are filtered against the optimum at the end.
+    run = None
+    rows_near, sums_near = [], []
+    for start in range(0, len(p1), _BLOCK):
+        sums = p1[start:start + _BLOCK] + p2[start:start + _BLOCK]
+        # The running best is NaN once any sum is, like a reduction of them all.
+        run = best(sums) if run is None else pick(run, best(sums))
+        gap = sums - run
+        near = np.flatnonzero(np.abs(gap, out=gap) <= tol)
+        rows_near.append(near + start)
+        sums_near.append(sums[near])
     # A row of two -0.0 sums to -0.0; adding 0.0 reports a zero optimum
     # as 0.0 whatever the sign bits of the rows attaining it.
-    opt = float(sums.max() if orientation is Orientation.GAIN else sums.min()) + 0.0
-    # |sums - opt| in place: full-size temporaries cost more than the arithmetic.
-    np.abs(np.subtract(sums, opt, out=sums), out=sums)
-    sel = np.nonzero(sums <= tol)[0]
+    opt = float(run) + 0.0
+    sel = np.concatenate(rows_near)[np.abs(np.concatenate(sums_near) - opt) <= tol]
     payoffs = np.stack([p1[sel], p2[sel]], axis=1)
     preimages = preimages_of(sel)
     order = _lex_order(payoffs, preimages)
@@ -393,31 +443,97 @@ def tu_boundary(
     )
 
 
+def _columns(payoff_map: PayoffMap, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """(p1, p2) on the lattice columns over the points ``(x[i], y[i])``.
+
+    Row ``k`` holds the payoffs at height ``z[k]`` and column ``i`` those
+    over ``(x[i], y[i])``; an arity-2 map has no height, so its one row
+    holds the points themselves.  The operations are those of the whole
+    lattice, so the bits are too.  Heights lead, so each operation runs
+    along a row of columns, not along a short column.
+    """
+    if payoff_map.arity == 2:
+        return payoff_map.eval_arrays(x[None, :], y[None, :])
+    return payoff_map.eval_arrays(x[None, :], y[None, :], z[:, None])
+
+
 def lattice_tu(
     payoff_map: PayoffMap, grid_n: int, orientation: Orientation, tol: float = 1e-9
 ) -> tuple[TUBoundary, PayoffPoint, PayoffPoint]:
     """``tu_boundary`` and ``extrema`` of ``sample_image(payoff_map, grid_n)``.
 
-    The witnesses are read on the lattice without building the cloud: the
-    payoff arrays are evaluated once, and preimages are formed for the
-    witness rows only.  The results are bit for bit those of the cloud.
-    Returns the TU boundary and the componentwise (infimum, supremum).
+    Returns the TU boundary and the componentwise (infimum, supremum), bit
+    for bit those of the cloud, which is never built.  The map is evaluated
+    on the lattice's two z-faces, ``z = 0`` and ``z = 1``, and then in full
+    only on the candidate ``(x, y)`` columns; preimages are formed for the
+    witness rows only.  An arity-2 lattice is its own single face, and each
+    of its columns a single point.  Two arguments make this exact.
+
+    *Extrema need no slack.*  ``eval_arrays`` computes a component as
+    ``fl(fl(S + fl(c3*z)) + T)``, where ``S``, the rounded sum of the
+    constant, x and y terms, and ``T = fl(fl(c4*x)*y)`` do not depend on
+    ``z``.  Each step is monotone in its varying operand, since rounding
+    is, so each computed component is monotone (non-strictly) in ``z``
+    along a column, and its least and greatest values lie on a face.  No
+    NaN can arise, as every sum has a finite right operand, and an
+    overflow to an infinity is a column extremum, so it lies on a face
+    too.  A lattice payoff is -0.0 only when each monomial term is, which
+    needs a -0.0 constant and no positive coefficient, and then no payoff
+    is +0.0.  So a component's zeros share one sign, and the face
+    reductions give a zero extremum the sign that ``extrema``'s reductions
+    of the cloud give it.
+
+    *The TU sum needs a slack.*  Read the optimum as a maximum of ``s*sum``
+    with ``s`` the orientation's sign, as negation is exact.  Let ``u =
+    eps/2`` be the unit roundoff and ``A`` the sum of all ten ``|c|``.
+    Every monomial lies in [0, 1], and each term of a component passes
+    through at most five roundings, the sum of the two components one
+    more.  So a computed sum ``s(z)`` is within ``E = 6u/(1 - 6u) * A +
+    2**-1071 <= 4*eps*A + 2**-1071`` of the exact sum ``sigma(z)`` at the
+    same lattice point, the second term bounding underflow in the ten
+    products.  ``sigma`` is affine in ``z``
+    over a column, so ``s(z) <= sigma(z) + E <= max(sigma(0), sigma(1)) + E
+    <= F + 2E``, where ``F`` is the column's best face sum.  Let ``M`` be
+    the best face sum of all; it is a lattice sum, so the optimum is at
+    least ``M``.  A witness passes ``|fl(s(z) - opt)| <= tol``, and a
+    subtraction errs by a factor ``1 + delta`` with ``|delta| <= u``, so
+    ``s(z) >= opt - tol/(1 - u) >= M - tol/(1 - u)``.  Together, ``M - F
+    <= tol + eps*tol + 8*eps*A + 2**-1070``, which the computed ``tol +
+    slack`` exceeds by a wide margin with ``slack = 128*eps*(A + tol) +
+    tiny`` (``tiny = 2**-1022``).  Rounding is monotone, so the computed
+    gap ``fl(M - F)`` is then at most the computed ``fl(tol + slack)``,
+    and the test keeps every column that holds a witness; an infinite
+    slack keeps every column.  The optimum is itself a witness, so the
+    candidate rows have the lattice's optimum and exactly its witnesses.
+    ``_tu_witnesses`` orders them by payoff and then by preimage, which is
+    unique per lattice point, so the row order does not matter.
+
+    A generic map keeps one column or a few; a constant-sum map keeps them
+    all, which costs the full lattice plus its two faces.
     """
-    t, _, p1, p2 = _lattice(payoff_map, grid_n)
-    # A lattice payoff is -0.0 only when each monomial term is, which needs
-    # a -0.0 constant and no positive coefficient, and then no payoff is
-    # +0.0.  So a column's zeros share one sign, and these contiguous
-    # reductions give a zero extremum the sign that extrema's strided
-    # column reductions of the cloud give it.
-    ext = np.array([p1.min(), p2.min(), p1.max(), p2.max()])
+    t = _axis(grid_n)
+    # The (x, y) point of each column.
+    xs = np.repeat(t, grid_n)
+    ys = np.tile(t, grid_n)
+    f1, f2 = _columns(payoff_map, xs, ys, t[[0, -1]])
+    ext = np.array([f1.min(), f2.min(), f1.max(), f2.max()])
     if not np.isfinite(ext).all():
         raise ValueError("payoffs must be finite")
-    shape = (grid_n,) * payoff_map.arity
+    sums = orientation.sign * (f1 + f2)
+    best = np.maximum(sums[0], sums[-1])
+    eps = np.finfo(float).eps
+    slack = 128.0 * eps * (np.abs(payoff_map.coeffs).sum() + tol) + np.finfo(float).tiny
+    # A NaN gap (an overflowing sum, or a NaN tol) keeps its column, so the
+    # witness pass fails as it does on the cloud.
+    cand = np.flatnonzero(~(best.max() - best > tol + slack))
+    xs, ys = xs[cand], ys[cand]
+    p1, p2 = _columns(payoff_map, xs, ys, t)
 
     def preimages_of(sel):
-        return np.stack([t[i] for i in np.unravel_index(sel, shape)], axis=1)
+        k, col = divmod(sel, len(xs))
+        return np.stack([xs[col], ys[col], t[k]][:payoff_map.arity], axis=1)
 
-    tub = _tu_witnesses(p1, p2, preimages_of, orientation, tol)
+    tub = _tu_witnesses(p1.ravel(), p2.ravel(), preimages_of, orientation, tol)
     return tub, PayoffPoint(*ext[:2]), PayoffPoint(*ext[2:])
 
 

@@ -282,6 +282,33 @@ def test_bad_tol_exits_2(finite_path, command, tol):
     )
 
 
+IGNORED_POINT_FLAGS = [
+    (concept, flag)
+    for concept in cli.SOLUTIONS
+    for flag in ("threat", "utopia")
+    if flag not in cli.POINT_FLAGS.get(concept, ())
+]
+
+
+def test_ignored_point_flags_are_the_documented_nine():
+    assert sorted(IGNORED_POINT_FLAGS) == sorted(
+        [(c, f) for c in ("proper-coopetitive", "win-win", "compromise:pareto") for f in ("threat", "utopia")]
+        + [(c, "utopia") for c in ("nash-bargaining", "compromise:nash_pareto", "compromise:conservative_pareto")]
+    )
+
+
+@pytest.mark.parametrize("concept, flag", IGNORED_POINT_FLAGS)
+def test_point_flag_the_concept_ignores_exits_2(coop_path, concept, flag):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["solve", coop_path, "--solution", concept, f"--{flag}", "-9,9"])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().splitlines()[-1].endswith(
+        f"argument --{flag}: not read by --solution {concept}"
+    )
+
+
 # Blocks scipy, then runs the CLI as ``python -m coopetition.cli`` would (or
 # only imports the package when given no arguments) and prints every scipy
 # module loaded anyway.  An import of scipy raises ImportError.

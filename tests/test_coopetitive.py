@@ -117,7 +117,9 @@ class TestRoundtrip:
         def corrupt(game, z):
             sec = original(game, z)
             if game is bad and z == game.c_grid[3]:
-                return mod.SectionGame(sec.z, sec.map.translated(PayoffPoint(1e-6, 0)))
+                c = sec.map.coeffs.copy()
+                c[0, 0] += 1e-6
+                return mod.SectionGame(sec.z, PayoffMap(c, arity=sec.map.arity))
             return sec
 
         mod_section = mod.section_game

@@ -340,15 +340,17 @@ class TestTUBoundary:
             assert abs(p1 + p2 - tub.optimal_sum) <= 1e-9
 
 
-def assert_lattice_matches_cloud(payoff_map, grid_n, orientation, tol=1e-9):
+def assert_lattice_matches_cloud(payoff_map, grid_n, orientation, tol=1e-9, cloud=None):
     """``lattice_tu`` is ``tu_boundary`` and ``extrema`` of the cloud, bit for bit."""
-    cloud = sample_image(payoff_map, grid_n)
+    if cloud is None:
+        cloud = sample_image(payoff_map, grid_n)
     want = tu_boundary(cloud, orientation, tol)
     got, lo, hi = lattice_tu(payoff_map, grid_n, orientation, tol)
+    assert repr(got.optimal_sum) == repr(want.optimal_sum)
+    for a, b in ((got.witness_payoffs, want.witness_payoffs), (got.witness_preimages, want.witness_preimages)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
     pairs = [
-        (got.optimal_sum, want.optimal_sum),
-        (got.witness_payoffs, want.witness_payoffs),
-        (got.witness_preimages, want.witness_preimages),
         ([p.as_tuple() for p in got.segment_ends], [p.as_tuple() for p in want.segment_ends]),
         ([lo.as_tuple(), hi.as_tuple()], [p.as_tuple() for p in extrema(cloud)]),
     ]
@@ -357,6 +359,33 @@ def assert_lattice_matches_cloud(payoff_map, grid_n, orientation, tol=1e-9):
         assert np.array_equal(np.signbit(a), np.signbit(b))
     assert got.tolerance == want.tolerance
     return got
+
+
+def family_map(family, rng, arity):
+    """A random map of one of the families the z-face argument must cover."""
+    c = np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3)
+    if family == "linear":
+        c[:, 4] = 0.0
+    elif family == "z-xy-only":
+        c[:, :3] = 0.0
+    elif family == "scaled":
+        c *= 1e6
+    elif family == "constant-sum":
+        c[1] = -c[0]
+        c[1, 0] = 0.5
+    elif family == "negative-zero":
+        # No positive coefficient and a -0.0 constant: zero payoffs are -0.0.
+        c = -np.abs(c)
+        c[:, 0] = -0.0
+        c[rng.random((2, 5)) < 0.3] = -0.0
+    elif family == "opposite-z":
+        c[0, 3], c[1, 3] = abs(c[0, 3]) + 0.5, -abs(c[1, 3]) - 0.5
+    if arity == 2:
+        c[:, 3] = 0.0
+    return PayoffMap(c, arity)
+
+
+FAMILIES = ["generic", "linear", "z-xy-only", "scaled", "constant-sum", "negative-zero", "opposite-z"]
 
 
 class TestLatticeTU:
@@ -369,6 +398,74 @@ class TestLatticeTU:
                 c[:, 3] = 0.0
             for orientation in Orientation:
                 assert_lattice_matches_cloud(PayoffMap(c, arity), grid_n, orientation, 1e-6)
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_map_families_grids_and_tolerances(self, family, arity):
+        rng = np.random.default_rng([69, FAMILIES.index(family), arity])
+        for _ in range(2):
+            payoff_map = family_map(family, rng, arity)
+            for grid_n in (2, 17, 65):
+                cloud = sample_image(payoff_map, grid_n)
+                for orientation in Orientation:
+                    for tol in (1e-9, 1e-6, 0.05):
+                        tub = assert_lattice_matches_cloud(payoff_map, grid_n, orientation, tol, cloud)
+                        if family == "constant-sum":
+                            assert len(tub.witness_payoffs) == grid_n**arity
+
+    def test_optimum_inside_a_column_is_found(self):
+        # A constant sum is computed with rounding errors that can put the
+        # optimum strictly between a column's faces.  With the least
+        # positive tolerance only that optimum's own rows are witnesses, so
+        # the face test finds them only through its rounding slack.
+        rng = np.random.default_rng(72)
+        inside = 0
+        for _ in range(20):
+            payoff_map = family_map("constant-sum", rng, 3)
+            cloud = sample_image(payoff_map, 17)
+            sums = cloud.payoffs.sum(axis=1).reshape(17, 17, 17)
+            for orientation in Orientation:
+                s = orientation.sign
+                faces = np.maximum(s * sums[:, :, 0], s * sums[:, :, -1])
+                inside += (s * sums).max() > faces.max()
+                assert_lattice_matches_cloud(payoff_map, 17, orientation, 5e-324, cloud)
+        assert inside > 0
+
+    def test_computed_columns_are_monotone_in_z(self):
+        # The z-face lemma: along each (x, y) column a computed component
+        # never turns.  Coefficients of mixed magnitudes make the rounding
+        # of the z term visible, so a computation in which z enters twice
+        # turns somewhere.
+        rng = np.random.default_rng(70)
+        t = np.linspace(0.0, 1.0, 65)
+        axes = np.meshgrid(t, t, t, indexing="ij", sparse=True)
+        for _ in range(40):
+            c = rng.uniform(-1.0, 1.0, size=(2, 5)) * 10.0 ** rng.integers(-18, 4, size=(2, 5))
+            for p in PayoffMap(c, 3).eval_arrays(*axes):
+                steps = np.diff(p, axis=2)
+                assert ((steps >= 0).all(axis=2) | (steps <= 0).all(axis=2)).all()
+
+    def test_evaluates_two_faces_and_few_columns(self, monkeypatch, coop_game):
+        evaluated = []
+        eval_arrays = PayoffMap.eval_arrays
+
+        def counting(self, *args):
+            out = eval_arrays(self, *args)
+            evaluated.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(PayoffMap, "eval_arrays", counting)
+        rng = np.random.default_rng(71)
+        maps = [coop_game.payoff] + [family_map("generic", rng, 3) for _ in range(10)]
+        for payoff_map in maps:
+            for orientation in Orientation:
+                evaluated.clear()
+                lattice_tu(payoff_map, 65, orientation, 1e-6)
+                assert sum(evaluated) <= 2 * 65**2 + 65 * 4
+        # The worst case: every column holds a witness.
+        evaluated.clear()
+        lattice_tu(family_map("constant-sum", rng, 3), 65, Orientation.GAIN, 1e-6)
+        assert sum(evaluated) == 2 * 65**2 + 65**3
 
     @pytest.mark.parametrize("grid_n", [2, 17, 65])
     def test_degenerate_maps_fill_edges_and_faces(self, grid_n):
@@ -412,6 +509,36 @@ class TestLatticeTU:
             lattice_tu(f0, 1, Orientation.LOSS)
         with pytest.raises(ValueError, match="tol"):
             lattice_tu(f0, 17, Orientation.LOSS, 0.0)
+
+
+class TestBlocks:
+    """The whole-cloud passes give the same bits whatever their block size."""
+
+    @staticmethod
+    def outputs(payoff_map, grid_n):
+        cloud = sample_image(payoff_map, grid_n)
+        out = [cloud.payoffs, cloud.preimages]
+        for orientation in Orientation:
+            for flavor in ("maximal", "minimal"):
+                boundary = pareto_filter(cloud, orientation, flavor)
+                out += [boundary.payoffs, boundary.preimages]
+            for tol in (1e-9, 0.05):
+                tub = tu_boundary(cloud, orientation, tol)
+                lat, lo, hi = lattice_tu(payoff_map, grid_n, orientation, tol)
+                out += [np.array([tub.optimal_sum, lat.optimal_sum, *lo.as_tuple(), *hi.as_tuple()])]
+                out += [tub.witness_payoffs, tub.witness_preimages, lat.witness_payoffs, lat.witness_preimages]
+        return out
+
+    @pytest.mark.parametrize("arity, grid_n", [(2, 40), (3, 12)])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_block_size_changes_no_bit(self, monkeypatch, family, arity, grid_n):
+        payoff_map = family_map(family, np.random.default_rng([70, FAMILIES.index(family), arity]), arity)
+        whole = self.outputs(payoff_map, grid_n)
+        assert grid_n**arity <= geometry._BLOCK
+        for block in (1, 7, 64, 300):
+            monkeypatch.setattr(geometry, "_BLOCK", block)
+            for a, b in zip(self.outputs(payoff_map, grid_n), whole, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestHausdorff:
