@@ -100,12 +100,12 @@ def ks_solution(problem: BargainingProblem, tol: float) -> SolutionPoint:
     :class:`NoIntersection` when even the nearest point is farther than
     ``tol``, which signals a malformed problem or too coarse a grid.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     d = _segment_distances(problem.boundary.payoffs, problem.initial, problem.utopia)
     d_utopia = np.hypot(*(problem.boundary.payoffs - problem.utopia.as_array()).T)
     i = _pick(problem.boundary, d, d_utopia)
-    if d[i] > tol:
+    if not d[i] <= tol:
         raise NoIntersection(
             f"nearest boundary point is {d[i]:.6g} from the threat-utopia "
             f"segment (tolerance {tol:.6g})"

@@ -12,53 +12,32 @@ The default sampling grid (513 per axis for finite games, 65 for
 coopetitive ones) can be overridden per file via the ``analysis`` block,
 globally via the ``COOPETITION_GRID`` environment variable, or per run
 via ``--grid``.
+
+Every command reads its solutions from one :class:`report.GameContext`,
+so a concept gives the same answer in ``analyze``, ``solve`` and
+``render``.  Its tolerance is ``--tol`` if given (``render`` has no such
+flag), else the file's ``analysis.tol``, else three grid steps for the
+Kalai-Smorodinsky concepts (``ks``, ``proper-coopetitive``,
+``compromise:*``) and 1e-6 for the TU ones (``tu``, ``win-win``).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 
 import numpy as np
 
-from .bargaining import (
-    BargainingProblem,
-    compromise_solution,
-    ks_solution,
-    nash_bargaining,
-)
-from .coopetitive import (
-    induced_path,
-    nash_zone,
-    proper_coopetitive_solution,
-    standard_win_win_solution,
-    tu_crossing_solution,
-    win_win_report,
-)
+from .bargaining import compromise_solution
+from .coopetitive import nash_zone, win_win_report
 from .demo import DemoCheckError, run_paper_demo
 from .errors import GameFileError, MissingInitialZ, SolverRefusal, UnsupportedGameError
 from .gamefile import GameSpec, load_game_file, resolve_grid
 from .games import PayoffPoint, pure_nash_equilibria
-from .geometry import (
-    PointCloud,
-    extrema,
-    facing_flavor,
-    orientation_best,
-    pareto_filter,
-    sample_image,
-    tu_boundary,
-    tu_line,
-)
-from .mixed import (
-    bilinear_map,
-    conservative_bivalue_mixed,
-    mixed_equilibrium_components,
-    nash_extreme,
-)
+from .geometry import PointCloud, extrema, facing_flavor, pareto_filter, tu_boundary, tu_line
 from .render import Scene, write_csv, write_svg
-from .report import build_report, fmt, fmt_point
+from .report import GameContext, build_report, fmt_point, solution_lines
 
 __all__ = ["main"]
 
@@ -145,104 +124,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _SolveContext:
-    """Cloud, boundary and default points for the requested game."""
-
-    def __init__(self, spec: GameSpec, grid_n: int):
-        self.spec = spec
-        self.grid_n = grid_n
-        self.game = spec.finite if spec.kind == "finite" else spec.coopetitive
-        self.orientation = self.game.orientation
-        self.grid_step = 1.0 / (grid_n - 1)
-
-    @functools.cached_property
-    def cloud(self) -> PointCloud:
-        """The sampled image, built on first use: the coopetitive concepts never read it."""
-        payoff_map = bilinear_map(self.game) if self.spec.kind == "finite" else self.game.payoff
-        return sample_image(payoff_map, self.grid_n)
-
-    def boundary(self):
-        return pareto_filter(self.cloud, self.orientation, facing_flavor(self.orientation))
-
-    def conservative(self) -> PayoffPoint:
-        """Conservative bi-value, or the supremum of the conservative path."""
-        if self.spec.kind == "finite":
-            return conservative_bivalue_mixed(self.game)
-        path = induced_path(self.game, "conservative", self.grid_n)
-        pts = np.concatenate([pts for _, pts in path.samples], axis=0)
-        return PayoffPoint(*pts.max(axis=0))
-
-    def nash_extreme(self) -> PayoffPoint:
-        """Supremum of the Nash zone in the payoff plane."""
-        if self.spec.kind == "finite":
-            return nash_extreme(mixed_equilibrium_components(self.game))
-        return PayoffPoint(*nash_zone(self.game, self.grid_n).payoffs.max(axis=0))
-
-    def default_utopia(self) -> PayoffPoint:
-        return orientation_best(self.cloud, self.orientation)
+def _context(args) -> GameContext:
+    spec = load_game_file(args.path)
+    return GameContext(spec, resolve_grid(spec, args.grid), getattr(args, "tol", None))
 
 
 def _cmd_analyze(args) -> int:
-    spec = load_game_file(args.path)
-    grid_n = resolve_grid(spec, args.grid)
-    tol = args.tol or spec.analysis.tol or 3.0 / (grid_n - 1)
-    report = build_report(spec, grid_n, tol, mixed=args.mixed)
-    sys.stdout.write(report.to_text())
+    sys.stdout.write(build_report(_context(args), mixed=args.mixed).to_text())
     return 0
 
 
 def _cmd_solve(args) -> int:
-    spec = load_game_file(args.path)
-    grid_n = resolve_grid(spec, args.grid)
-    ctx = _SolveContext(spec, grid_n)
-    name = args.solution
-    ks_tol = args.tol or spec.analysis.tol or 3.0 * ctx.grid_step
-    tu_tol = args.tol or spec.analysis.tol or 1e-6
-
-    extra_lines: list[str] = []
-    if name in ("proper-coopetitive", "win-win") and spec.kind != "coopetitive":
-        raise UnsupportedGameError(f"{name} solutions need a coopetitive game file")
-    if name == "ks":
-        threat = args.threat or ctx.conservative()
-        utopia = args.utopia or ctx.default_utopia()
-        sol = ks_solution(BargainingProblem(ctx.boundary(), threat, utopia), ks_tol)
-    elif name == "nash-bargaining":
-        threat = args.threat or ctx.conservative()
-        sol = nash_bargaining(ctx.boundary(), threat, ctx.orientation)
-    elif name == "tu":
-        threat = args.threat or ctx.conservative()
-        utopia = args.utopia or ctx.default_utopia()
-        sol = tu_crossing_solution(tu_boundary(ctx.cloud, ctx.orientation, tu_tol), threat, utopia)
-    elif name == "proper-coopetitive":
-        sol = proper_coopetitive_solution(ctx.game, grid_n, ks_tol)
-    elif name == "win-win":
-        sol = standard_win_win_solution(ctx.game, grid_n, tu_tol)
-        rep = win_win_report(ctx.game, sol, grid_n)
-        extra_lines = [
+    ctx = _context(args)
+    sol = ctx.solve(args.solution, args.threat, args.utopia)
+    lines = [f"solution: {sol.method}", f"payoff: {fmt_point(sol.payoff)}", *solution_lines(sol)]
+    if args.solution == "win-win":
+        rep = win_win_report(ctx.game, sol, ctx.grid_n)
+        lines += [
             f"core supremum L: {fmt_point(rep.core_sup)}",
             f"margin: {fmt_point(rep.margin)}",
             f"is win-win: {str(rep.is_win_win).lower()}",
         ]
-    else:
-        kind = name.split(":", 1)[1]
-        threat = None
-        if kind == "nash_pareto":
-            threat = args.threat or ctx.nash_extreme()
-        elif kind == "conservative_pareto":
-            threat = args.threat or ctx.conservative()
-        sol = compromise_solution(kind, ctx.boundary(), threat, ks_tol)
-
-    print(f"solution: {sol.method}")
-    print(f"payoff: {fmt_point(sol.payoff)}")
-    if sol.preimage is not None:
-        print(f"preimage: ({', '.join(fmt(v) for v in sol.preimage)})")
-    print(f"residual: {fmt(sol.residual)}")
-    if sol.threat is not None:
-        print(f"threat a: {fmt_point(sol.threat)}")
-    if sol.utopia is not None:
-        print(f"utopia b: {fmt_point(sol.utopia)}")
-    for line in extra_lines:
-        print(line)
+    print("\n".join(lines))
     return 0
 
 
@@ -275,43 +178,32 @@ def _finite_scene(spec: GameSpec) -> Scene:
     return scene
 
 
-def _coopetitive_scene(spec: GameSpec, grid_n: int) -> Scene:
-    game = spec.coopetitive
-    cloud = sample_image(game.payoff, grid_n)
-    boundary = pareto_filter(cloud, game.orientation, facing_flavor(game.orientation))
-    zone = nash_zone(game, grid_n)
+def _coopetitive_scene(ctx: GameContext) -> Scene:
+    game, cloud = ctx.game, ctx.cloud
+    zone = nash_zone(game, ctx.grid_n)
     tub = tu_boundary(cloud, game.orientation, 1e-6)
     scene = Scene(f"coopetitive payoff space ({game.orientation.value})",
                   game.orientation, 3)
     scene.add(cloud.preimages, cloud.payoffs, "cloud")
-    scene.add(boundary.preimages, boundary.payoffs, "pareto")
+    scene.add(ctx.boundary.preimages, ctx.boundary.payoffs, "pareto")
     scene.add(zone.preimages, zone.payoffs, "nash")
     scene.add(tub.witness_preimages, tub.witness_payoffs, "tu")
     scene.tu_segment = tu_line(tub, *extrema(cloud))
     # A refused concept gets no marker, as analyze prints it "unavailable".
-    try:
-        sol = proper_coopetitive_solution(game, grid_n, 3.0 / (grid_n - 1))
-        scene.add_solution("proper-coopetitive", sol.preimage, sol.payoff)
-    except SolverRefusal:
-        pass
-    if game.initial_z is not None:
+    for name in ["proper-coopetitive"] + (["win-win"] if game.initial_z is not None else []):
         try:
-            www = standard_win_win_solution(game, grid_n)
-            scene.add_solution("standard-win-win", www.preimage, www.payoff)
+            sol = ctx.solve(name)
         except SolverRefusal:
-            pass
+            continue
+        scene.add_solution(sol.method, sol.preimage, sol.payoff)
     return scene
 
 
 def _cmd_render(args) -> int:
     if args.out_csv is None and args.out_svg is None:
         raise GameFileError("render needs --out-csv and/or --out-svg", path=args.path)
-    spec = load_game_file(args.path)
-    grid_n = resolve_grid(spec, args.grid)
-    if spec.kind == "finite":
-        scene = _finite_scene(spec)
-    else:
-        scene = _coopetitive_scene(spec, grid_n)
+    ctx = _context(args)
+    scene = _finite_scene(ctx.spec) if ctx.spec.kind == "finite" else _coopetitive_scene(ctx)
     if args.out_csv is not None:
         write_csv(args.out_csv, scene)
         print(f"wrote {args.out_csv}")

@@ -137,15 +137,18 @@ def family_roundtrip_check(game: CoopetitiveGame, grid_n: int = 17) -> bool:
 
     Discrete witness of the bijection between a coopetitive game and its
     family of section games: for every z in ``c_grid`` and lattice (x, y),
-    the section value must match the full map to 1e-12.
+    the section value must match the full map to 1e-12 per unit of the
+    larger player's sum of |coefficients|, which bounds the payoffs (and
+    so their rounding) over the cube.
     """
     t = np.linspace(0.0, 1.0, grid_n)
     x, y = np.meshgrid(t, t, indexing="ij")
+    tol = 1e-12 * max(1.0, np.abs(game.payoff.coeffs).sum(axis=1).max())
     for z in game.c_grid:
         sec = section_game(game, z)
         s1, s2 = sec.map.eval_arrays(x, y)
         f1, f2 = game.payoff.eval_arrays(x, y, np.full_like(x, z))
-        if np.abs(s1 - f1).max() > 1e-12 or np.abs(s2 - f2).max() > 1e-12:
+        if np.abs(s1 - f1).max() > tol or np.abs(s2 - f2).max() > tol:
             return False
     return True
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,7 @@ __all__ = [
     "resolve_grid",
     "GRID_ENV_VAR",
     "MAX_LATTICE_POINTS",
+    "MAX_PAYOFF",
     "DEFAULT_GRID_2D",
     "DEFAULT_GRID_3D",
 ]
@@ -43,6 +45,12 @@ DEFAULT_GRID_3D = 65
 #: Most lattice points a run may sample (counted by ``resolve_grid``): at
 #: 32-40 bytes of payoffs and preimages each, 0.5-0.7 GB.
 MAX_LATTICE_POINTS = 2**24
+#: Largest payoff magnitude a file may describe: a finite table's entries,
+#: or a coopetitive player's sum of |coefficients|, which bounds the payoff
+#: over the cube.  Differences of two payoffs are then at most 2 * MAX_PAYOFF,
+#: so a sum of two of their squares (a distance, a dot product) is at most
+#: half the float range and every payoff sum stays finite.
+MAX_PAYOFF = math.sqrt(sys.float_info.max / 16)
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,8 @@ class _Validator:
         out = np.array([[_float(v) for v in row] for row in raw])
         if not np.isfinite(out).all():
             raise self.fail(key, f"{key} entries must be finite")
+        if np.abs(out).max() > MAX_PAYOFF:
+            raise self.fail(key, f"{key} entries must be at most {MAX_PAYOFF:.6g} in magnitude")
         return out
 
     def labels(self, key: str, count: int) -> tuple[str, ...] | None:
@@ -135,6 +145,10 @@ class _Validator:
         row = [_float(v) for v in raw]
         if not all(np.isfinite(row)):
             raise self.fail(key, f"coefficients.{key} entries must be finite")
+        if sum(abs(c) for c in row) > MAX_PAYOFF:
+            raise self.fail(
+                key, f"coefficients.{key} magnitudes must sum to at most {MAX_PAYOFF:.6g}"
+            )
         return row
 
 

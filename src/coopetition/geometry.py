@@ -395,7 +395,7 @@ def facing_flavor(orientation: Orientation) -> Literal["maximal", "minimal"]:
 
 def _tu_witnesses(p1, p2, preimages_of, orientation: Orientation, tol: float) -> TUBoundary:
     """The TU rule on payoff columns; ``preimages_of(sel)`` gives the rows' preimages."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     gain = orientation is Orientation.GAIN
     best, pick = (np.max, np.maximum) if gain else (np.min, np.minimum)
@@ -417,6 +417,8 @@ def _tu_witnesses(p1, p2, preimages_of, orientation: Orientation, tol: float) ->
     # A row of two -0.0 sums to -0.0; adding 0.0 reports a zero optimum
     # as 0.0 whatever the sign bits of the rows attaining it.
     opt = float(run) + 0.0
+    if not np.isfinite(opt):
+        raise ValueError("payoff sums must be finite")
     sel = np.concatenate(rows_near)[np.abs(np.concatenate(sums_near) - opt) <= tol]
     payoffs = np.stack([p1[sel], p2[sel]], axis=1)
     preimages = preimages_of(sel)

@@ -1,19 +1,35 @@
-"""Deterministic text reports for the ``analyze`` command.
+"""Deterministic text reports for the ``analyze`` command, and the context
+every command reads a game file's solutions from.
 
 Every number in a report is produced by exactly one operation of the core
 modules with the same parameters, so it can be reproduced independently.
+:class:`GameContext` is the one place that picks each solution concept's
+default threat, utopia and tolerance, so ``analyze``, ``solve`` and
+``render`` give one answer per concept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .bargaining import SolutionPoint, compromise_solution
+import numpy as np
+
+from .bargaining import (
+    BargainingProblem,
+    SolutionPoint,
+    compromise_solution,
+    ks_solution,
+    nash_bargaining,
+)
 from .coopetitive import (
+    SetValuedPath,
     family_roundtrip_check,
     induced_path,
+    nash_zone,
     proper_coopetitive_solution,
     standard_win_win_solution,
+    tu_crossing_solution,
     win_win_report,
 )
 from .errors import SolverRefusal, UnsupportedGameError
@@ -25,16 +41,25 @@ from .games import (
     dominant_strategies,
     pure_nash_equilibria,
 )
-from .geometry import extrema, facing_flavor, pareto_filter, sample_image, tu_boundary
+from .geometry import (
+    ParetoBoundary,
+    PointCloud,
+    extrema,
+    facing_flavor,
+    orientation_best,
+    pareto_filter,
+    sample_image,
+    tu_boundary,
+)
 from .mixed import (
+    EquilibriumComponent,
     bilinear_map,
     conservative_bivalue_mixed,
     mixed_equilibrium_components,
     nash_extreme,
 )
 
-__all__ = ["AnalysisReport", "build_report", "fmt", "fmt_point"]
-
+__all__ = ["AnalysisReport", "GameContext", "build_report", "fmt", "fmt_point", "solution_lines"]
 
 def fmt(v: float) -> str:
     return f"{float(v):.10g}"
@@ -58,16 +83,126 @@ class AnalysisReport:
         return "\n".join(out) + "\n"
 
 
-def _solution_lines(name: str, sol: SolutionPoint) -> list[str]:
-    lines = [f"{name}: payoff {fmt_point(sol.payoff)}"]
+class GameContext:
+    """One game file at one grid: every solution concept reads it from here.
+
+    The sampled cloud, its facing Pareto boundary and the default threat
+    points are built on first use.  The tolerance is ``tol`` (the ``--tol``
+    flag) if given, else the file's ``analysis.tol``, else a default per
+    concept: three grid steps for the Kalai-Smorodinsky concepts, whose
+    answer is a sampled point near a segment, and 1e-6 for the TU ones,
+    whose witnesses lie within it of the optimal sum.
+    """
+
+    def __init__(self, spec: GameSpec, grid_n: int, tol: float | None = None):
+        self.spec = spec
+        self.grid_n = grid_n
+        self.game = spec.finite if spec.kind == "finite" else spec.coopetitive
+        self.orientation = self.game.orientation
+        tol = tol or spec.analysis.tol
+        self.ks_tol = tol or 3.0 / (grid_n - 1)
+        self.tu_tol = tol or 1e-6
+
+    @cached_property
+    def cloud(self) -> PointCloud:
+        """The sampled image, built on first use: the coopetitive concepts never read it."""
+        payoff_map = bilinear_map(self.game) if self.spec.kind == "finite" else self.game.payoff
+        return sample_image(payoff_map, self.grid_n)
+
+    @cached_property
+    def boundary(self) -> ParetoBoundary:
+        return pareto_filter(self.cloud, self.orientation, facing_flavor(self.orientation))
+
+    @cached_property
+    def components(self) -> list[EquilibriumComponent]:
+        """Mixed equilibrium components of a finite game."""
+        return mixed_equilibrium_components(self.game)
+
+    @cached_property
+    def conservative_path(self) -> SetValuedPath:
+        """Conservative bi-values along a coopetitive game's ``c_grid``."""
+        return induced_path(self.game, "conservative", self.grid_n)
+
+    @cached_property
+    def conservative(self) -> PayoffPoint:
+        """Conservative bi-value, or the supremum of the conservative path."""
+        if self.spec.kind == "finite":
+            return conservative_bivalue_mixed(self.game)
+        pts = np.concatenate([pts for _, pts in self.conservative_path.samples], axis=0)
+        return PayoffPoint(*pts.max(axis=0))
+
+    @cached_property
+    def nash_extreme(self) -> PayoffPoint:
+        """Supremum of the Nash zone in the payoff plane."""
+        if self.spec.kind == "finite":
+            return nash_extreme(self.components)
+        return PayoffPoint(*nash_zone(self.game, self.grid_n).payoffs.max(axis=0))
+
+    def solve(
+        self, name: str, threat: PayoffPoint | None = None, utopia: PayoffPoint | None = None
+    ) -> SolutionPoint:
+        """Solution concept ``name`` (one of ``cli.SOLUTIONS``).
+
+        ``threat`` and ``utopia`` replace the defaults: the conservative
+        value (the Nash extreme for ``compromise:nash_pareto``) and the
+        orientation-best corner of the cloud.
+        """
+        if name in ("proper-coopetitive", "win-win"):
+            if self.spec.kind != "coopetitive":
+                raise UnsupportedGameError(f"{name} solutions need a coopetitive game file")
+            if name == "win-win":
+                return standard_win_win_solution(self.game, self.grid_n, self.tu_tol)
+            return proper_coopetitive_solution(self.game, self.grid_n, self.ks_tol)
+        if name == "compromise:nash_pareto":
+            threat = threat or self.nash_extreme
+        elif name != "compromise:pareto":
+            threat = threat or self.conservative
+        if name.startswith("compromise:"):
+            return compromise_solution(name.split(":", 1)[1], self.boundary, threat, self.ks_tol)
+        if name == "nash-bargaining":
+            return nash_bargaining(self.boundary, threat, self.orientation)
+        utopia = utopia or orientation_best(self.cloud, self.orientation)
+        if name == "ks":
+            return ks_solution(BargainingProblem(self.boundary, threat, utopia), self.ks_tol)
+        if name == "tu":
+            tub = tu_boundary(self.cloud, self.orientation, self.tu_tol)
+            return tu_crossing_solution(tub, threat, utopia)
+        raise ValueError(f"unknown solution concept {name!r}")
+
+
+def solution_lines(sol: SolutionPoint) -> list[str]:
+    """The preimage, residual, threat and utopia lines of a solution."""
+    lines = []
     if sol.preimage is not None:
-        lines.append(f"  preimage: ({', '.join(fmt(v) for v in sol.preimage)})")
-    lines.append(f"  residual: {fmt(sol.residual)}")
+        lines.append(f"preimage: ({', '.join(fmt(v) for v in sol.preimage)})")
+    lines.append(f"residual: {fmt(sol.residual)}")
     if sol.threat is not None:
-        lines.append(f"  threat a: {fmt_point(sol.threat)}")
+        lines.append(f"threat a: {fmt_point(sol.threat)}")
     if sol.utopia is not None:
-        lines.append(f"  utopia b: {fmt_point(sol.utopia)}")
+        lines.append(f"utopia b: {fmt_point(sol.utopia)}")
     return lines
+
+
+def _concept_lines(ctx: GameContext, name: str, label: str) -> tuple[SolutionPoint | None, list[str]]:
+    """Report block of one concept, or its "unavailable" line if the game refuses it."""
+    try:
+        sol = ctx.solve(name)
+    except SolverRefusal as exc:
+        return None, [f"{label}: unavailable ({exc})"]
+    return sol, [f"{label}: payoff {fmt_point(sol.payoff)}"] + [f"  {v}" for v in solution_lines(sol)]
+
+
+def _space_lines(ctx: GameContext) -> list[str]:
+    """Extrema, boundary size and TU optimum of the sampled payoff space."""
+    lo, hi = extrema(ctx.cloud)
+    tub = tu_boundary(ctx.cloud, ctx.orientation, 1e-9)
+    return [
+        f"image extrema: inf {fmt_point(lo)}, sup {fmt_point(hi)}",
+        f"Pareto {facing_flavor(ctx.orientation)} boundary: {len(ctx.boundary)} points",
+        f"TU optimal sum: {fmt(tub.optimal_sum)} "
+        f"({len(tub.witness_payoffs)} witnesses, ends {fmt_point(tub.segment_ends[0])}"
+        f" .. {fmt_point(tub.segment_ends[1])})",
+    ]
 
 
 def _strategy_set(game: FiniteBimatrixGame, player: int, ids: set[int]) -> str:
@@ -76,9 +211,8 @@ def _strategy_set(game: FiniteBimatrixGame, player: int, ids: set[int]) -> str:
     return "{" + ", ".join(names) + "}"
 
 
-def build_finite_report(spec: GameSpec, grid_n: int, tol: float, mixed: bool | None) -> AnalysisReport:
-    game = spec.finite
-    assert game is not None
+def build_finite_report(ctx: GameContext, mixed: bool | None) -> AnalysisReport:
+    spec, game = ctx.spec, ctx.game
     sections: list[tuple[str, tuple[str, ...]]] = []
     summary = [
         f"kind: finite {game.rows}x{game.cols} ({game.orientation.value})",
@@ -116,52 +250,26 @@ def build_finite_report(spec: GameSpec, grid_n: int, tol: float, mixed: bool | N
         return AnalysisReport(tuple(sections))
 
     comp_lines = []
-    components = mixed_equilibrium_components(game)
-    for comp in components:
+    for comp in ctx.components:
         ext = ", ".join(f"({fmt(p.x)}, {fmt(p.y)})" for p in comp.extreme_points)
         pay = ", ".join(fmt_point(p) for p in comp.payoff_extremes)
         comp_lines.append(f"{comp.description}: extremes {ext}; payoffs {pay}")
     sections.append(("mixed equilibrium components", tuple(comp_lines)))
-
-    v_mixed = conservative_bivalue_mixed(game)
-    cloud = sample_image(bilinear_map(game), grid_n)
-    lo, hi = extrema(cloud)
-    flavor = facing_flavor(game.orientation)
-    boundary = pareto_filter(cloud, game.orientation, flavor)
-    tub = tu_boundary(cloud, game.orientation, 1e-9)
     sections.append(
         (
-            f"mixed extension (grid {grid_n})",
-            (
-                f"conservative bi-value: {fmt_point(v_mixed)}",
-                f"image extrema: inf {fmt_point(lo)}, sup {fmt_point(hi)}",
-                f"Pareto {flavor} boundary: {len(boundary)} points",
-                f"TU optimal sum: {fmt(tub.optimal_sum)} "
-                f"({len(tub.witness_payoffs)} witnesses, ends {fmt_point(tub.segment_ends[0])}"
-                f" .. {fmt_point(tub.segment_ends[1])})",
-            ),
+            f"mixed extension (grid {ctx.grid_n})",
+            (f"conservative bi-value: {fmt_point(ctx.conservative)}", *_space_lines(ctx)),
         )
     )
-
     sol_lines: list[str] = []
-    for kind, threat in (
-        ("pareto", None),
-        ("nash_pareto", nash_extreme(components)),
-        ("conservative_pareto", v_mixed),
-    ):
-        try:
-            sol = compromise_solution(kind, boundary, threat, tol)
-        except SolverRefusal as exc:
-            sol_lines.append(f"compromise:{kind}: unavailable ({exc})")
-            continue
-        sol_lines.extend(_solution_lines(sol.method, sol))
+    for name in ("compromise:pareto", "compromise:nash_pareto", "compromise:conservative_pareto"):
+        sol_lines.extend(_concept_lines(ctx, name, name)[1])
     sections.append(("solutions", tuple(sol_lines)))
     return AnalysisReport(tuple(sections))
 
 
-def build_coopetitive_report(spec: GameSpec, grid_n: int, tol: float) -> AnalysisReport:
-    game = spec.coopetitive
-    assert game is not None
+def build_coopetitive_report(ctx: GameContext) -> AnalysisReport:
+    spec, game = ctx.spec, ctx.game
     sections: list[tuple[str, tuple[str, ...]]] = []
     z0 = "none" if game.initial_z is None else fmt(game.initial_z)
     sections.append(
@@ -177,22 +285,12 @@ def build_coopetitive_report(spec: GameSpec, grid_n: int, tol: float) -> Analysi
         )
     )
 
-    cloud = sample_image(game.payoff, grid_n)
-    lo, hi = extrema(cloud)
-    flavor = facing_flavor(game.orientation)
-    boundary = pareto_filter(cloud, game.orientation, flavor)
-    tub = tu_boundary(cloud, game.orientation, 1e-9)
-    cons = induced_path(game, "conservative", grid_n)
-    first, last = cons.samples[0], cons.samples[-1]
+    first, last = ctx.conservative_path.samples[0], ctx.conservative_path.samples[-1]
     sections.append(
         (
-            f"payoff space (grid {grid_n} per axis)",
+            f"payoff space (grid {ctx.grid_n} per axis)",
             (
-                f"image extrema: inf {fmt_point(lo)}, sup {fmt_point(hi)}",
-                f"Pareto {flavor} boundary: {len(boundary)} points",
-                f"TU optimal sum: {fmt(tub.optimal_sum)} "
-                f"({len(tub.witness_payoffs)} witnesses, ends {fmt_point(tub.segment_ends[0])}"
-                f" .. {fmt_point(tub.segment_ends[1])})",
+                *_space_lines(ctx),
                 f"conservative path: z={fmt(first[0])} -> ({fmt(first[1][0][0])}, "
                 f"{fmt(first[1][0][1])}); z={fmt(last[0])} -> ({fmt(last[1][0][0])}, "
                 f"{fmt(last[1][0][1])})",
@@ -200,30 +298,21 @@ def build_coopetitive_report(spec: GameSpec, grid_n: int, tol: float) -> Analysi
         )
     )
 
-    try:
-        sol_lines = _solution_lines(
-            "proper-coopetitive", proper_coopetitive_solution(game, grid_n, tol)
-        )
-    except SolverRefusal as exc:
-        sol_lines = [f"proper-coopetitive: unavailable ({exc})"]
+    _, sol_lines = _concept_lines(ctx, "proper-coopetitive", "proper-coopetitive")
     if game.initial_z is not None:
-        try:
-            www = standard_win_win_solution(game, grid_n)
-            sol_lines.extend(_solution_lines("standard-win-win", www))
-            report = win_win_report(game, www, grid_n)
+        www, lines = _concept_lines(ctx, "win-win", "standard-win-win")
+        sol_lines.extend(lines)
+        if www is not None:
+            report = win_win_report(game, www, ctx.grid_n)
             sol_lines.append(
                 f"  core supremum L: {fmt_point(report.core_sup)}, "
                 f"margin {fmt_point(report.margin)}, win-win: {report.is_win_win}"
             )
-        except SolverRefusal as exc:
-            sol_lines.append(f"standard-win-win: unavailable ({exc})")
     sections.append(("solutions", tuple(sol_lines)))
     return AnalysisReport(tuple(sections))
 
 
-def build_report(
-    spec: GameSpec, grid_n: int, tol: float, mixed: bool | None = None
-) -> AnalysisReport:
-    if spec.kind == "finite":
-        return build_finite_report(spec, grid_n, tol, mixed)
-    return build_coopetitive_report(spec, grid_n, tol)
+def build_report(ctx: GameContext, mixed: bool | None = None) -> AnalysisReport:
+    if ctx.spec.kind == "finite":
+        return build_finite_report(ctx, mixed)
+    return build_coopetitive_report(ctx)

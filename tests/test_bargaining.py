@@ -79,6 +79,18 @@ class TestKSSolution:
                 BargainingProblem(boundary, PayoffPoint(0, 0), PayoffPoint(1, 1)), tol=1e-3
             )
 
+    def test_nan_distance_refused(self):
+        # Squares of 2e160 overflow, so every distance is NaN, which no tolerance admits.
+        boundary = simple_boundary([[1e160, -1e160], [-1e160, 1e160]])
+        problem = BargainingProblem(boundary, PayoffPoint(-1e160, -1e160), PayoffPoint(1e160, 1e160))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NoIntersection, match="nan"):
+            ks_solution(problem, tol=1e-3)
+
+    def test_nan_tol_rejected(self):
+        problem = BargainingProblem(simple_boundary([[1.0, 1.0]]), PayoffPoint(0, 0), PayoffPoint(1, 1))
+        with pytest.raises(ValueError, match="tol"):
+            ks_solution(problem, math.nan)
+
     def test_degenerate_threat_equals_utopia(self, f0_boundary_513):
         with pytest.raises(DegenerateProblem):
             BargainingProblem(f0_boundary_513, B_PRIME, B_PRIME)

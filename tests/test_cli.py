@@ -17,8 +17,10 @@ from coopetition import cli, report
 from coopetition.cli import main
 from coopetition.demo import coopetitive_game_dict, finite_game_dict, run_paper_demo
 from coopetition.errors import DegenerateProblem, EmptyPortion, NoIntersection, SameHalfPlane
+from coopetition.gamefile import MAX_PAYOFF
 from coopetition.games import Orientation
 from coopetition.geometry import PointCloud, pareto_filter
+from test_golden import GRID as GOLDEN_GRID, golden_games
 
 
 @pytest.fixture()
@@ -240,7 +242,7 @@ class TestSolve:
         def refuse(*args):
             raise AssertionError("the command sampled the whole cloud")
 
-        monkeypatch.setattr(cli, "sample_image", refuse)
+        monkeypatch.setattr(report, "sample_image", refuse)
         code, _, err = run("solve", coop_path, "--solution", solution)
         assert code == 0, err
 
@@ -307,6 +309,132 @@ def test_point_flag_the_concept_ignores_exits_2(coop_path, concept, flag):
     assert err.getvalue().splitlines()[-1].endswith(
         f"argument --{flag}: not read by --solution {concept}"
     )
+
+
+def _report_blocks(text: str) -> dict[str, list[str]]:
+    """``analyze``'s solution blocks by label: the payoff and detail lines, or the refusal."""
+    blocks: dict[str, list[str]] = {}
+    lines = text.splitlines()
+    for line in lines[lines.index("solutions") + 1:]:
+        if line.startswith("    "):
+            blocks[label].append(line.strip())
+        else:
+            label, rest = line.strip().split(": ", 1)
+            blocks[label] = ["payoff: " + rest[len("payoff "):] if rest.startswith("payoff ") else rest]
+    return blocks
+
+
+def _check_one_answer_per_concept(tmp_path, path: str, tol_flag: list[str], grid: str) -> None:
+    """``solve`` prints ``analyze``'s block for every concept, and ``render``
+    marks exactly the concepts ``analyze`` does not call unavailable."""
+    code, out, err = run("analyze", path, "--grid", grid, *tol_flag)
+    assert code == 0, err
+    blocks = _report_blocks(out)
+    for label, block in blocks.items():
+        concept = "win-win" if label == "standard-win-win" else label
+        code, out, err = run("solve", path, "--solution", concept, "--grid", grid, *tol_flag)
+        if block[0].startswith("unavailable ("):
+            assert code == 4 and err.split(": ", 2)[2].rstrip() == block[0][len("unavailable ("):-1]
+        else:
+            assert code == 0, err
+            shared = [v for v in out.splitlines()[1:] if not v.startswith(("core supremum", "margin", "is win"))]
+            assert shared == [v for v in block if not v.startswith("core supremum")], concept
+    if "proper-coopetitive" in blocks and not tol_flag:
+        csv_path = tmp_path / "scene.csv"
+        assert run("render", path, "--out-csv", str(csv_path), "--grid", grid)[0] == 0
+        marked = {r["tag"][len("solution:"):] for r in csv.DictReader(csv_path.open())
+                  if r["tag"].startswith("solution:")}
+        assert marked == {k for k, v in blocks.items() if not v[0].startswith("unavailable")}
+
+
+def test_win_win_reads_tol_in_analyze_as_in_solve(coop_path):
+    # analyze used to ignore --tol for win-win and print (1, 1, 1).
+    code, out, err = run("analyze", coop_path, "--grid", "17", "--tol", "0.2")
+    assert code == 0, err
+    assert _report_blocks(out)["standard-win-win"][1] == "preimage: (0.9375, 1, 1)"
+    code, out, err = run("solve", coop_path, "--solution", "win-win", "--grid", "17", "--tol", "0.2")
+    assert code == 0, err
+    assert "preimage: (0.9375, 1, 1)" in out.splitlines()
+
+
+def test_render_reads_analysis_tol(tmp_path):
+    # render used to draw proper-coopetitive at three grid steps whatever analysis.tol said.
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps({
+        "kind": "coopetitive",
+        "orientation": "gain",
+        "coefficients": {"p1": [1.983, 0.408, 0.308, -1.832, -1.415],
+                         "p2": [-0.234, -1.962, 0.441, 1.321, -0.455]},
+        "c_grid_size": 65,
+        "initial_z": 0.140625,
+        "analysis": {"tol": 0.001},
+    }))
+    code, out, err = run("analyze", str(path), "--grid", "17")
+    assert code == 0, err
+    assert "  proper-coopetitive: unavailable (nearest boundary point is 0.00414409" in out
+    csv_path = tmp_path / "scene.csv"
+    assert run("render", str(path), "--out-csv", str(csv_path), "--grid", "17")[0] == 0
+    tags = {r["tag"] for r in csv.DictReader(csv_path.open())}
+    assert not any(tag.startswith("solution:") for tag in tags)
+    _check_one_answer_per_concept(tmp_path, str(path), [], "17")
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("tol", ["0.001", "0.2"])
+@pytest.mark.parametrize("stem", list(golden_games()))
+def test_one_answer_per_concept(tmp_path, stem, tol, source):
+    game = golden_games()[stem]
+    if source == "file":
+        game = dict(game, analysis={"tol": float(tol)})
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(game))
+    _check_one_answer_per_concept(
+        tmp_path, str(path), ["--tol", tol] if source == "flag" else [], GOLDEN_GRID[game["kind"]]
+    )
+
+
+def _at_the_bound(data: dict) -> dict:
+    """``data`` scaled so its payoffs just reach ``MAX_PAYOFF``, with a tolerance to match."""
+    if data["kind"] == "finite":
+        scale = MAX_PAYOFF / np.abs(np.array([data["payoff1"], data["payoff2"]])).max()
+        tables = {k: (np.array(data[k]) * scale).tolist() for k in ("payoff1", "payoff2")}
+    else:
+        coeffs = np.array([data["coefficients"]["p1"], data["coefficients"]["p2"]])
+        scale = MAX_PAYOFF / np.abs(coeffs).sum(axis=1).max() * (1 - 1e-12)
+        tables = {"coefficients": dict(zip(("p1", "p2"), (coeffs * scale).tolist()))}
+    return dict(data, **tables, analysis={"tol": 0.5 * scale})
+
+
+BOUND_COMMANDS = (
+    [("analyze",), ("render",)]
+    + [("solve", name) for name in cli.SOLUTIONS]
+)
+
+
+@pytest.mark.parametrize("kind", ["finite", "coopetitive"])
+@pytest.mark.parametrize("command", BOUND_COMMANDS, ids=" ".join)
+def test_payoffs_at_the_bound_give_finite_residuals(tmp_path, kind, command):
+    data = finite_game_dict() if kind == "finite" else coopetitive_game_dict()
+    codes, texts = [], []
+    for name, game in (("unit", dict(data, analysis={"tol": 0.5})), ("huge", _at_the_bound(data))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(game))
+        argv = [command[0], str(path), "--grid", "9"]
+        if command[0] == "solve":
+            argv += ["--solution", command[1]]
+        elif command[0] == "render":
+            argv += ["--out-csv", str(tmp_path / f"{name}.csv")]
+        code, out, err = run(*argv)
+        codes.append(code)
+        texts.append(out + err)
+    # Scaling the game refuses nothing the unit-scale game answers, and the reverse.
+    assert codes[0] == codes[1], texts
+    residuals = [v.split("residual: ")[1] for v in texts[1].splitlines() if "residual: " in v]
+    assert all(np.isfinite(float(v)) for v in residuals), texts[1]
+    assert codes[1] != 0 or residuals or command[0] == "render"
+    if command[0] == "render":
+        rows = list(csv.reader((tmp_path / "huge.csv").open()))[1:]
+        assert np.isfinite(np.array([r[:-1] for r in rows], dtype=float)).all()
 
 
 # Blocks scipy, then runs the CLI as ``python -m coopetition.cli`` would (or
@@ -452,7 +580,7 @@ class TestRender:
         def refuse(*args, **kwargs):
             raise exc("forced")
 
-        monkeypatch.setattr(cli, concept, refuse)
+        monkeypatch.setattr(report, concept, refuse)
         out = {ext: tmp_path / f"c.{ext}" for ext in ("csv", "svg")}
         code, _, err = run("render", coop_path, "--out-csv", str(out["csv"]),
                            "--out-svg", str(out["svg"]), "--grid", "9")

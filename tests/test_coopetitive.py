@@ -104,6 +104,17 @@ class TestRoundtrip:
         )
         assert family_roundtrip_check(g)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e5, 1e8, 1e12])
+    def test_large_payoffs_roundtrip(self, scale):
+        # Rounding grows with the payoffs: 1e4 and 1e5 failed an absolute 1e-12 on 11-18 of 50.
+        rng = random.Random(1)
+        for orientation in (Orientation.GAIN, Orientation.LOSS) * 25:
+            coeffs = np.array([[round(rng.uniform(-2.0, 2.0), 3) for _ in range(5)] for _ in range(2)])
+            game = CoopetitiveGame.with_uniform_grid(
+                PayoffMap(coeffs * scale, arity=3), orientation, c_grid_size=65
+            )
+            assert family_roundtrip_check(game) is True
+
     def test_corrupted_section_detected(self, coop_game):
         class Corrupted(CoopetitiveGame):
             pass

@@ -14,6 +14,7 @@ from coopetition.gamefile import (
     DEFAULT_GRID_3D,
     GRID_ENV_VAR,
     MAX_LATTICE_POINTS,
+    MAX_PAYOFF,
     load_game_file,
     resolve_grid,
 )
@@ -82,6 +83,54 @@ def test_nonfinite_entry_rejected(tmp_path):
     text = json.dumps(data).replace("Infinity", "1e999")
     with pytest.raises(GameFileError):
         load_game_file(write(tmp_path, text))
+
+
+def coop_dict(p1, p2):
+    return dict(coopetitive_game_dict(), orientation="gain", coefficients={"p1": p1, "p2": p2})
+
+
+#: Files whose payoffs overflow a solver, and the key each is rejected at.
+HUGE_PAYOFF_FILES = {
+    # p1 + p2 overflows: an IndexError traceback from the TU pass.
+    "coop-sum-overflow": (coop_dict([1e308, 0, 0, 0, 0], [1e308, 0, 0, 0, 0]), "p1"),
+    "finite-sum-overflow": (
+        dict(finite_game_dict(), orientation="gain",
+             payoff1=[[1e308, 0], [0, 0]], payoff2=[[1e308, 0], [0, 0]]),
+        "payoff1",
+    ),
+    # The map itself overflows: a ValueError traceback.
+    "coop-map-overflow": (coop_dict([1e308, 1e308, 0, 0, 0], [0, 0, 0, 0, 0]), "p1"),
+    # Squares of differences overflow: a false NoIntersection, then NaN residuals.
+    "coop-square-overflow": (coop_dict([0, 0, 0, 0, 1], [1e154, -1e154, 0.5e154, 0, 0]), "p2"),
+    "coop-nan-residual": (coop_dict([1e160, -1e160, 0.5e160, 0, 0], [-1e160, 1e160, 0, 0.5e160, 0]), "p1"),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_PAYOFF_FILES)
+def test_payoffs_past_the_bound_exit_2_at_their_key(tmp_path, name):
+    data, key = HUGE_PAYOFF_FILES[name]
+    path = write(tmp_path, data)
+    line = next(i for i, text in enumerate(path.read_text().splitlines(), 1) if f'"{key}"' in text)
+    for argv in (
+        ["analyze"], ["solve", "--solution", "tu"], ["solve", "--solution", "win-win"],
+        ["solve", "--solution", "ks"], ["solve", "--solution", "compromise:pareto"],
+        ["render", "--out-csv", str(tmp_path / "scene.csv")],
+    ):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:], "--grid", "9"])
+        assert code == 2, (argv, err.getvalue())
+        assert err.getvalue().startswith(f"error: {path}:{line}: "), argv
+
+
+def test_payoff_bound_is_inclusive(tmp_path):
+    data = dict(finite_game_dict(), payoff1=[[MAX_PAYOFF, 0], [0, -MAX_PAYOFF]])
+    assert load_game_file(write(tmp_path, data)).finite.payoff1[0, 0] == MAX_PAYOFF
+    data = coop_dict([MAX_PAYOFF / 2, 0, 0, 0, -MAX_PAYOFF / 2], [0, 0, 0, 0, 0])
+    assert load_game_file(write(tmp_path, data)).coopetitive is not None
+    data["coefficients"]["p2"] = [MAX_PAYOFF / 2, 0, 0, 0, -MAX_PAYOFF * 0.51]
+    with pytest.raises(GameFileError, match="coefficients.p2 magnitudes must sum"):
+        load_game_file(write(tmp_path, data))
 
 
 def test_label_count_checked(tmp_path):

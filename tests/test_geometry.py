@@ -504,11 +504,24 @@ class TestLatticeTU:
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="payoffs must be finite"):
                 build()
 
+    def test_overflowing_sums_raise(self):
+        # Both payoffs finite, their sum not: no witness could be selected.
+        m = PayoffMap(np.array([[1e308, 0, 0, 0, 0], [1e308, 0, 0, 0, 0]]), arity=3)
+        for build in (
+            lambda: tu_boundary(sample_image(m, 5), Orientation.GAIN),
+            lambda: lattice_tu(m, 5, Orientation.GAIN),
+        ):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="payoff sums must be finite"
+            ):
+                build()
+
     def test_argument_checks(self, f0):
         with pytest.raises(ValueError, match="grid_n"):
             lattice_tu(f0, 1, Orientation.LOSS)
-        with pytest.raises(ValueError, match="tol"):
-            lattice_tu(f0, 17, Orientation.LOSS, 0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                lattice_tu(f0, 17, Orientation.LOSS, tol)
 
 
 class TestBlocks:
