@@ -33,7 +33,7 @@ from .bargaining import compromise_solution
 from .coopetitive import nash_zone, win_win_report
 from .demo import DemoCheckError, run_paper_demo
 from .errors import GameFileError, MissingInitialZ, SolverRefusal, UnsupportedGameError
-from .gamefile import GameSpec, load_game_file, resolve_grid
+from .gamefile import MAX_PAYOFF, GameSpec, load_game_file, resolve_grid
 from .games import PayoffPoint, pure_nash_equilibria
 from .geometry import PointCloud, extrema, facing_flavor, pareto_filter, tu_boundary, tu_line
 from .render import Scene, write_csv, write_svg
@@ -63,13 +63,19 @@ POINT_FLAGS = {
 
 
 def _point(text: str) -> PayoffPoint:
+    """A ``--threat``/``--utopia`` value, bounded like a game file's payoffs."""
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'p1,p2', got {text!r}")
     try:
-        return PayoffPoint(float(parts[0]), float(parts[1]))
+        point = PayoffPoint(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if max(abs(point.p1), abs(point.p2)) > MAX_PAYOFF:
+        raise argparse.ArgumentTypeError(
+            f"coordinates must be at most {MAX_PAYOFF:.6g} in magnitude, got {text!r}"
+        )
+    return point
 
 
 def _tolerance(text: str) -> float:

@@ -11,6 +11,7 @@ import csv
 
 import numpy as np
 
+from coopetition import geometry
 from coopetition.bargaining import SolutionPoint
 from coopetition.coopetitive import (
     CoopetitiveGame,
@@ -96,8 +97,33 @@ def brute_pareto_indices(payoffs: np.ndarray, preimages: np.ndarray, flavor: str
     return np.array(sorted(best.values()), dtype=int)
 
 
+def dedupe_sorted(payoffs: np.ndarray, preimages: np.ndarray):
+    """Sort by (p1, p2, preimage lex) and keep one row per payoff pair.
+
+    The stable 4- or 5-key ``lexsort`` that ``pareto_filter`` ran before
+    its one-key sweep; -0.0 and 0.0 tie, so equal rows keep input order.
+    """
+    keys = [preimages[:, k] for k in range(preimages.shape[1] - 1, -1, -1)]
+    order = np.lexsort(tuple(keys + [payoffs[:, 1], payoffs[:, 0]]))
+    p = payoffs[order]
+    first = np.ones(len(p), dtype=bool)
+    first[1:] = np.any(p[1:] != p[:-1], axis=1)
+    return p[first], preimages[order[first]]
+
+
+def running_min_sweep(payoffs: np.ndarray, preimages: np.ndarray):
+    """Kung, Luccio and Preparata's sweep over unique rows sorted by (p1, p2).
+
+    A row is on the minimal boundary iff its p2 is strictly below the
+    running minimum of all earlier rows.
+    """
+    mask = np.ones(len(payoffs), dtype=bool)
+    mask[1:] = payoffs[1:, 1] < np.minimum.accumulate(payoffs[:, 1])[:-1]
+    return payoffs[mask], preimages[mask]
+
+
 def sort_pareto(payoffs: np.ndarray, preimages: np.ndarray, flavor: str):
-    """The sort-everything Pareto filter that the bucket prefilter must match.
+    """The sort-everything Pareto filter that ``pareto_filter`` must match.
 
     Every row is sorted by (p1, p2, preimage lex) in the minimal frame, one
     row is kept per payoff pair, and a running minimum of p2 sweeps out the
@@ -105,20 +131,22 @@ def sort_pareto(payoffs: np.ndarray, preimages: np.ndarray, flavor: str):
     payoff.  Returns the boundary's (payoffs, preimages).
     """
     work = payoffs if flavor == "minimal" else -payoffs
-    keys = [preimages[:, k] for k in range(preimages.shape[1] - 1, -1, -1)]
-    order = np.lexsort(tuple(keys + [work[:, 1], work[:, 0]]))
-    p = work[order]
-    first = np.ones(len(p), dtype=bool)
-    first[1:] = np.any(p[1:] != p[:-1], axis=1)
-    p, pre = p[first], preimages[order[first]]
-    mask = np.ones(len(p), dtype=bool)
-    mask[1:] = p[1:, 1] < np.minimum.accumulate(p[:, 1])[:-1]
-    p, pre = p[mask], pre[mask]
+    p, pre = running_min_sweep(*dedupe_sorted(work, preimages))
     if flavor == "maximal":
         p = -p
         order = np.lexsort((p[:, 1], p[:, 0]))
         p, pre = p[order], pre[order]
     return p, pre
+
+
+def prefilter_sort_pareto(payoffs: np.ndarray, preimages: np.ndarray, flavor: str):
+    """``pareto_filter`` as it was before the one-key sweep.
+
+    The bucket prefilter's survivors, in input order, go through the
+    full-key sort, dedupe and running-minimum sweep of ``sort_pareto``.
+    """
+    rows = geometry._drop_dominated(payoffs, 1.0 if flavor == "minimal" else -1.0)
+    return sort_pareto(payoffs[rows], preimages[rows], flavor)
 
 
 def lattice_image(payoff_map, grid_n: int):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -309,6 +310,38 @@ def test_point_flag_the_concept_ignores_exits_2(coop_path, concept, flag):
     assert err.getvalue().splitlines()[-1].endswith(
         f"argument --{flag}: not read by --solution {concept}"
     )
+
+
+READ_POINT_FLAGS = [(concept, flag) for concept, flags in cli.POINT_FLAGS.items() for flag in flags]
+
+
+@pytest.mark.parametrize("concept, flag", READ_POINT_FLAGS)
+@pytest.mark.parametrize(
+    "value",
+    ["1e308,1e308", "1e200,1e200", f"0,{-float(np.nextafter(MAX_PAYOFF, np.inf))!r}"],
+    ids=["overflowing", "squares-overflow", "just-beyond-bound"],
+)
+def test_point_beyond_max_payoff_exits_2(coop_path, concept, flag, value):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["solve", coop_path, "--solution", concept, f"--{flag}={value}"])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().splitlines()[-1].endswith(
+        f"argument --{flag}: coordinates must be at most {MAX_PAYOFF:.6g} in magnitude, got {value!r}"
+    )
+
+
+@pytest.mark.parametrize("concept, flag", READ_POINT_FLAGS)
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+def test_point_at_max_payoff_is_accepted(coop_path, concept, flag, sign):
+    value = sign * MAX_PAYOFF
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run("solve", coop_path, "--solution", concept, f"--{flag}={value!r},{value!r}")
+    # An answer or a documented refusal, never a usage error or a traceback.
+    assert code in (0, 4)
+    assert "Traceback" not in err
 
 
 def _report_blocks(text: str) -> dict[str, list[str]]:

@@ -19,7 +19,14 @@ from coopetition.geometry import (
     tu_boundary,
 )
 
-from oracles import brute_hausdorff, brute_pareto_indices, lattice_image, random_cloud, sort_pareto
+from oracles import (
+    brute_hausdorff,
+    brute_pareto_indices,
+    lattice_image,
+    prefilter_sort_pareto,
+    random_cloud,
+    sort_pareto,
+)
 
 
 def make_cloud(payoffs, preimages=None, grid_step=0.5):
@@ -248,17 +255,85 @@ class TestParetoPrefilter:
         # Fails when the prefilter switches itself off and every row is sorted.
         cloud = sample_image(dense_shaped_map(np.random.default_rng(65), 3, "generic"), 33)
         sizes = []
-        dedupe = geometry._dedupe_sorted
+        sweep = geometry._pareto_sweep
 
-        def recording(payoffs, preimages):
-            sizes.append(len(payoffs))
-            return dedupe(payoffs, preimages)
+        def recording(payoffs, preimages, rows, sign):
+            sizes.append(len(rows))
+            return sweep(payoffs, preimages, rows, sign)
 
-        monkeypatch.setattr(geometry, "_dedupe_sorted", recording)
+        monkeypatch.setattr(geometry, "_pareto_sweep", recording)
         for flavor in ("maximal", "minimal"):
             pareto_filter(cloud, Orientation.GAIN, flavor)
         assert len(sizes) == 2
         assert max(sizes) < 0.05 * len(cloud)
+
+
+def assert_matches_lexsort_path(payoffs, preimages):
+    """Both boundaries are those of the full-key lexsort after the prefilter,
+    byte for byte."""
+    cloud = PointCloud(payoffs, preimages, 0.5)
+    for flavor in ("maximal", "minimal"):
+        got = pareto_filter(cloud, Orientation.GAIN, flavor)
+        payoffs, preimages = prefilter_sort_pareto(cloud.payoffs, cloud.preimages, flavor)
+        assert got.payoffs.tobytes() == payoffs.tobytes()
+        assert got.preimages.tobytes() == preimages.tobytes()
+        assert np.array_equal(np.signbit(got.payoffs), np.signbit(payoffs))
+        assert np.array_equal(np.signbit(got.preimages), np.signbit(preimages))
+
+
+class TestParetoSweep:
+    """The one-key sweep against the full-key lexsort it replaced."""
+
+    @pytest.mark.parametrize("arity, grid_n", [(2, 65), (3, 17)])
+    @pytest.mark.parametrize("shape", ["generic", "opposed", "aligned"])
+    def test_shuffled_lattice_clouds(self, arity, grid_n, shape):
+        rng = np.random.default_rng([70, arity, len(shape)])
+        for _ in range(4):
+            cloud = sample_image(dense_shaped_map(rng, arity, shape), grid_n)
+            assert_matches_lexsort_path(cloud.payoffs, cloud.preimages)
+            perm = rng.permutation(len(cloud))
+            assert_matches_lexsort_path(cloud.payoffs[perm], cloud.preimages[perm])
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_duplicated_whole_rows(self, arity):
+        rng = np.random.default_rng([71, arity])
+        for _ in range(10):
+            cloud = sample_image(dense_shaped_map(rng, arity, "opposed"), 9)
+            copies = rng.integers(0, len(cloud), size=3 * len(cloud))
+            rows = rng.permutation(np.concatenate([np.arange(len(cloud)), copies]))
+            assert_matches_lexsort_path(cloud.payoffs[rows], cloud.preimages[rows])
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_tie_heavy_integer_clouds(self, arity):
+        rng = np.random.default_rng([72, arity])
+        for _ in range(40):
+            n = int(rng.integers(1, 2000))
+            payoffs = rng.integers(-3, 4, size=(n, 2)).astype(float)
+            preimages = rng.integers(0, 3, size=(n, arity)) / 2.0
+            assert_matches_lexsort_path(payoffs, preimages)
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_signed_zero_payoffs_and_preimages(self, arity):
+        # Copies that differ only in sign bits show which row was kept.
+        rng = np.random.default_rng([73, arity])
+        for _ in range(40):
+            n = int(rng.integers(1, 1500))
+            payoffs = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(n, 2))
+            preimages = rng.choice([-0.0, 0.0, 0.5], size=(n, arity))
+            assert_matches_lexsort_path(payoffs, preimages)
+            # A front of many runs, each with copies of its point.
+            p1 = rng.integers(-3, 4, size=n).astype(float)
+            front = np.column_stack([p1, rng.integers(0, 2, size=n) - p1])
+            front[front == 0.0] = rng.choice([-0.0, 0.0], size=int((front == 0.0).sum()))
+            assert_matches_lexsort_path(front, preimages)
+
+    def test_nan_preimages_rank_last(self):
+        rng = np.random.default_rng(74)
+        for _ in range(20):
+            n = int(rng.integers(1, 600))
+            payoffs = rng.integers(-2, 3, size=(n, 2)).astype(float)
+            preimages = rng.choice([np.nan, 0.0, 1.0], size=(n, 3))
+            assert_matches_lexsort_path(payoffs, preimages)
 
 
 class TestExtrema:
