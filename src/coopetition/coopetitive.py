@@ -174,12 +174,13 @@ def _nash_lattice(game: CoopetitiveGame, grid_n: int) -> tuple[np.ndarray, np.nd
     return np.concatenate(xs), np.concatenate(ys)
 
 
-def _section_payoffs(game: CoopetitiveGame, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Payoffs at (x, y) in every section, shape (len(c_grid), len(x), 2)."""
+def _section_payoffs(game: CoopetitiveGame, x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Payoffs at (x, y) in every section, the two components stacked along
+    ``axis``: shape (len(c_grid), len(x), 2) by default."""
     c = game.payoff.coeffs
     const = c[:, 0] + c[:, 3] * game.c_grid[:, None]
     p = [const[:, k, None] + c[k, 1] * x + c[k, 2] * y + c[k, 4] * x * y for k in (0, 1)]
-    return np.stack(p, axis=-1)
+    return np.stack(p, axis=axis)
 
 
 def induced_path(game: CoopetitiveGame, quantity: PathQuantity, grid_n: int) -> SetValuedPath:
@@ -218,8 +219,9 @@ def nash_zone(game: CoopetitiveGame, grid_n: int) -> PointCloud:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     gx, gy = _nash_lattice(game, grid_n)
     nz, n = len(game.c_grid), len(gx)
-    preimages = np.stack([np.tile(gx, nz), np.tile(gy, nz), np.repeat(game.c_grid, n)], axis=1)
-    payoffs = _section_payoffs(game, gx, gy).reshape(nz * n, 2)
+    # Component-major stacks, transposed: column-major clouds, as stored.
+    preimages = np.stack([np.tile(gx, nz), np.tile(gy, nz), np.repeat(game.c_grid, n)]).T
+    payoffs = _section_payoffs(game, gx, gy, axis=0).reshape(2, nz * n).T
     return PointCloud(payoffs, preimages, grid_step=1.0 / (grid_n - 1))
 
 

@@ -150,7 +150,13 @@ class PayoffMap:
 
 
 class _PointSet:
-    """Shared array-backed storage for clouds and boundaries."""
+    """Shared array-backed storage for clouds and boundaries.
+
+    Payoffs, shape (n, 2), and preimages, shape (n, arity), are stored
+    read-only and column-major, so each component is one contiguous vector
+    for the O(n) passes over a cloud; indexing and ``tobytes()`` see the
+    same rows as a row-major copy.
+    """
 
     payoffs: np.ndarray
     preimages: np.ndarray
@@ -164,15 +170,17 @@ class _PointSet:
 
     @staticmethod
     def _freeze(payoffs: np.ndarray, preimages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        payoffs = np.ascontiguousarray(payoffs, dtype=float)
-        preimages = np.ascontiguousarray(preimages, dtype=float)
+        payoffs = np.asfortranarray(payoffs, dtype=float)
+        preimages = np.asfortranarray(preimages, dtype=float)
         if payoffs.ndim != 2 or payoffs.shape[1] != 2:
             raise ValueError(f"payoffs must have shape (n, 2), got {payoffs.shape}")
         if preimages.shape[0] != payoffs.shape[0]:
             raise ValueError("payoffs and preimages disagree in length")
         if preimages.ndim != 2 or preimages.shape[1] not in (2, 3):
             raise ValueError(f"preimages must have shape (n, 2|3), got {preimages.shape}")
-        if not np.isfinite(payoffs).all():
+        # NaN propagates through a reduction and an infinity is an extreme,
+        # so two reductions check every payoff without an (n, 2) mask.
+        if not (np.isfinite(payoffs.min(initial=0.0)) and np.isfinite(payoffs.max(initial=0.0))):
             raise ValueError("payoffs must be finite")
         payoffs.flags.writeable = False
         preimages.flags.writeable = False
@@ -181,7 +189,11 @@ class _PointSet:
 
 @dataclass(frozen=True, eq=False)
 class PointCloud(_PointSet):
-    """A sampled payoff-space image with its sampling resolution."""
+    """A sampled payoff-space image with its sampling resolution.
+
+    ``payoffs`` and ``preimages`` are column-major (Fortran-ordered); input
+    of any layout is copied into that layout, input already in it is not.
+    """
 
     payoffs: np.ndarray
     preimages: np.ndarray
@@ -199,7 +211,10 @@ class PointCloud(_PointSet):
 
 @dataclass(frozen=True, eq=False)
 class ParetoBoundary(_PointSet):
-    """Pairwise non-dominated points of a cloud, maximal or minimal."""
+    """Pairwise non-dominated points of a cloud, maximal or minimal.
+
+    Stored column-major, like :class:`PointCloud`.
+    """
 
     payoffs: np.ndarray
     preimages: np.ndarray
@@ -238,18 +253,23 @@ def sample_image(payoff_map: PayoffMap, grid_n: int) -> PointCloud:
     # Sparse axes broadcast inside eval_arrays in the same operation order as
     # full coordinate arrays, so the payoffs are identical without the
     # full-size coordinate temporaries.  The map is evaluated a slab of
-    # x-planes at a time, straight into the output: the x axis varies
-    # slowest, so each slab is a contiguous run of rows.
+    # x-planes at a time, straight into the column-major output: the x axis
+    # varies slowest, so each slab is a contiguous run of each payoff
+    # column.  Each preimage column is its broadcast axis, in the same
+    # order, written through a lattice-shaped view of the column.
+    shape = (grid_n,) * payoff_map.arity
     axes = np.meshgrid(*([_axis(grid_n)] * payoff_map.arity), indexing="ij", sparse=True)
     plane = grid_n ** (payoff_map.arity - 1)
-    payoffs = np.empty((grid_n * plane, 2))
+    payoffs = np.empty((grid_n * plane, 2), order="F")
     step = max(1, _BLOCK // plane)
     for i in range(0, grid_n, step):
         p1, p2 = payoff_map.eval_arrays(axes[0][i:i + step], *axes[1:])
         rows = slice(i * plane, i * plane + p1.size)
         payoffs[rows, 0] = p1.reshape(-1)
         payoffs[rows, 1] = p2.reshape(-1)
-    pre = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, payoff_map.arity)
+    pre = np.empty((grid_n * plane, payoff_map.arity), order="F")
+    for k, axis in enumerate(axes):
+        pre[:, k].reshape(shape)[...] = axis
     return PointCloud(payoffs, pre, grid_step=1.0 / (grid_n - 1))
 
 
@@ -264,38 +284,71 @@ def _lex_order(payoffs: np.ndarray, preimages: np.ndarray, *leading: np.ndarray)
 def _drop_dominated(payoffs: np.ndarray, sign: float) -> np.ndarray:
     """The O(n) prefilter of ``pareto_filter``, in the minimal frame.
 
-    The frame is ``sign * payoffs``, built a block of rows at a time.  The
-    p1 range is cut into ``k`` equal buckets, and a row is dropped when its
-    p2 is no smaller than the least p2 of any earlier bucket.  Returns the
-    indices of the surviving rows, ascending.
+    The frame is ``sign * payoffs``.  The p1 range is cut into ``k`` equal
+    buckets, and a row is dropped when its p2 is no smaller than the least
+    p2 of any earlier bucket.  Returns the indices of the surviving rows,
+    ascending.
+
+    The frame is never built: the passes read the raw payoff columns, a
+    block of rows at a time into preallocated buffers, and fold the sign
+    in exactly, since negation is exact.  With ``m`` and ``M`` the least
+    and greatest p1, the frame's p1 range is ``[m, M]`` or ``[-M, -m]``,
+    of span ``fl(M - m)`` either way.  A row's offset into it is ``fl(p1 -
+    m)`` in the minimal frame and ``fl(-p1 + M) = fl(M - p1)`` in the
+    maximal one, as ``a - b`` is ``a + (-b)`` and addition commutes
+    exactly.  In the maximal frame a bucket's least frame p2 is the
+    negated greatest raw p2, and ``-p2 < -e`` iff ``p2 > e``, so
+    ``np.maximum.at`` and ``>`` on the raw column take the decisions of
+    ``np.minimum.at`` and ``<`` on the negated one.  A -0.0 and a 0.0
+    compare equal, so which of them a reduction keeps decides nothing.
+    The survivors are those of the frame, index for index.
     """
+    n = len(payoffs)
     # Tying k to the size keeps the buckets' fixed cost negligible on small
     # clouds (a Nash zone has a few thousand points).
-    k = min(4096, len(payoffs) // 16)
+    k = min(4096, n // 16)
     if k < 2:
-        return np.arange(len(payoffs))
-    p1 = payoffs[:, 0]
-    lo, hi = (p1.min(), p1.max()) if sign > 0 else (-p1.max(), -p1.min())
+        return np.arange(n)
+    p1, p2 = payoffs[:, 0], payoffs[:, 1]
+    lo, hi = p1.min(), p1.max()
     # A constant p1 divides by zero, a span beyond the float range
     # overflows the subtraction and a subnormal span the division; none
     # leaves a usable bucket width.
     with np.errstate(over="ignore", divide="ignore"):
         scale = k / (hi - lo)
     if not (np.isfinite(scale) and scale > 0):
-        return np.arange(len(payoffs))
-    blocks = [slice(s, s + _BLOCK) for s in range(0, len(payoffs), _BLOCK)]
+        return np.arange(n)
+    minimal = sign > 0
+    best, beats, worst = (np.minimum, np.less, np.inf) if minimal else (np.maximum, np.greater, -np.inf)
+    blocks = [slice(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
+    # Block buffers, shared by both passes.
+    offset = np.empty(blocks[0].stop)
+    index = np.empty(blocks[0].stop, dtype=np.intp)
     # k <= 4096, so a bucket index fits in 16 bits.
-    bucket = np.empty(len(payoffs), dtype=np.int16)
-    least = np.full(k, np.inf)
+    bucket = np.empty(n, dtype=np.int16)
+    front = np.full(k, worst)
     for rows in blocks:
-        b = ((sign * payoffs[rows, 0] - lo) * scale).astype(np.intp)
-        np.minimum(b, k - 1, out=b)
-        np.minimum.at(least, b, sign * payoffs[rows, 1])
-        bucket[rows] = b
-    earlier = np.concatenate(([np.inf], np.minimum.accumulate(least[:-1])))
-    keep = np.empty(len(payoffs), dtype=bool)
+        t, i = offset[:rows.stop - rows.start], index[:rows.stop - rows.start]
+        if minimal:
+            np.subtract(p1[rows], lo, out=t)
+        else:
+            np.subtract(hi, p1[rows], out=t)
+        np.multiply(t, scale, out=t)
+        # Truncates toward zero, as astype does.
+        np.copyto(i, t, casting="unsafe")
+        np.minimum(i, k - 1, out=i)
+        best.at(front, i, p2[rows])
+        bucket[rows] = i
+    earlier = np.empty(k)
+    earlier[0] = worst
+    best.accumulate(front[:-1], out=earlier[1:])
+    keep = np.empty(n, dtype=bool)
     for rows in blocks:
-        keep[rows] = sign * payoffs[rows, 1] < earlier[bucket[rows]]
+        t, i = offset[:rows.stop - rows.start], index[:rows.stop - rows.start]
+        np.copyto(i, bucket[rows])
+        # Every index is in range; "clip" only skips the bounds check.
+        np.take(earlier, i, out=t, mode="clip")
+        beats(p2[rows], t, out=keep[rows])
     # Gathering by index is an order of magnitude faster than by mask.
     return np.flatnonzero(keep)
 
@@ -428,8 +481,7 @@ def extrema(cloud: PointCloud | ParetoBoundary) -> tuple[PayoffPoint, PayoffPoin
     """Componentwise (infimum, supremum) of the sampled payoffs."""
     if len(cloud) == 0:
         raise ValueError("cannot take extrema of an empty point set")
-    # One reduction per column: numpy reduces an (n, 2) array along axis 0
-    # two elements at a time, an order of magnitude slower.
+    # One reduction per column, each over a contiguous vector.
     p1, p2 = cloud.payoffs[:, 0], cloud.payoffs[:, 1]
     return PayoffPoint(p1.min(), p2.min()), PayoffPoint(p1.max(), p2.max())
 

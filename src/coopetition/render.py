@@ -99,10 +99,12 @@ def write_csv(path: str | Path, scene: Scene) -> None:
             end = repeat(tag + "\n")
             for start in range(0, len(pre), _CSV_CHUNK_ROWS):
                 stop = start + _CSV_CHUNK_ROWS
-                vals = np.hstack([pre[start:stop], pay[start:stop]])
+                # One row per CSV column, so the stacked chunk is row-major
+                # and ravels without a copy, whatever the blocks' layout.
+                vals = np.vstack([pre[start:stop].T, pay[start:stop].T])
                 bits, inverse = np.unique(vals.view(np.int64).ravel(), return_inverse=True)
                 text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-                cols = text[inverse.reshape(vals.shape).T].tolist()
+                cols = text[inverse.reshape(vals.shape)].tolist()
                 fh.write("".join(map(",".join, zip(*cols, end))))
 
 

@@ -139,13 +139,48 @@ def sort_pareto(payoffs: np.ndarray, preimages: np.ndarray, flavor: str):
     return p, pre
 
 
+def drop_dominated(payoffs: np.ndarray, sign: float) -> np.ndarray:
+    """The bucket prefilter of ``pareto_filter`` on the negated frame itself.
+
+    The frame ``sign * payoffs`` is built a block of rows at a time, its
+    p1 range is cut into ``k`` equal buckets, and a row is dropped when its
+    frame p2 is no smaller than the least frame p2 of any earlier bucket.
+    This is the row-major form that ``geometry._drop_dominated`` replaced
+    with passes over the raw payoff columns; returns the surviving row
+    indices, ascending.
+    """
+    k = min(4096, len(payoffs) // 16)
+    if k < 2:
+        return np.arange(len(payoffs))
+    p1 = payoffs[:, 0]
+    lo, hi = (p1.min(), p1.max()) if sign > 0 else (-p1.max(), -p1.min())
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = k / (hi - lo)
+    if not (np.isfinite(scale) and scale > 0):
+        return np.arange(len(payoffs))
+    blocks = [slice(s, s + geometry._BLOCK) for s in range(0, len(payoffs), geometry._BLOCK)]
+    bucket = np.empty(len(payoffs), dtype=np.int16)
+    least = np.full(k, np.inf)
+    for rows in blocks:
+        b = ((sign * payoffs[rows, 0] - lo) * scale).astype(np.intp)
+        np.minimum(b, k - 1, out=b)
+        np.minimum.at(least, b, sign * payoffs[rows, 1])
+        bucket[rows] = b
+    earlier = np.concatenate(([np.inf], np.minimum.accumulate(least[:-1])))
+    keep = np.empty(len(payoffs), dtype=bool)
+    for rows in blocks:
+        keep[rows] = sign * payoffs[rows, 1] < earlier[bucket[rows]]
+    return np.flatnonzero(keep)
+
+
 def prefilter_sort_pareto(payoffs: np.ndarray, preimages: np.ndarray, flavor: str):
     """``pareto_filter`` as it was before the one-key sweep.
 
-    The bucket prefilter's survivors, in input order, go through the
-    full-key sort, dedupe and running-minimum sweep of ``sort_pareto``.
+    The survivors of the frame prefilter ``drop_dominated``, in input
+    order, go through the full-key sort, dedupe and running-minimum sweep
+    of ``sort_pareto``.
     """
-    rows = geometry._drop_dominated(payoffs, 1.0 if flavor == "minimal" else -1.0)
+    rows = drop_dominated(payoffs, 1.0 if flavor == "minimal" else -1.0)
     return sort_pareto(payoffs[rows], preimages[rows], flavor)
 
 

@@ -1,5 +1,6 @@
 """payoff-geometry: sampling, Pareto filtering, extrema, TU boundary, Hausdorff."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from coopetition.geometry import (
 from oracles import (
     brute_hausdorff,
     brute_pareto_indices,
+    drop_dominated,
     lattice_image,
     prefilter_sort_pareto,
     random_cloud,
@@ -334,6 +336,141 @@ class TestParetoSweep:
             payoffs = rng.integers(-2, 3, size=(n, 2)).astype(float)
             preimages = rng.choice([np.nan, 0.0, 1.0], size=(n, 3))
             assert_matches_lexsort_path(payoffs, preimages)
+
+
+def assert_prefilter_matches_frame(payoffs):
+    """The column prefilter keeps the frame prefilter's rows, index for index,
+    in both flavours and on row- and column-major input."""
+    payoffs = np.asarray(payoffs, dtype=float)
+    for sign in (1.0, -1.0):
+        want = drop_dominated(np.ascontiguousarray(payoffs), sign)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            assert np.array_equal(geometry._drop_dominated(layout(payoffs), sign), want)
+
+
+class TestColumnPrefilter:
+    """``_drop_dominated`` on raw payoff columns against the frame it folds in."""
+
+    @pytest.mark.parametrize("arity, grid_n", [(2, 65), (3, 17)])
+    @pytest.mark.parametrize("shape", ["generic", "opposed", "aligned"])
+    def test_dense_shapes(self, arity, grid_n, shape):
+        rng = np.random.default_rng([80, arity, len(shape)])
+        for _ in range(4):
+            cloud = sample_image(dense_shaped_map(rng, arity, shape), grid_n)
+            assert_prefilter_matches_frame(cloud.payoffs)
+            assert_prefilter_matches_frame(-cloud.payoffs)
+
+    @pytest.mark.parametrize(
+        "p1_values",
+        [[0.0], [-0.0, 0.0], [2.5], [-1e308, 1e308], [-1e308, 0.0, 1e308], [-8e307, 8e307], [0.0, 5e-324]],
+    )
+    def test_constant_and_extreme_p1_spans(self, p1_values):
+        rng = np.random.default_rng(81)
+        p1 = rng.choice(p1_values, size=3000)
+        p2 = rng.integers(-50, 51, size=3000) / 8.0
+        assert_prefilter_matches_frame(np.column_stack([p1, p2]))
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 31, 32, 33])
+    def test_small_clouds(self, n):
+        rng = np.random.default_rng([82, n])
+        for _ in range(20):
+            assert_prefilter_matches_frame(rng.integers(-4, 5, size=(n, 2)) / 2.0)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_clouds_around_one_block(self, offset):
+        n = geometry._BLOCK + offset
+        rng = np.random.default_rng([83, offset + 1])
+        assert_prefilter_matches_frame(rng.integers(-300, 301, size=(n, 2)) / 4.0)
+        # A tight front in the last block, behind a mass of dominated rows.
+        t = rng.random(n)
+        front = np.column_stack([t, np.where(np.arange(n) >= n - 40, -t, 1.0 + rng.random(n))])
+        assert_prefilter_matches_frame(front)
+
+    def test_signed_zero_payoffs(self):
+        rng = np.random.default_rng(84)
+        for _ in range(30):
+            n = int(rng.integers(32, 3000))
+            assert_prefilter_matches_frame(rng.choice([-0.0, 0.0, -1.0, 1.0, 0.5], size=(n, 2)))
+            assert_prefilter_matches_frame(rng.choice([-0.0, 0.0], size=(n, 2)))
+
+
+class TestColumnMajorLayout:
+    """Clouds and boundaries are stored column-major and read-only, with the
+    bytes of the row-major arrays."""
+
+    @staticmethod
+    def assert_column_major(point_set):
+        for a in (point_set.payoffs, point_set.preimages):
+            assert a.flags.f_contiguous and not a.flags.writeable
+            assert a.dtype == np.float64
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("grid_n", [2, 17, 65])
+    def test_sample_image(self, arity, grid_n):
+        payoff_map = dense_shaped_map(np.random.default_rng([85, arity, grid_n]), arity, "generic")
+        cloud = sample_image(payoff_map, grid_n)
+        self.assert_column_major(cloud)
+        payoffs, preimages = lattice_image(payoff_map, grid_n)
+        assert cloud.payoffs.tobytes() == payoffs.tobytes()
+        assert cloud.preimages.tobytes() == preimages.tobytes()
+        for flavor in ("maximal", "minimal"):
+            self.assert_column_major(pareto_filter(cloud, Orientation.GAIN, flavor))
+
+    def test_nash_zone(self, coop_game):
+        from coopetition import coopetitive
+
+        zone = coopetitive.nash_zone(coop_game, 17)
+        self.assert_column_major(zone)
+        gx, gy = coopetitive._nash_lattice(coop_game, 17)
+        rows = coopetitive._section_payoffs(coop_game, gx, gy).reshape(-1, 2)
+        assert zone.payoffs.tobytes() == rows.tobytes()
+        self.assert_column_major(pareto_filter(zone, coop_game.orientation, "minimal"))
+
+    def test_cloud_from_row_major_arrays(self):
+        payoffs, preimages = random_cloud(np.random.default_rng(86), 50, arity=3)
+        cloud = PointCloud(payoffs, preimages, 0.1)
+        self.assert_column_major(cloud)
+        assert cloud.payoffs.tobytes() == payoffs.tobytes()
+        assert cloud.preimages.tobytes() == preimages.tobytes()
+        # Column-major input is taken as it is.
+        columns = np.asfortranarray(payoffs)
+        assert PointCloud(columns, preimages, 0.1).payoffs is columns
+
+
+class TestMemoryBound:
+    """Whole-cloud passes keep no full-length temporary beyond their outputs.
+
+    tracemalloc sees numpy's data buffers, so its peak above the traced
+    memory at the call bounds what a pass holds at once.
+    """
+
+    SLACK = 2 << 20
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_sample_image(self, arity):
+        payoff_map = dense_shaped_map(np.random.default_rng([87, arity]), arity, "generic")
+        cloud, peak = self.traced_peak(lambda: sample_image(payoff_map, 129))
+        assert peak <= cloud.payoffs.nbytes + cloud.preimages.nbytes + self.SLACK
+
+    @pytest.mark.parametrize("flavor", ["maximal", "minimal"])
+    def test_pareto_filter_on_a_generic_cloud(self, flavor):
+        # A map whose prefilter leaves one or two rows, as most generic maps do.
+        cloud = sample_image(dense_shaped_map(np.random.default_rng(92), 2, "generic"), 1025)
+        boundary, peak = self.traced_peak(lambda: pareto_filter(cloud, Orientation.GAIN, flavor))
+        assert len(boundary) <= 2
+        # The int16 bucket and bool keep arrays are the only full-length ones.
+        assert peak <= 3 * len(cloud) + self.SLACK
 
 
 class TestExtrema:
