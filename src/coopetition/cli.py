@@ -14,11 +14,13 @@ globally via the ``COOPETITION_GRID`` environment variable, or per run
 via ``--grid``.
 
 Every command reads its solutions from one :class:`report.GameContext`,
-so a concept gives the same answer in ``analyze``, ``solve`` and
-``render``.  Its tolerance is ``--tol`` if given (``render`` has no such
-flag), else the file's ``analysis.tol``, else three grid steps for the
-Kalai-Smorodinsky concepts (``ks``, ``proper-coopetitive``,
-``compromise:*``) and 1e-6 for the TU ones (``tu``, ``win-win``).
+so a concept gives the same answer in ``analyze``, ``solve``, ``render``
+and ``paper-demo``: the demo's coopetitive answers equal ``solve``'s on
+the game file it emits.  The context's tolerance is ``--tol`` if given
+(``render`` has no such flag), else the file's ``analysis.tol``, else
+three grid steps for the Kalai-Smorodinsky concepts (``ks``,
+``proper-coopetitive``, ``compromise:*``) and 1e-6 for the TU ones
+(``tu``, ``win-win``, and the TU witnesses that ``render`` draws).
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ import sys
 import numpy as np
 
 from .bargaining import compromise_solution
-from .coopetitive import nash_zone, win_win_report
+from .coopetitive import win_win_report
 from .demo import DemoCheckError, run_paper_demo
 from .errors import GameFileError, MissingInitialZ, SolverRefusal, UnsupportedGameError
-from .gamefile import MAX_PAYOFF, GameSpec, load_game_file, resolve_grid
-from .games import PayoffPoint, pure_nash_equilibria
-from .geometry import PointCloud, extrema, facing_flavor, pareto_filter, tu_boundary, tu_line
+from .gamefile import MAX_PAYOFF, load_game_file, resolve_grid
+from .games import FiniteBimatrixGame, PayoffPoint, pure_nash_equilibria
+from .geometry import PointCloud, facing_flavor, pareto_filter, tu_boundary
 from .render import Scene, write_csv, write_svg
-from .report import GameContext, build_report, fmt_point, solution_lines
+from .report import GameContext, build_report, coopetitive_scene, fmt_point, solution_lines
 
 __all__ = ["main"]
 
@@ -155,17 +157,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _finite_scene(spec: GameSpec) -> Scene:
-    game = spec.finite
-    cells = np.array(
-        [[float(r), float(c)] for r in range(game.rows) for c in range(game.cols)]
-    )
-    payoffs = np.array(
-        [
-            [game.payoff1[int(r), int(c)], game.payoff2[int(r), int(c)]]
-            for r, c in cells
-        ]
-    )
+def _finite_scene(game: FiniteBimatrixGame) -> Scene:
+    # One row per cell (row, col), in row-major order.
+    cells = np.indices(game.payoff1.shape, dtype=float).reshape(2, -1).T
+    payoffs = np.stack([game.payoff1.ravel(), game.payoff2.ravel()], axis=1)
     cloud = PointCloud(payoffs, cells, grid_step=1.0)
     boundary = pareto_filter(cloud, game.orientation, facing_flavor(game.orientation))
     nash = sorted(pure_nash_equilibria(game), key=lambda cell: (cell.row, cell.col))
@@ -185,16 +180,8 @@ def _finite_scene(spec: GameSpec) -> Scene:
 
 
 def _coopetitive_scene(ctx: GameContext) -> Scene:
-    game, cloud = ctx.game, ctx.cloud
-    zone = nash_zone(game, ctx.grid_n)
-    tub = tu_boundary(cloud, game.orientation, 1e-6)
-    scene = Scene(f"coopetitive payoff space ({game.orientation.value})",
-                  game.orientation, 3)
-    scene.add(cloud.preimages, cloud.payoffs, "cloud")
-    scene.add(ctx.boundary.preimages, ctx.boundary.payoffs, "pareto")
-    scene.add(zone.preimages, zone.payoffs, "nash")
-    scene.add(tub.witness_preimages, tub.witness_payoffs, "tu")
-    scene.tu_segment = tu_line(tub, *extrema(cloud))
+    game = ctx.game
+    scene = coopetitive_scene(ctx, f"coopetitive payoff space ({game.orientation.value})")
     # A refused concept gets no marker, as analyze prints it "unavailable".
     for name in ["proper-coopetitive"] + (["win-win"] if game.initial_z is not None else []):
         try:
@@ -209,7 +196,7 @@ def _cmd_render(args) -> int:
     if args.out_csv is None and args.out_svg is None:
         raise GameFileError("render needs --out-csv and/or --out-svg", path=args.path)
     ctx = _context(args)
-    scene = _finite_scene(ctx.spec) if ctx.spec.kind == "finite" else _coopetitive_scene(ctx)
+    scene = _finite_scene(ctx.game) if ctx.spec.kind == "finite" else _coopetitive_scene(ctx)
     if args.out_csv is not None:
         write_csv(args.out_csv, scene)
         print(f"wrote {args.out_csv}")

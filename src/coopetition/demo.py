@@ -9,7 +9,10 @@ z that lowers both losses linearly: (-4xy-z, x+y-z).
 
 Every derived constant the run asserts comes from a closed form that is
 spelled out next to it; the run writes a report, figure analogues (CSV and
-SVG), and the two game files, and fails loudly if any check drifts.
+SVG), and the two game files, and fails loudly if any check drifts.  Each
+cloud, boundary, default point and solution is read from a
+:class:`report.GameContext`, the one ``analyze``, ``solve`` and ``render``
+read, so the coopetitive answers equal ``solve``'s on the emitted file.
 """
 
 from __future__ import annotations
@@ -20,16 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bargaining import BargainingProblem, ks_solution, nash_bargaining, payoff_core
-from .coopetitive import (
-    CoopetitiveGame,
-    nash_zone,
-    proper_coopetitive_solution,
-    standard_win_win_solution,
-    tu_crossing_solution,
-    win_win_report,
-)
+from .bargaining import payoff_core
+from .coopetitive import CoopetitiveGame, win_win_report
 from .errors import CoopetitionError
+from .gamefile import AnalysisDefaults, GameSpec
 from .games import (
     FiniteBimatrixGame,
     Orientation,
@@ -40,18 +37,10 @@ from .games import (
     pure_nash_equilibria,
     translate,
 )
-from .geometry import (
-    PayoffMap,
-    extrema,
-    hausdorff_distance,
-    pareto_filter,
-    sample_image,
-    tu_boundary,
-    tu_line,
-)
-from .mixed import bilinear_map, conservative_bivalue_mixed, mixed_equilibrium_components
+from .geometry import PayoffMap, extrema, hausdorff_distance, lattice_tu, tu_line
+from .mixed import bilinear_map
 from .render import Scene, write_csv, write_svg
-from .report import fmt, fmt_point
+from .report import GameContext, coopetitive_scene, fmt, fmt_point
 
 __all__ = [
     "DemoCheckError",
@@ -143,6 +132,20 @@ def _close(p: PayoffPoint, q: PayoffPoint, tol: float) -> bool:
     return math.hypot(p.p1 - q.p1, p.p2 - q.p2) <= tol
 
 
+def _context(game: FiniteBimatrixGame | CoopetitiveGame, grid_n: int) -> GameContext:
+    """The context ``solve`` builds for ``game`` at ``grid_n`` with no tolerance set."""
+    finite = isinstance(game, FiniteBimatrixGame)
+    spec = GameSpec(
+        "finite" if finite else "coopetitive",
+        game.orientation,
+        game if finite else None,
+        None if finite else game,
+        AnalysisDefaults(),
+        "<paper-demo>",
+    )
+    return GameContext(spec, grid_n)
+
+
 def run_paper_demo(out_dir: str | Path) -> str:
     """Run the full scenario, write artifacts into ``out_dir``, return the report."""
     out = Path(out_dir)
@@ -182,7 +185,8 @@ def run_paper_demo(out_dir: str | Path) -> str:
     )
 
     # Mixed extension of the normalized loss game.
-    components = mixed_equilibrium_components(m_norm)
+    mixed = _context(m_norm, 513)
+    components = mixed.components
     check(
         "mixed equilibrium component",
         len(components) == 1
@@ -198,7 +202,8 @@ def run_paper_demo(out_dir: str | Path) -> str:
         _close(pay[0], a_prime, 1e-12) and _close(pay[-1], b_prime, 1e-12),
         "(0,0) and (0,1)",
     )
-    conservative = conservative_bivalue_mixed(m_norm)
+    # B' is every solution's default threat from here on.
+    conservative = mixed.conservative
     check(
         "conservative bi-value of the extension",
         conservative == b_prime,
@@ -206,18 +211,15 @@ def run_paper_demo(out_dir: str | Path) -> str:
     )
 
     # Payoff-space geometry of the expected losses.
-    f0 = mixed_loss_map()
-    cloud_513 = sample_image(f0, 513)
-    boundary_513 = pareto_filter(cloud_513, Orientation.LOSS, "minimal")
     t = np.linspace(0.0, 1.0, 8193)
     curve = np.stack([-4.0 * t * t, 2.0 * t], axis=1)
-    dist = hausdorff_distance(boundary_513, curve)
+    dist = hausdorff_distance(mixed.boundary, curve)
     check(
         "boundary matches the curve p1 = -p2^2",
         dist <= 3.0 / 512.0,
         f"Hausdorff {fmt(dist)} <= {fmt(3.0 / 512.0)}",
     )
-    lo, hi = extrema(cloud_513)
+    lo, hi = extrema(mixed.cloud)
     check(
         "image extrema",
         lo == PayoffPoint(-4.0, 0.0) and hi == PayoffPoint(0.0, 2.0),
@@ -228,23 +230,20 @@ def run_paper_demo(out_dir: str | Path) -> str:
     # Substituting the segment (0,1)+s(-4,-1) into p1 = -p2^2 gives
     # s^2 - 6s + 1 = 0, s = 3 - 2*sqrt(2).
     ks_exact = PayoffPoint(8.0 * math.sqrt(2.0) - 12.0, 2.0 * math.sqrt(2.0) - 2.0)
-    solutions_513 = {}
-    for grid_n, tol in ((513, 1e-2), (1025, 1e-3)):
-        boundary = boundary_513 if grid_n == 513 else pareto_filter(
-            sample_image(f0, grid_n), Orientation.LOSS, "minimal"
-        )
-        ks = ks_solution(BargainingProblem(boundary, b_prime, lo), tol=3.0 / (grid_n - 1))
+    solutions_513 = {"K'": mixed.solve("ks")}
+    for grid_n, ks, tol in (
+        (513, solutions_513["K'"], 1e-2),
+        (1025, _context(m_norm, 1025).solve("ks"), 1e-3),
+    ):
         check(
             f"KS solution at grid {grid_n}",
             _close(ks.payoff, ks_exact, tol),
             f"{fmt_point(ks.payoff)} ~ {fmt_point(ks_exact)} within {tol}",
         )
-        if grid_n == 513:
-            solutions_513["K'"] = ks
 
     # Nash bargaining from the same disagreement point: maximizing
     # 4t^2(1-2t) gives t = 1/3 and payoff (-4/9, 2/3).
-    nb = nash_bargaining(boundary_513, b_prime, Orientation.LOSS)
+    nb = mixed.solve("nash-bargaining")
     nb_exact = PayoffPoint(-4.0 / 9.0, 2.0 / 3.0)
     check(
         "Nash bargaining solution",
@@ -254,19 +253,17 @@ def run_paper_demo(out_dir: str | Path) -> str:
     solutions_513["N'"] = nb
 
     # Core of the pre-coopetitive game and its named corner points.
-    core = payoff_core(boundary_513, conservative)
+    core = payoff_core(mixed.boundary, conservative)
     core_inf = PayoffPoint(*core.payoffs.min(axis=0))
     check(
         "core infimum",
         _close(core_inf, PayoffPoint(-1.0, 0.0), 1e-2),
         f"{fmt_point(core_inf)} ~ (-1, 0)",
     )
-    ks2 = ks_solution(BargainingProblem(boundary_513, b_prime, core_inf), tol=3.0 / 512.0)
-    solutions_513["K''"] = ks2
+    solutions_513["K''"] = mixed.solve("ks", utopia=core_inf)
 
     # Pre-coopetitive collective gain: the gains table tops out at 6 on (E,H).
-    gain_cloud = sample_image(bilinear_map(table), 513)
-    gain_tu = tu_boundary(gain_cloud, Orientation.GAIN, 1e-9)
+    gain_tu = lattice_tu(bilinear_map(table), 513, Orientation.GAIN, 1e-9)[0]
     check(
         "pre-coopetitive collective gain",
         abs(gain_tu.optimal_sum - 6.0) <= 1e-6
@@ -275,32 +272,28 @@ def run_paper_demo(out_dir: str | Path) -> str:
     )
 
     # TU solutions on the expected-loss space (optimal collective loss -2).
-    tub_513 = tu_boundary(cloud_513, Orientation.LOSS, 1e-6)
-    tu_h = tu_crossing_solution(tub_513, b_prime, lo)
-    tu_k = tu_crossing_solution(tub_513, core_inf, lo)
+    tu_h = mixed.solve("tu")
+    tu_k = mixed.solve("tu", threat=core_inf)
 
     # Coopetitive extension.
-    coop = coopetitive_entry_game()
-    f = coop.payoff
-    cloud_coop = sample_image(f, 65)
-    coop_lo, coop_hi = extrema(cloud_coop)
+    coop = _context(coopetitive_entry_game(), 65)
+    coop_lo, coop_hi = extrema(coop.cloud)
     check(
         "coopetitive image extrema",
         coop_lo == PayoffPoint(-5.0, -1.0) and coop_hi == PayoffPoint(0.0, 2.0),
         "inf (-5,-1), sup (0,2)",
     )
-    coop_tub = tu_boundary(cloud_coop, Orientation.LOSS, 1e-6)
     check(
         "optimal collective loss",
-        abs(coop_tub.optimal_sum + 4.0) <= 1e-6
-        and tuple(coop_tub.witness_preimages[0]) == (1.0, 1.0, 1.0),
+        abs(coop.tu.optimal_sum + 4.0) <= 1e-6
+        and tuple(coop.tu.witness_preimages[0]) == (1.0, 1.0, 1.0),
         "-4 at (1, 1, 1)",
     )
 
     # TU compromise from the conservative value toward the image infimum:
     # the segment (0,1)+s(-5,-2) meets p1+p2 = -4 at s = 5/7.
     tu_exact = PayoffPoint(-25.0 / 7.0, -3.0 / 7.0)
-    tu_coop = tu_crossing_solution(coop_tub, b_prime, coop_lo)
+    tu_coop = coop.solve("tu")
     check(
         "coopetitive TU compromise",
         _close(tu_coop.payoff, tu_exact, 1e-2),
@@ -309,7 +302,7 @@ def run_paper_demo(out_dir: str | Path) -> str:
 
     # Proper coopetitive solution: the Nash zone is the parallelogram
     # {(-z, x-z)}, whose minimal boundary collapses to (-1, -1).
-    proper = proper_coopetitive_solution(coop, 65, tol=3.0 / 64.0)
+    proper = coop.solve("proper-coopetitive")
     check(
         "proper coopetitive solution",
         proper.payoff == PayoffPoint(-1.0, -1.0) and proper.preimage == (0.0, 0.0, 1.0),
@@ -317,8 +310,8 @@ def run_paper_demo(out_dir: str | Path) -> str:
     )
 
     # Standard win-win: threatened by the initial core supremum (0, 1).
-    www = standard_win_win_solution(coop, 65)
-    report = win_win_report(coop, www, 65)
+    www = coop.solve("win-win")
+    report = win_win_report(coop.game, www, coop.grid_n)
     check(
         "standard win-win solution",
         report.is_win_win and report.margin.p1 > 0 and report.margin.p2 > 0,
@@ -331,7 +324,7 @@ def run_paper_demo(out_dir: str | Path) -> str:
     gain_frame = PayoffMap(
         np.array([[0.0, 0.0, 0.0, 1.0, 4.0], [4.0, -1.0, -1.0, 1.0, 0.0]]), arity=3
     )
-    pie = tu_boundary(sample_image(gain_frame, 65), Orientation.GAIN, 1e-9)
+    pie = lattice_tu(gain_frame, 65, Orientation.GAIN, 1e-9)[0]
     check(
         "enlarge the pie",
         abs(pie.optimal_sum - 8.0) <= 1e-6,
@@ -339,7 +332,7 @@ def run_paper_demo(out_dir: str | Path) -> str:
     )
 
     # Figure analogues.
-    _write_figures(out, solutions_513, (tu_h, tu_k), coop, lines)
+    _write_figures(out, solutions_513, (tu_h, tu_k), lines)
 
     (out / "paper-finite.json").write_text(
         json.dumps(finite_game_dict(), indent=2) + "\n", encoding="utf-8"
@@ -365,13 +358,12 @@ def run_paper_demo(out_dir: str | Path) -> str:
     return text
 
 
-def _write_figures(out, ks_solutions, tu_solutions, coop, lines) -> None:
-    f0 = mixed_loss_map()
-    cloud = sample_image(f0, FIGURE_GRID_2D)
-    boundary = pareto_filter(cloud, Orientation.LOSS, "minimal")
+def _write_figures(out, ks_solutions, tu_solutions, lines) -> None:
+    mixed = _context(normalized_loss_game(), FIGURE_GRID_2D)
+    cloud, boundary = mixed.cloud, mixed.boundary
     xs = np.linspace(0.0, 1.0, FIGURE_GRID_2D)
     nash_pre = np.stack([xs, np.zeros_like(xs)], axis=1)
-    nash_pay = np.stack(list(f0.eval_arrays(xs, np.zeros_like(xs))), axis=1)
+    nash_pay = np.stack(list(mixed_loss_map().eval_arrays(xs, np.zeros_like(xs))), axis=1)
 
     fig2 = Scene("expected-loss space of the pre-coopetitive game", Orientation.LOSS, 2)
     fig2.add(cloud.preimages, cloud.payoffs, "cloud")
@@ -388,41 +380,30 @@ def _write_figures(out, ks_solutions, tu_solutions, coop, lines) -> None:
         fig3.add_solution(name, sol.preimage, sol.payoff)
     _emit(out, "bargaining_solutions", fig3, lines)
 
-    tub = tu_boundary(cloud, Orientation.LOSS, 1e-9)
     fig4 = Scene("transferable-utility solutions", Orientation.LOSS, 2)
     fig4.add(cloud.preimages, cloud.payoffs, "cloud")
     fig4.add(boundary.preimages, boundary.payoffs, "pareto")
-    fig4.add(tub.witness_preimages, tub.witness_payoffs, "tu")
-    fig4.tu_segment = tu_line(tub, *extrema(cloud))
+    fig4.add(mixed.tu.witness_preimages, mixed.tu.witness_payoffs, "tu")
+    fig4.tu_segment = tu_line(mixed.tu, *extrema(cloud))
     for name, sol in zip(("H", "K"), tu_solutions):
         fig4.add_solution(name, sol.preimage, sol.payoff)
     _emit(out, "tu_solutions", fig4, lines)
 
-    coop_cloud = sample_image(coop.payoff, FIGURE_GRID_3D)
-    coop_boundary = pareto_filter(coop_cloud, Orientation.LOSS, "minimal")
+    coop = _context(coopetitive_entry_game(), FIGURE_GRID_3D)
     fig5 = Scene("coopetitive payoff space", Orientation.LOSS, 3)
-    fig5.add(coop_cloud.preimages, coop_cloud.payoffs, "cloud")
-    fig5.add(coop_boundary.preimages, coop_boundary.payoffs, "pareto")
+    fig5.add(coop.cloud.preimages, coop.cloud.payoffs, "cloud")
+    fig5.add(coop.boundary.preimages, coop.boundary.payoffs, "pareto")
     _emit(out, "coopetitive_space", fig5, lines)
 
-    zone = nash_zone(coop, FIGURE_GRID_3D)
-    coop_tub = tu_boundary(coop_cloud, Orientation.LOSS, 1e-6)
-    b_prime = PayoffPoint(0.0, 1.0)
-    path_inf = PayoffPoint(-1.0, 0.0)
-    game_inf, game_sup = extrema(coop_cloud)
-    fig6 = Scene("coopetitive solutions", Orientation.LOSS, 3)
-    fig6.add(coop_cloud.preimages, coop_cloud.payoffs, "cloud")
-    fig6.add(coop_boundary.preimages, coop_boundary.payoffs, "pareto")
-    fig6.add(zone.preimages, zone.payoffs, "nash")
-    fig6.add(coop_tub.witness_preimages, coop_tub.witness_payoffs, "tu")
-    fig6.tu_segment = tu_line(coop_tub, game_inf, game_sup)
-    for name, threat in (("H'", b_prime), ("H''", path_inf)):
-        sol = ks_solution(
-            BargainingProblem(coop_boundary, threat, game_inf), tol=3.0 / (FIGURE_GRID_3D - 1)
-        )
-        fig6.add_solution(name, sol.preimage, sol.payoff)
-    for name, threat in (("K'", b_prime), ("K''", path_inf)):
-        sol = tu_crossing_solution(coop_tub, threat, game_inf)
+    # Kalai-Smorodinsky (H', H'') and TU (K', K'') toward the image
+    # infimum, from B' and from the conservative path's infimum.
+    fig6 = coopetitive_scene(coop, "coopetitive solutions")
+    b_prime, path_inf = PayoffPoint(0.0, 1.0), PayoffPoint(-1.0, 0.0)
+    for name, concept, threat in (
+        ("H'", "ks", b_prime), ("H''", "ks", path_inf),
+        ("K'", "tu", b_prime), ("K''", "tu", path_inf),
+    ):
+        sol = coop.solve(concept, threat=threat)
         fig6.add_solution(name, sol.preimage, sol.payoff)
     _emit(out, "coopetitive_solutions", fig6, lines)
 

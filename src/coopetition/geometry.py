@@ -182,6 +182,9 @@ class _PointSet:
         # so two reductions check every payoff without an (n, 2) mask.
         if not (np.isfinite(payoffs.min(initial=0.0)) and np.isfinite(payoffs.max(initial=0.0))):
             raise ValueError("payoffs must be finite")
+        # Views share the data without a copy but carry their own flags, so
+        # the caller's arrays stay writeable.
+        payoffs, preimages = payoffs.view(), preimages.view()
         payoffs.flags.writeable = False
         preimages.flags.writeable = False
         return payoffs, preimages
@@ -192,7 +195,9 @@ class PointCloud(_PointSet):
     """A sampled payoff-space image with its sampling resolution.
 
     ``payoffs`` and ``preimages`` are column-major (Fortran-ordered); input
-    of any layout is copied into that layout, input already in it is not.
+    of any layout is copied into that layout, input already in it is not,
+    and the read-only arrays stored are views that leave the caller's
+    arrays writeable.
     """
 
     payoffs: np.ndarray

@@ -4,8 +4,9 @@ every command reads a game file's solutions from.
 Every number in a report is produced by exactly one operation of the core
 modules with the same parameters, so it can be reproduced independently.
 :class:`GameContext` is the one place that picks each solution concept's
-default threat, utopia and tolerance, so ``analyze``, ``solve`` and
-``render`` give one answer per concept.
+default threat, utopia and tolerance, so ``analyze``, ``solve``, ``render``
+and ``paper-demo`` give one answer per concept: the demo's coopetitive
+answers equal ``solve``'s on the game file it emits.
 """
 
 from __future__ import annotations
@@ -44,12 +45,14 @@ from .games import (
 from .geometry import (
     ParetoBoundary,
     PointCloud,
+    TUBoundary,
     extrema,
     facing_flavor,
     orientation_best,
     pareto_filter,
     sample_image,
     tu_boundary,
+    tu_line,
 )
 from .mixed import (
     EquilibriumComponent,
@@ -58,8 +61,10 @@ from .mixed import (
     mixed_equilibrium_components,
     nash_extreme,
 )
+from .render import Scene
 
-__all__ = ["AnalysisReport", "GameContext", "build_report", "fmt", "fmt_point", "solution_lines"]
+__all__ = ["AnalysisReport", "GameContext", "build_report", "coopetitive_scene", "fmt",
+           "fmt_point", "solution_lines"]
 
 def fmt(v: float) -> str:
     return f"{float(v):.10g}"
@@ -114,6 +119,11 @@ class GameContext:
         return pareto_filter(self.cloud, self.orientation, facing_flavor(self.orientation))
 
     @cached_property
+    def tu(self) -> TUBoundary:
+        """The cloud's TU optimum and witnesses at ``tu_tol``."""
+        return tu_boundary(self.cloud, self.orientation, self.tu_tol)
+
+    @cached_property
     def components(self) -> list[EquilibriumComponent]:
         """Mixed equilibrium components of a finite game."""
         return mixed_equilibrium_components(self.game)
@@ -165,9 +175,22 @@ class GameContext:
         if name == "ks":
             return ks_solution(BargainingProblem(self.boundary, threat, utopia), self.ks_tol)
         if name == "tu":
-            tub = tu_boundary(self.cloud, self.orientation, self.tu_tol)
-            return tu_crossing_solution(tub, threat, utopia)
+            return tu_crossing_solution(self.tu, threat, utopia)
         raise ValueError(f"unknown solution concept {name!r}")
+
+
+def coopetitive_scene(ctx: GameContext, title: str) -> Scene:
+    """A coopetitive game's cloud, facing Pareto boundary, Nash zone and TU
+    witnesses, with the TU line; the caller adds its solution markers."""
+    cloud, tub = ctx.cloud, ctx.tu
+    zone = nash_zone(ctx.game, ctx.grid_n)
+    scene = Scene(title, ctx.orientation, 3)
+    scene.add(cloud.preimages, cloud.payoffs, "cloud")
+    scene.add(ctx.boundary.preimages, ctx.boundary.payoffs, "pareto")
+    scene.add(zone.preimages, zone.payoffs, "nash")
+    scene.add(tub.witness_preimages, tub.witness_payoffs, "tu")
+    scene.tu_segment = tu_line(tub, *extrema(cloud))
+    return scene
 
 
 def solution_lines(sol: SolutionPoint) -> list[str]:

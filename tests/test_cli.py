@@ -675,6 +675,22 @@ DEMO_FIGURE_SHA256 = {
     "coopetitive_solutions.svg": "87d857640dbd8de2a7e5f2e441ead56c91ea273544b6ed71fc121f4bb568d7f0",
 }
 
+#: SHA-256 of the paper-demo report (also its stdout) and its two game files,
+#: so the printed solution values are pinned as well as the figures.
+DEMO_REPORT_SHA256 = {
+    "report.txt": "bad88e2b1550887db0f01777451bfb3e2b20d67490d829a1ed654aa560a4972a",
+    "paper-finite.json": "bf33004baa4e9caa1b030112cc9cd0e1ffc1190d6cd739f20e9e1b40359dc630",
+    "paper-coopetitive.json": "76adaaf5789dfad56627a32153e5cd021cf36304d8c616277e560a41817167aa",
+}
+
+#: Labels of the demo report's solution lines that ``solve`` must reproduce
+#: on the emitted ``paper-coopetitive.json``.
+DEMO_SOLVE_LABELS = {
+    "tu": "coopetitive TU compromise",
+    "proper-coopetitive": "proper coopetitive",
+    "win-win": "standard win-win",
+}
+
 
 class TestPaperDemo:
     def test_writes_all_artifacts(self, tmp_path):
@@ -703,6 +719,26 @@ class TestPaperDemo:
             for name in DEMO_FIGURE_SHA256
         }
         assert digests == DEMO_FIGURE_SHA256
+
+    def test_report_and_game_files_match_golden_hashes(self, tmp_path):
+        code, out, _ = run("paper-demo", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "report.txt").read_text(encoding="utf-8") == out
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in DEMO_REPORT_SHA256
+        }
+        assert digests == DEMO_REPORT_SHA256
+
+    def test_solve_on_the_emitted_file_prints_the_report_payoffs(self, tmp_path):
+        report_lines = run_paper_demo(tmp_path).splitlines()
+        for concept, label in DEMO_SOLVE_LABELS.items():
+            code, out, err = run(
+                "solve", str(tmp_path / "paper-coopetitive.json"), "--solution", concept
+            )
+            assert code == 0, err
+            (payoff,) = [v for v in out.splitlines() if v.startswith("payoff: ")]
+            assert f"  {label}: {payoff[len('payoff: '):]}" in report_lines, concept
 
     def test_emitted_game_files_load(self, tmp_path):
         out_dir = tmp_path / "demo"

@@ -432,9 +432,21 @@ class TestColumnMajorLayout:
         self.assert_column_major(cloud)
         assert cloud.payoffs.tobytes() == payoffs.tobytes()
         assert cloud.preimages.tobytes() == preimages.tobytes()
-        # Column-major input is taken as it is.
+        # Column-major input is taken without a copy.
         columns = np.asfortranarray(payoffs)
-        assert PointCloud(columns, preimages, 0.1).payoffs is columns
+        assert PointCloud(columns, preimages, 0.1).payoffs.base is columns
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_arrays_stay_writeable(self, order):
+        payoffs = np.zeros((4, 2), order=order)
+        preimages = np.zeros((4, 3), order=order)
+        cloud = PointCloud(payoffs, preimages, 0.5)
+        self.assert_column_major(cloud)
+        payoffs[0, 0] = 1.0
+        preimages[0, 0] = 1.0
+        # A column-major input is shared, so the cloud sees the write; a
+        # row-major one was copied, so it does not.
+        assert cloud.payoffs[0, 0] == cloud.preimages[0, 0] == (1.0 if order == "F" else 0.0)
 
 
 class TestMemoryBound:
