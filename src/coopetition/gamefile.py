@@ -42,8 +42,9 @@ __all__ = [
 GRID_ENV_VAR = "COOPETITION_GRID"
 DEFAULT_GRID_2D = 513
 DEFAULT_GRID_3D = 65
-#: Most lattice points a run may sample (counted by ``resolve_grid``): at
-#: 32-40 bytes of payoffs and preimages each, 0.5-0.7 GB.
+#: Most lattice points a run may sample (counted by ``resolve_grid``).
+#: Sampling stores 16 bytes of payoffs a point, 0.27 GB; the preimages, 16-24
+#: bytes more a point, are built only when the cloud is drawn.
 MAX_LATTICE_POINTS = 2**24
 #: Largest payoff magnitude a file may describe: a finite table's entries,
 #: or a coopetitive player's sum of |coefficients|, which bounds the payoff

@@ -2,9 +2,9 @@
 
 Payoff maps are polynomials over the monomial basis {1, x, y, z, xy} per
 component, evaluated on uniform lattices of the unit square or cube.  The
-resulting point clouds carry their preimages, so every extracted feature
-(Pareto boundary, extrema, transferable-utility optimum) can report the
-strategies achieving it.  Continuous regions from the underlying model are
+resulting point clouds give the preimage of each point, so every extracted
+feature (Pareto boundary, extrema, transferable-utility optimum) can report
+the strategies achieving it.  Continuous regions from the underlying model are
 represented as finite samples with an explicit ``grid_step``; downstream
 accuracy statements are expressed in multiples of that step.
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -125,15 +126,7 @@ class PayoffMap:
             if z is not None:
                 raise ValueError("arity-2 map takes no z values")
             z = 0.0
-        c = self.coeffs
-        out = []
-        for k in range(2):
-            p = c[k, 0] + c[k, 1] * x + c[k, 2] * y + c[k, 3] * z
-            # The same sum in the same order; adding the xy term in place
-            # writes into the full-size temporary instead of a new array.
-            p += c[k, 4] * x * y
-            out.append(p)
-        return out[0], out[1]
+        return _component(self.coeffs[0], x, y, z), _component(self.coeffs[1], x, y, z)
 
     def eval(self, x: float, y: float, z: float | None = None) -> PayoffPoint:
         p1, p2 = self.eval_arrays(x, y, z)
@@ -147,6 +140,20 @@ class PayoffMap:
         c[:, 0] += c[:, 3] * float(z)
         c[:, 3] = 0.0
         return PayoffMap(c, arity=2)
+
+
+def _component(c: np.ndarray, x, y, z, out: np.ndarray | None = None):
+    """One payoff component ``c0 + c1*x + c2*y + c3*z + (c4*x)*y``.
+
+    The one home of the payoff formula, so every caller gets the same
+    bits.  The terms are summed left to right, and the z term is added
+    even where z is 0.0, since ``c3*0.0`` can be -0.0 and so decide the
+    sign of a zero sum.  The z term is added into ``out`` if given, else
+    into a new array, and the xy term in place.
+    """
+    p = np.add(c[0] + c[1] * x + c[2] * y, c[3] * z, out=out)
+    p += c[4] * x * y
+    return p
 
 
 class _PointSet:
@@ -168,6 +175,17 @@ class _PointSet:
     def arity(self) -> int:
         return self.preimages.shape[1]
 
+    def preimages_at(self, rows: np.ndarray) -> np.ndarray:
+        """The preimages of ``rows``, an index array: ``preimages[rows]``."""
+        return self.preimages[rows]
+
+    @staticmethod
+    def _check_finite(payoffs: np.ndarray) -> None:
+        # NaN propagates through a reduction and an infinity is an extreme,
+        # so two reductions check every payoff without an (n, 2) mask.
+        if not (np.isfinite(payoffs.min(initial=0.0)) and np.isfinite(payoffs.max(initial=0.0))):
+            raise ValueError("payoffs must be finite")
+
     @staticmethod
     def _freeze(payoffs: np.ndarray, preimages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         payoffs = np.asfortranarray(payoffs, dtype=float)
@@ -178,10 +196,7 @@ class _PointSet:
             raise ValueError("payoffs and preimages disagree in length")
         if preimages.ndim != 2 or preimages.shape[1] not in (2, 3):
             raise ValueError(f"preimages must have shape (n, 2|3), got {preimages.shape}")
-        # NaN propagates through a reduction and an infinity is an extreme,
-        # so two reductions check every payoff without an (n, 2) mask.
-        if not (np.isfinite(payoffs.min(initial=0.0)) and np.isfinite(payoffs.max(initial=0.0))):
-            raise ValueError("payoffs must be finite")
+        _PointSet._check_finite(payoffs)
         # Views share the data without a copy but carry their own flags, so
         # the caller's arrays stay writeable.
         payoffs, preimages = payoffs.view(), preimages.view()
@@ -212,6 +227,44 @@ class PointCloud(_PointSet):
             raise ValueError(f"grid_step must be positive, got {self.grid_step}")
         object.__setattr__(self, "payoffs", payoffs)
         object.__setattr__(self, "preimages", preimages)
+
+
+class _LatticeCloud(PointCloud):
+    """The cloud of ``sample_image``: payoffs stored, preimages derived.
+
+    Row ``r`` of a lattice with ``n`` points per axis is the point whose
+    axis indices are the base-``n`` digits of ``r``, x most significant,
+    so ``preimages_at`` reads the preimages of a few rows off the lattice
+    axis, and ``preimages`` is built only when read, as the array that
+    ``PointCloud`` would store.
+    """
+
+    def __init__(self, payoffs: np.ndarray, grid_n: int, arity: int):
+        self._check_finite(payoffs)
+        payoffs.flags.writeable = False
+        object.__setattr__(self, "payoffs", payoffs)
+        object.__setattr__(self, "grid_step", 1.0 / (grid_n - 1))
+        object.__setattr__(self, "_lattice", (grid_n, arity))
+
+    @property
+    def arity(self) -> int:
+        return self._lattice[1]
+
+    @cached_property
+    def preimages(self) -> np.ndarray:
+        """Every row's preimage, column-major and read-only, built on first read."""
+        grid_n, arity = self._lattice
+        pre = np.empty((len(self), arity), order="F")
+        # Each column is its broadcast axis, written through a lattice-shaped
+        # view of the column.
+        axes = np.meshgrid(*([_axis(grid_n)] * arity), indexing="ij", sparse=True)
+        for k, axis in enumerate(axes):
+            pre[:, k].reshape((grid_n,) * arity)[...] = axis
+        pre.flags.writeable = False
+        return pre
+
+    def preimages_at(self, rows: np.ndarray) -> np.ndarray:
+        return _lattice_preimages(rows, *self._lattice)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,29 +306,50 @@ def _axis(grid_n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, grid_n)
 
 
+def _lattice_preimages(rows: np.ndarray, grid_n: int, arity: int) -> np.ndarray:
+    """The preimages of lattice ``rows``, indices below ``grid_n**arity``:
+    the lattice axis at each row's base-``grid_n`` digits, x the most
+    significant; column-major.  The digits are taken a block of rows at a
+    time, in buffers reused."""
+    t = _axis(grid_n)
+    out = np.empty((len(rows), arity), order="F")
+    size = min(len(rows), _BLOCK)
+    high, digit = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+    for s in range(0, len(rows), _BLOCK):
+        r = rows[s:s + _BLOCK]
+        q, d = high[:len(r)], digit[:len(r)]
+        np.copyto(q, r)
+        for k in range(arity - 1, -1, -1):
+            np.divmod(q, grid_n, out=(q, d))
+            # A digit is in range; "clip" only skips the bounds check.
+            np.take(t, d, out=out[s:s + len(r), k], mode="clip")
+    return out
+
+
 def sample_image(payoff_map: PayoffMap, grid_n: int) -> PointCloud:
-    """Evaluate the map on a uniform lattice with ``grid_n`` points per axis."""
-    # Sparse axes broadcast inside eval_arrays in the same operation order as
-    # full coordinate arrays, so the payoffs are identical without the
-    # full-size coordinate temporaries.  The map is evaluated a slab of
-    # x-planes at a time, straight into the column-major output: the x axis
-    # varies slowest, so each slab is a contiguous run of each payoff
-    # column.  Each preimage column is its broadcast axis, in the same
-    # order, written through a lattice-shaped view of the column.
-    shape = (grid_n,) * payoff_map.arity
-    axes = np.meshgrid(*([_axis(grid_n)] * payoff_map.arity), indexing="ij", sparse=True)
-    plane = grid_n ** (payoff_map.arity - 1)
+    """Evaluate the map on a uniform lattice with ``grid_n`` points per axis.
+
+    Only the payoffs are stored; the cloud derives a row's preimage from
+    its index (see ``_LatticeCloud``).
+    """
+    # Sparse axes broadcast in the same operation order as full coordinate
+    # arrays, so the payoffs are identical without the full-size coordinate
+    # temporaries.  The map is evaluated a slab of x-planes at a time,
+    # straight into the column-major output: the x axis varies slowest, so
+    # each slab is a contiguous run of each payoff column.
+    arity = payoff_map.arity
+    axes = np.meshgrid(*([_axis(grid_n)] * arity), indexing="ij", sparse=True)
+    y, z = axes[1], axes[2] if arity == 3 else 0.0
+    plane = grid_n ** (arity - 1)
     payoffs = np.empty((grid_n * plane, 2), order="F")
     step = max(1, _BLOCK // plane)
     for i in range(0, grid_n, step):
-        p1, p2 = payoff_map.eval_arrays(axes[0][i:i + step], *axes[1:])
-        rows = slice(i * plane, i * plane + p1.size)
-        payoffs[rows, 0] = p1.reshape(-1)
-        payoffs[rows, 1] = p2.reshape(-1)
-    pre = np.empty((grid_n * plane, payoff_map.arity), order="F")
-    for k, axis in enumerate(axes):
-        pre[:, k].reshape(shape)[...] = axis
-    return PointCloud(payoffs, pre, grid_step=1.0 / (grid_n - 1))
+        x = axes[0][i:i + step]
+        rows = slice(i * plane, (i + len(x)) * plane)
+        for k in range(2):
+            out = payoffs[rows, k].reshape((len(x),) + (grid_n,) * (arity - 1))
+            _component(payoff_map.coeffs[k], x, y, z, out=out)
+    return _LatticeCloud(payoffs, grid_n, arity)
 
 
 def _lex_order(payoffs: np.ndarray, preimages: np.ndarray, *leading: np.ndarray) -> np.ndarray:
@@ -287,12 +361,18 @@ def _lex_order(payoffs: np.ndarray, preimages: np.ndarray, *leading: np.ndarray)
 
 
 def _drop_dominated(payoffs: np.ndarray, sign: float) -> np.ndarray:
+    """The surviving rows of ``_prefilter``."""
+    return _prefilter(payoffs, sign)[0]
+
+
+def _prefilter(payoffs: np.ndarray, sign: float):
     """The O(n) prefilter of ``pareto_filter``, in the minimal frame.
 
     The frame is ``sign * payoffs``.  The p1 range is cut into ``k`` equal
     buckets, and a row is dropped when its p2 is no smaller than the least
     p2 of any earlier bucket.  Returns the indices of the surviving rows,
-    ascending.
+    ascending, each row's bucket and each bucket's least frame p2, stored
+    as the raw p2; the last two are None when the range is not cut.
 
     The frame is never built: the passes read the raw payoff columns, a
     block of rows at a time into preallocated buffers, and fold the sign
@@ -313,7 +393,7 @@ def _drop_dominated(payoffs: np.ndarray, sign: float) -> np.ndarray:
     # clouds (a Nash zone has a few thousand points).
     k = min(4096, n // 16)
     if k < 2:
-        return np.arange(n)
+        return np.arange(n), None, None
     p1, p2 = payoffs[:, 0], payoffs[:, 1]
     lo, hi = p1.min(), p1.max()
     # A constant p1 divides by zero, a span beyond the float range
@@ -322,7 +402,7 @@ def _drop_dominated(payoffs: np.ndarray, sign: float) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore"):
         scale = k / (hi - lo)
     if not (np.isfinite(scale) and scale > 0):
-        return np.arange(n)
+        return np.arange(n), None, None
     minimal = sign > 0
     best, beats, worst = (np.minimum, np.less, np.inf) if minimal else (np.maximum, np.greater, -np.inf)
     blocks = [slice(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
@@ -355,7 +435,65 @@ def _drop_dominated(payoffs: np.ndarray, sign: float) -> np.ndarray:
         np.take(earlier, i, out=t, mode="clip")
         beats(p2[rows], t, out=keep[rows])
     # Gathering by index is an order of magnitude faster than by mask.
-    return np.flatnonzero(keep)
+    return np.flatnonzero(keep), bucket, front
+
+
+def _drop_corner_dominated(
+    payoffs: np.ndarray, rows: np.ndarray, bucket: np.ndarray, front: np.ndarray, sign: float
+) -> np.ndarray:
+    """The corner step of ``pareto_filter`` on ``_prefilter``'s output.
+
+    In the minimal frame a bucket's corner has the bucket's least p2,
+    ``f``, and the least p1, ``c``, among its rows at ``f``.  A survivor
+    is kept iff its p1 is below ``c`` or it is a copy of the corner,
+    ``p1 == c and p2 == f``; as no row of the bucket has a p2 below ``f``,
+    that is the negation of the drop rule argued in ``pareto_filter``.  A
+    bucket's rows at ``f`` survive whenever any of its rows does, so
+    ``front`` holds ``f`` and the corner is a survivor.  The sign is
+    folded in as by ``_prefilter``.  The passes read a block of survivors
+    at a time into buffers allocated once, so the cost is that of the
+    survivors, and the kept rows are gathered at the front of ``rows``
+    itself.  Returns them, ascending; without buckets, ``rows`` as given.
+    """
+    if bucket is None:
+        return rows
+    minimal = sign > 0
+    best, beats, worst = (np.minimum, np.less, np.inf) if minimal else (np.maximum, np.greater, -np.inf)
+    p1, p2 = payoffs[:, 0], payoffs[:, 1]
+    m = len(rows)
+    blocks = [slice(s, min(s + _BLOCK, m)) for s in range(0, m, _BLOCK)]
+    # Block buffers, shared by both passes.  Every index taken is in range;
+    # "clip" only skips the bounds check.
+    size = blocks[0].stop
+    b = np.empty(size, dtype=np.intp)
+    v, w = np.empty(size), np.empty(size)
+    at, keep = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    corner = np.full(len(front), worst)
+    for blk in blocks:
+        r = rows[blk]
+        bb, y, f, aa = b[:len(r)], v[:len(r)], w[:len(r)], at[:len(r)]
+        np.copyto(bb, bucket[r])
+        np.take(p2, r, out=y, mode="clip")
+        np.take(front, bb, out=f, mode="clip")
+        sel = np.flatnonzero(np.equal(y, f, out=aa))
+        best.at(corner, bb[sel], p1.take(r[sel], mode="clip"))
+    # Kept rows are moved to the front of ``rows``, which the prefilter
+    # allocated; a block's kept rows never outrun its start.
+    end = 0
+    for blk in blocks:
+        r = rows[blk]
+        bb, x, c, kk, eq = b[:len(r)], v[:len(r)], w[:len(r)], keep[:len(r)], at[:len(r)]
+        np.copyto(bb, bucket[r])
+        np.take(p1, r, out=x, mode="clip")
+        np.take(corner, bb, out=c, mode="clip")
+        beats(x, c, out=kk)
+        # A row at the corner's p1 is kept iff it is at its p2 too.
+        sel = np.flatnonzero(np.equal(x, c, out=eq))
+        kk[sel] = p2.take(r[sel], mode="clip") == front.take(bb[sel], mode="clip")
+        kept = np.compress(kk, r)
+        rows[end:end + len(kept)] = kept
+        end += len(kept)
+    return rows[:end].copy()
 
 
 def _first_of_runs(keys: np.ndarray) -> np.ndarray:
@@ -374,11 +512,13 @@ def _run_ids(first: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _pareto_sweep(payoffs: np.ndarray, preimages: np.ndarray, rows: np.ndarray, sign: float) -> np.ndarray:
+def _pareto_sweep(payoffs: np.ndarray, preimages_at, rows: np.ndarray, sign: float) -> np.ndarray:
     """The boundary among ``rows`` of the minimal frame ``sign * payoffs``.
 
-    Returns the boundary's row indices by ascending frame p1; the
-    equivalence with sorting every row is argued in ``pareto_filter``.
+    ``preimages_at(rows)`` gives the preimages of rows, which only the
+    tie-break between copies of one payoff pair reads.  Returns the
+    boundary's row indices by ascending frame p1; the equivalence with
+    sorting every row is argued in ``pareto_filter``.
     """
     p1 = sign * payoffs[:, 0][rows]
     order = np.argsort(p1, kind="stable")
@@ -400,21 +540,25 @@ def _pareto_sweep(payoffs: np.ndarray, preimages: np.ndarray, rows: np.ndarray, 
     sel = np.flatnonzero(p2 == np.where(front, least, np.nan)[run])
     group = run[sel]
     del p2, run
-    for k in range(preimages.shape[1]):
-        first = _first_of_runs(group)
-        if first.all():
-            return rows[sel]
+    first = _first_of_runs(group)
+    if first.all():
+        return rows[sel]
+    pre = preimages_at(rows[sel])
+    for k in range(pre.shape[1]):
         # Keep the copies at the group's least preimage coordinate k.  Like
         # a sort, fmin ranks NaN last, and an all-NaN group stays whole.
-        v = preimages[:, k][rows[sel]]
+        v = pre[:, k]
         floor = np.fmin.reduceat(v, np.flatnonzero(first))
         ids = _run_ids(first)
         keep = v == floor[ids]
         if np.isnan(floor).any():
             keep |= np.isnan(floor)[ids]
-        sel, group = sel[keep], group[keep]
+        sel, group, pre = sel[keep], group[keep], pre[keep]
+        first = _first_of_runs(group)
+        if first.all():
+            return rows[sel]
     # Copies left here agree in every key; the first in input order wins.
-    return rows[sel[_first_of_runs(group)]]
+    return rows[sel[first]]
 
 
 def pareto_filter(
@@ -447,6 +591,20 @@ def pareto_filter(
     Removing dominated rows removes no non-dominated one and no copy of
     one, and keeps the survivors in input order.
 
+    *The corner step.*  The prefilter never compares rows of one bucket,
+    so on a map with many copies of each payoff pair most survive it.  In
+    the frame, let ``f`` be a bucket's least p2 and ``c`` the least p1
+    among its rows at ``f``: the bucket's corner ``(c, f)`` is a real row.
+    A survivor with ``p1 >= c and p2 > f`` or ``p1 > c and p2 >= f`` is
+    dropped.  It is no smaller than the corner in either component and
+    differs from it, so the corner strictly dominates it, and it is
+    neither on the boundary nor a copy of a boundary pair.  The argument
+    holds for any grouping of the rows; the prefilter's buckets are used
+    because its pass has already found each bucket's ``f``, and a bucket
+    with a survivor keeps all its rows at ``f``.  What is kept is the
+    rows of p1 below ``c`` and the copies of the corner, in input order,
+    at a cost linear in the survivors.
+
     *The sweep, one key sorted.*  The m survivors are sorted stably by p1
     alone, and ``!=`` cuts them into runs of equal p1; like the sort's
     ``<``, it holds -0.0 equal to 0.0.  In the reference order the first
@@ -461,21 +619,24 @@ def pareto_filter(
     The boundary's p1 is strictly monotone, so the maximal boundary is
     the sweep's output reversed, which is the reference's final sort.
 
-    The cost is O(n) plus O(m log m) for one key.  The quadratic filter
-    in the test suite serves as a second oracle.
+    The cost is O(n) plus O(m log m) for one key.  The preimages read
+    are those of the rows ranked among copies and of the boundary, through
+    ``preimages_at``, so a lattice cloud's are never built.  The quadratic
+    filter in the test suite serves as a second oracle.
     """
     if flavor not in ("maximal", "minimal"):
         raise ValueError(f"flavor must be 'maximal' or 'minimal', got {flavor!r}")
     if len(cloud) == 0:
         raise ValueError("cannot filter an empty cloud")
     sign = 1.0 if flavor == "minimal" else -1.0
-    payoffs, preimages = cloud.payoffs, cloud.preimages
-    rows = _pareto_sweep(payoffs, preimages, _drop_dominated(payoffs, sign), sign)
+    payoffs = cloud.payoffs
+    rows = _drop_corner_dominated(payoffs, *_prefilter(payoffs, sign), sign)
+    rows = _pareto_sweep(payoffs, cloud.preimages_at, rows, sign)
     if flavor == "maximal":
         rows = rows[::-1]
     return ParetoBoundary(
         payoffs[rows],
-        preimages[rows],
+        cloud.preimages_at(rows),
         orientation=orientation,
         flavor=flavor,
         grid_step=getattr(cloud, "grid_step", None),
@@ -556,7 +717,7 @@ def tu_boundary(
     lattice without building the cloud.
     """
     return _tu_witnesses(
-        cloud.payoffs[:, 0], cloud.payoffs[:, 1], lambda sel: cloud.preimages[sel], orientation, tol
+        cloud.payoffs[:, 0], cloud.payoffs[:, 1], cloud.preimages_at, orientation, tol
     )
 
 
@@ -647,8 +808,10 @@ def lattice_tu(
     p1, p2 = _columns(payoff_map, xs, ys, t)
 
     def preimages_of(sel):
-        k, col = divmod(sel, len(xs))
-        return np.stack([xs[col], ys[col], t[k]][:payoff_map.arity], axis=1)
+        # Witness sel is at height k over column col, lattice row cand[col]·n + k.
+        k, col = divmod(sel, len(cand))
+        rows = cand[col] * grid_n + k if payoff_map.arity == 3 else cand[col]
+        return _lattice_preimages(rows, grid_n, payoff_map.arity)
 
     tub = _tu_witnesses(p1.ravel(), p2.ravel(), preimages_of, orientation, tol)
     return tub, PayoffPoint(*ext[:2]), PayoffPoint(*ext[2:])

@@ -1,5 +1,6 @@
 """payoff-geometry: sampling, Pareto filtering, extrema, TU boundary, Hausdorff."""
 
+import json
 import tracemalloc
 import warnings
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from coopetition import geometry
+from coopetition.demo import coopetitive_game_dict
+from coopetition.gamefile import load_game_file
 from coopetition.games import Orientation, PayoffPoint
 from coopetition.geometry import (
     ParetoBoundary,
@@ -19,6 +22,7 @@ from coopetition.geometry import (
     sample_image,
     tu_boundary,
 )
+from coopetition.report import GameContext
 
 from oracles import (
     brute_hausdorff,
@@ -475,6 +479,21 @@ class TestMemoryBound:
         cloud, peak = self.traced_peak(lambda: sample_image(payoff_map, 129))
         assert peak <= cloud.payoffs.nbytes + cloud.preimages.nbytes + self.SLACK
 
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_sample_image_stores_only_payoffs(self, arity):
+        payoff_map = dense_shaped_map(np.random.default_rng([87, arity]), arity, "generic")
+        cloud, peak = self.traced_peak(lambda: sample_image(payoff_map, 129))
+        assert peak <= cloud.payoffs.nbytes + self.SLACK
+
+    @pytest.mark.parametrize("seed", [91, 95])
+    @pytest.mark.parametrize("flavor", ["maximal", "minimal"])
+    def test_pareto_filter_on_a_duplicate_heavy_cloud(self, seed, flavor):
+        # Maps whose rows share their payoff pairs in long runs, and whose
+        # prefilter keeps more than half of the rows.
+        cloud = sample_image(dense_shaped_map(np.random.default_rng(seed), 2, "opposed"), 1025)
+        _, peak = self.traced_peak(lambda: pareto_filter(cloud, Orientation.GAIN, flavor))
+        assert peak <= 16 * len(cloud) + self.SLACK
+
     @pytest.mark.parametrize("flavor", ["maximal", "minimal"])
     def test_pareto_filter_on_a_generic_cloud(self, flavor):
         # A map whose prefilter leaves one or two rows, as most generic maps do.
@@ -483,6 +502,105 @@ class TestMemoryBound:
         assert len(boundary) <= 2
         # The int16 bucket and bool keep arrays are the only full-length ones.
         assert peak <= 3 * len(cloud) + self.SLACK
+
+
+def corner_survivors(payoffs, sign):
+    return geometry._drop_corner_dominated(payoffs, *geometry._prefilter(payoffs, sign), sign)
+
+
+def strictly_dominated(frame):
+    """``[i, j]``: row j of the minimal frame strictly dominates row i."""
+    le = (frame[None, :, :] <= frame[:, None, :]).all(axis=2)
+    lt = (frame[None, :, :] < frame[:, None, :]).any(axis=2)
+    return le & lt
+
+
+class TestCornerStep:
+    """The corner step drops only rows that a kept row strictly dominates."""
+
+    @staticmethod
+    def assert_keeps_every_nondominated_row(payoffs):
+        payoffs = np.asfortranarray(payoffs, dtype=float)
+        for sign in (1.0, -1.0):
+            before = geometry._drop_dominated(payoffs, sign)
+            after = corner_survivors(payoffs, sign)
+            assert np.array_equal(after, np.unique(after))
+            assert np.isin(after, before).all()
+            dominated = strictly_dominated(sign * payoffs)
+            # Every boundary row and every copy of a boundary pair is kept.
+            assert np.isin(np.flatnonzero(~dominated.any(axis=1)), after).all()
+            # Every dropped row is strictly dominated by a kept row.
+            dropped = np.setdiff1d(np.arange(len(payoffs)), after)
+            assert dominated[np.ix_(dropped, after)].any(axis=1).all()
+
+    def test_tie_heavy_signed_zero_clouds(self):
+        rng = np.random.default_rng(75)
+        for _ in range(30):
+            n = int(rng.integers(32, 1200))
+            self.assert_keeps_every_nondominated_row(rng.choice([-0.0, 0.0, -1.0, 1.0, 0.5], size=(n, 2)))
+            self.assert_keeps_every_nondominated_row(rng.choice([-0.0, 0.0], size=(n, 2)))
+            p1 = rng.integers(-3, 4, size=n).astype(float)
+            front = np.column_stack([p1, rng.integers(0, 2, size=n) - p1])
+            front[front == 0.0] = rng.choice([-0.0, 0.0], size=int((front == 0.0).sum()))
+            self.assert_keeps_every_nondominated_row(front)
+
+    @pytest.mark.parametrize("arity, grid_n", [(2, 33), (3, 9)])
+    @pytest.mark.parametrize("shape", ["generic", "opposed", "aligned"])
+    def test_lattice_clouds(self, arity, grid_n, shape):
+        rng = np.random.default_rng([76, arity, len(shape)])
+        for _ in range(3):
+            cloud = sample_image(dense_shaped_map(rng, arity, shape), grid_n)
+            self.assert_keeps_every_nondominated_row(cloud.payoffs)
+            self.assert_keeps_every_nondominated_row(-cloud.payoffs)
+
+    def test_prunes_a_duplicate_heavy_cloud(self):
+        cloud = sample_image(dense_shaped_map(np.random.default_rng(77), 2, "opposed"), 257)
+        for sign in (1.0, -1.0):
+            before = geometry._drop_dominated(cloud.payoffs, sign)
+            assert len(corner_survivors(cloud.payoffs, sign)) < 0.5 * len(before)
+
+
+class TestLatticePreimages:
+    """A lattice cloud derives its preimages from the row index."""
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("grid_n", [2, 17, 129])
+    def test_preimages_at_matches_built_array(self, arity, grid_n):
+        rng = np.random.default_rng([88, arity, grid_n])
+        cloud = sample_image(dense_shaped_map(rng, arity, "generic"), grid_n)
+        n = len(cloud)
+        # Every row of the small lattices, a sample of the large one, and
+        # enough rows for two blocks, in random order and with repeats.
+        rows = np.concatenate([
+            rng.choice(n, size=min(n, 3 * geometry._BLOCK), replace=False),
+            rng.integers(0, n, size=geometry._BLOCK + 1),
+            [0, n - 1],
+        ])
+        got = cloud.preimages_at(rows)
+        assert "preimages" not in vars(cloud)
+        assert got.tobytes() == cloud.preimages[rows].tobytes()
+        assert cloud.preimages_at(rows[:0]).shape == (0, arity)
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_solvers_never_build_preimages(self, arity):
+        cloud = sample_image(dense_shaped_map(np.random.default_rng([89, arity]), arity, "opposed"), 17)
+        assert len(cloud) == 17**arity and cloud.arity == arity
+        extrema(cloud)
+        for flavor in ("maximal", "minimal"):
+            pareto_filter(cloud, Orientation.GAIN, flavor)
+        for orientation in Orientation:
+            tu_boundary(cloud, orientation)
+        assert "preimages" not in vars(cloud)
+        # The check above sees a build.
+        cloud.preimages
+        assert "preimages" in vars(cloud)
+
+    def test_ks_on_the_demo_file_never_builds_preimages(self, tmp_path):
+        path = tmp_path / "paper-coopetitive.json"
+        path.write_text(json.dumps(coopetitive_game_dict()))
+        ctx = GameContext(load_game_file(path), 33)
+        ctx.solve("ks")
+        assert "preimages" not in vars(ctx.cloud)
 
 
 class TestExtrema:
