@@ -13,7 +13,8 @@ With no xz or yz monomial, section z is the z = 0 section plus c_z * z per
 player.  That constant changes no best reply, so every section has the z = 0
 equilibrium components, and its conservative bi-value and corner extrema
 move by exactly c_z * z: paths and the Nash zone analyse z = 0 once and
-translate the result along ``c_grid`` as arrays.
+translate the result along ``c_grid`` as arrays.  That table is eight
+numbers, so it is built and analysed on Python floats, by the one payoff formula.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .geometry import (
     PayoffMap,
     PointCloud,
     TUBoundary,
+    _component,
     _lex_order,
     facing_flavor,
     lattice_tu,
@@ -154,9 +156,13 @@ def family_roundtrip_check(game: CoopetitiveGame, grid_n: int = 17) -> bool:
 
 
 def _section_table(game: CoopetitiveGame, z: float) -> FiniteBimatrixGame:
-    """The 2x2 table of the section at ``z``; row 0 / column 0 is x = y = 1."""
-    x, y = np.meshgrid((1.0, 0.0), (1.0, 0.0), indexing="ij")
-    return FiniteBimatrixGame(*game.payoff.section(z).eval_arrays(x, y), game.orientation)
+    """The 2x2 table of the section at ``z``; row 0 / column 0 is x = y = 1.
+
+    ``_component`` on floats, c_z * z folded into the constant as by
+    ``PayoffMap.section``: the bits of the section map's array evaluation."""
+    tables = ([[_component((c0 + c3 * z, c1, c2, 0.0, c4), x, y, 0.0) for y in (1.0, 0.0)] for x in (1.0, 0.0)]
+              for c0, c1, c2, c3, c4 in game.payoff.coeffs.tolist())
+    return FiniteBimatrixGame(*tables, game.orientation)
 
 
 def _nash_lattice(game: CoopetitiveGame, grid_n: int) -> tuple[np.ndarray, np.ndarray]:

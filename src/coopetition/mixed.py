@@ -12,6 +12,11 @@ bi-values are closed forms too: the maximum of the lower of two lines.
 Degenerate games produce continuum components (segments or rectangles);
 they are reported through their extreme points plus a shape tag, and every
 reported point is verified against both pure replies of each player.
+
+A 2x2 table is eight numbers, so the analysis runs on Python floats, where
+numpy's per-call cost would dominate: each table is read once with
+``tolist()``, and every payoff goes through ``geometry._component``, the one
+home of the payoff formula, which gives floats the bits it gives arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .errors import UnsupportedGameError
 from .games import FiniteBimatrixGame, PayoffPoint
-from .geometry import PayoffMap
+from .geometry import PayoffMap, _component
 
 __all__ = [
     "MixedBistrategy",
@@ -83,6 +88,15 @@ def _require_2x2(game: FiniteBimatrixGame) -> None:
         )
 
 
+def _bilinear_coeffs(t1: list, t2: list) -> list[list[float]]:
+    """The coefficient rows over {1, x, y, z, xy} of the 2x2 tables ``t1``
+    and ``t2``, nested lists; the z coefficient is 0.0."""
+    return [
+        [p[1][1], p[0][1] - p[1][1], p[1][0] - p[1][1], 0.0, p[0][0] - p[0][1] - p[1][0] + p[1][1]]
+        for p in (t1, t2)
+    ]
+
+
 def bilinear_map(game: FiniteBimatrixGame) -> PayoffMap:
     """The expected-payoff polynomial of a 2x2 game over {1, x, y, xy}.
 
@@ -90,13 +104,7 @@ def bilinear_map(game: FiniteBimatrixGame) -> PayoffMap:
     (1, 1) reproduces the top-left table entry.
     """
     _require_2x2(game)
-    coeffs = np.zeros((2, 5))
-    for k, p in enumerate((game.payoff1, game.payoff2)):
-        coeffs[k, 0] = p[1, 1]
-        coeffs[k, 1] = p[0, 1] - p[1, 1]
-        coeffs[k, 2] = p[1, 0] - p[1, 1]
-        coeffs[k, 4] = p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1]
-    return PayoffMap(coeffs, arity=2)
+    return PayoffMap(_bilinear_coeffs(game.payoff1.tolist(), game.payoff2.tolist()), arity=2)
 
 
 def expected_payoff(game: FiniteBimatrixGame, s: MixedBistrategy) -> PayoffPoint:
@@ -126,20 +134,24 @@ def _intersect(u: tuple[float, float], v: tuple[float, float]) -> tuple[float, f
     return (lo, hi) if lo <= hi else None
 
 
-def _verify_equilibrium(game: FiniteBimatrixGame, m: PayoffMap, x: float, y: float) -> None:
+def _verify_equilibrium(game: FiniteBimatrixGame, coeffs, x: float, y: float) -> PayoffPoint:
+    """The payoff at (x, y), checked to be an equilibrium of ``game`` up to
+    ``VERIFY_TOL``; ``coeffs`` are the game's bilinear coefficient rows."""
     # Own payoff is linear in the own mixture, so the two pure replies are
     # the exact best replies.
     s = game.orientation.sign
-    pure = np.array([0.0, 1.0])
-    best1 = (s * m.eval_arrays(pure, np.full(2, y))[0]).max()
-    best2 = (s * m.eval_arrays(np.full(2, x), pure)[1]).max()
-    here1, here2 = (s * v for v in m.eval_arrays(x, y))
-    tol = VERIFY_TOL * max(1.0, np.abs(game.payoff1).max(), np.abs(game.payoff2).max())
-    if best1 > here1 + tol or best2 > here2 + tol:
+    c1, c2 = coeffs
+    here = PayoffPoint(_component(c1, x, y, 0.0), _component(c2, x, y, 0.0))
+    best1 = max(s * _component(c1, t, y, 0.0) for t in (0.0, 1.0))
+    best2 = max(s * _component(c2, x, t, 0.0) for t in (0.0, 1.0))
+    entries = game.payoff1.tolist() + game.payoff2.tolist()
+    tol = VERIFY_TOL * max(1.0, *(abs(v) for row in entries for v in row))
+    if best1 > s * here.p1 + tol or best2 > s * here.p2 + tol:
         raise AssertionError(
             f"best-response verification failed at ({x}, {y}); "
             "support enumeration produced a non-equilibrium"
         )
+    return here
 
 
 def mixed_equilibrium_components(game: FiniteBimatrixGame) -> list[EquilibriumComponent]:
@@ -152,26 +164,26 @@ def mixed_equilibrium_components(game: FiniteBimatrixGame) -> list[EquilibriumCo
     """
     _require_2x2(game)
     s = game.orientation.sign
-    p1 = s * game.payoff1
-    p2 = s * game.payoff2
+    t1, t2 = game.payoff1.tolist(), game.payoff2.tolist()
+    (u00, u01), (u10, u11) = ([s * v for v in row] for row in t1)
+    (v00, v01), (v10, v11) = ([s * v for v in row] for row in t2)
     # adv1(y) = a1*y + b1 > 0 means row 0 is strictly better for player 1.
-    a1 = (p1[0, 0] - p1[1, 0]) - (p1[0, 1] - p1[1, 1])
-    b1 = p1[0, 1] - p1[1, 1]
+    a1, b1 = (u00 - u10) - (u01 - u11), u01 - u11
     # adv2(x) = a2*x + b2 > 0 means column 0 is strictly better for player 2.
-    a2 = (p2[0, 0] - p2[0, 1]) - (p2[1, 0] - p2[1, 1])
-    b2 = p2[1, 0] - p2[1, 1]
+    a2, b2 = (v00 - v01) - (v10 - v11), v10 - v11
 
     # (support box, required sign of the own advantage function)
-    x_classes = [((1.0, 1.0), "ge"), ((0.0, 0.0), "le"), ((0.0, 1.0), "eq")]
-    y_classes = [((1.0, 1.0), "ge"), ((0.0, 0.0), "le"), ((0.0, 1.0), "eq")]
+    classes = [((1.0, 1.0), "ge"), ((0.0, 0.0), "le"), ((0.0, 1.0), "eq")]
+    # Each support box of x with the y that player 1 allows on it, and each
+    # of y with the x that player 2 allows.
+    x_supports = [(box, _solve_linear(a1, b1, rel)) for box, rel in classes]
+    y_supports = [(box, _solve_linear(a2, b2, rel)) for box, rel in classes]
 
     boxes: list[tuple[tuple[float, float], tuple[float, float]]] = []
-    for x_box, rel1 in x_classes:
-        y_cond = _solve_linear(a1, b1, rel1)
+    for x_box, y_cond in x_supports:
         if y_cond is None:
             continue
-        for y_box, rel2 in y_classes:
-            x_cond = _solve_linear(a2, b2, rel2)
+        for y_box, x_cond in y_supports:
             if x_cond is None:
                 continue
             xi = _intersect(x_box, x_cond)
@@ -192,20 +204,16 @@ def mixed_equilibrium_components(game: FiniteBimatrixGame) -> list[EquilibriumCo
             kept.append(box)
     kept.sort()
 
-    payoff = bilinear_map(game)
+    coeffs = _bilinear_coeffs(t1, t2)
     components = []
     for (xl, xh), (yl, yh) in kept:
-        xl, xh, yl, yh = float(xl), float(xh), float(yl), float(yh)
         corners = sorted({(xl, yl), (xl, yh), (xh, yl), (xh, yh)})
-        for cx, cy in corners:
-            _verify_equilibrium(game, payoff, cx, cy)
         degenerate = int(xl == xh) + int(yl == yh)
-        description = {2: "isolated point", 1: "segment", 0: "rectangle"}[degenerate]
         components.append(
             EquilibriumComponent(
                 extreme_points=tuple(MixedBistrategy(cx, cy) for cx, cy in corners),
-                description=description,
-                payoff_extremes=tuple(payoff.eval(cx, cy) for cx, cy in corners),
+                description={2: "isolated point", 1: "segment", 0: "rectangle"}[degenerate],
+                payoff_extremes=tuple(_verify_equilibrium(game, coeffs, cx, cy) for cx, cy in corners),
                 x_interval=(xl, xh),
                 y_interval=(yl, yh),
             )
@@ -219,7 +227,7 @@ def nash_extreme(components: list[EquilibriumComponent]) -> PayoffPoint:
     return PayoffPoint(*pts.max(axis=0))
 
 
-def _maximin_lines(line0: np.ndarray, line1: np.ndarray) -> float:
+def _maximin_lines(line0: tuple[float, float], line1: tuple[float, float]) -> float:
     """max over u in [0, 1] of min(line0(u), line1(u)).
 
     Lines are given by their values at u = 0 and 1.  The maximum sits at an
@@ -243,10 +251,12 @@ def conservative_bivalue_mixed(game: FiniteBimatrixGame) -> PayoffPoint:
     """
     _require_2x2(game)
     s = game.orientation.sign
-    x, y = np.meshgrid((0.0, 1.0), (0.0, 1.0), indexing="ij")
-    # g[i, j] is the oriented payoff at the corner x = i, y = j.
-    g1, g2 = (s * p for p in bilinear_map(game).eval_arrays(x, y))
-    v1 = _maximin_lines(g1[:, 0], g1[:, 1])
-    v2 = _maximin_lines(g2[0, :], g2[1, :])
+    # g[i][j] is the oriented payoff at the corner x = i, y = j.
+    g1, g2 = (
+        [[s * _component(c, x, y, 0.0) for y in (0.0, 1.0)] for x in (0.0, 1.0)]
+        for c in _bilinear_coeffs(game.payoff1.tolist(), game.payoff2.tolist())
+    )
+    v1 = _maximin_lines((g1[0][0], g1[1][0]), (g1[0][1], g1[1][1]))
+    v2 = _maximin_lines(g2[0], g2[1])
     # Adding 0.0 turns the -0.0 of a negated zero into 0.0.
     return PayoffPoint(s * v1 + 0.0, s * v2 + 0.0)

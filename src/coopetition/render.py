@@ -10,6 +10,7 @@ content, so identical inputs produce identical bytes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -112,6 +113,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _fmt_all(values: np.ndarray) -> Iterator[str]:
+    """``_fmt`` of every value of a float array, in order."""
+    return map("{:.2f}".format, values.tolist())
+
+
 class _Frame:
     def __init__(self, points: np.ndarray):
         lo = np.minimum(points.min(axis=0), [0.0, 0.0])
@@ -121,7 +127,8 @@ class _Frame:
         self.width = span[0] * PX_PER_UNIT + 2 * PAD_PX
         self.height = span[1] * PX_PER_UNIT + 2 * PAD_PX
 
-    def to_px(self, p1: float, p2: float) -> tuple[float, float]:
+    def to_px(self, p1, p2):
+        """Pixel coordinates of payoffs ``(p1, p2)``, floats or arrays."""
         x = PAD_PX + (p1 - self.lo[0]) * PX_PER_UNIT
         y = PAD_PX + (self.hi[1] - p2) * PX_PER_UNIT
         return x, y
@@ -140,9 +147,8 @@ def _tagged(scene: Scene, tag: str) -> np.ndarray:
 
 
 def _circles(parts: list[str], frame: _Frame, points: np.ndarray, style: str) -> None:
-    for p1, p2 in points:
-        x, y = frame.to_px(p1, p2)
-        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" {style}/>')
+    x, y = frame.to_px(points[:, 0], points[:, 1])
+    parts.extend(f'<circle cx="{cx}" cy="{cy}" {style}/>' for cx, cy in zip(_fmt_all(x), _fmt_all(y)))
 
 
 def write_svg(path: str | Path, scene: Scene) -> None:
@@ -178,11 +184,10 @@ def write_svg(path: str | Path, scene: Scene) -> None:
 
     pareto = _tagged(scene, "pareto")
     if len(pareto):
-        pts = sorted(map(tuple, pareto.tolist()))
-        path_d = " ".join(
-            ("M" if i == 0 else "L") + f"{_fmt(frame.to_px(*p)[0])},{_fmt(frame.to_px(*p)[1])}"
-            for i, p in enumerate(pts)
-        )
+        # Stable, and -0.0 ties 0.0: the order of sorting (p1, p2) tuples.
+        pts = pareto[np.lexsort((pareto[:, 1], pareto[:, 0]))]
+        x, y = frame.to_px(pts[:, 0], pts[:, 1])
+        path_d = "M" + " L".join(map(",".join, zip(_fmt_all(x), _fmt_all(y))))
         parts.append(
             f'<path d="{path_d}" fill="none" stroke="{_COLORS["pareto"]}" stroke-width="2"/>'
         )

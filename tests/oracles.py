@@ -22,7 +22,17 @@ from coopetition.coopetitive import (
 from coopetition.errors import EmptyPortion, MissingInitialZ
 from coopetition.games import FiniteBimatrixGame, Orientation, PayoffPoint, StrategyCell
 from coopetition.geometry import extrema, sample_image, tu_boundary, tu_line
-from coopetition.mixed import bilinear_map, conservative_bivalue_mixed, mixed_equilibrium_components
+from coopetition.mixed import (
+    VERIFY_TOL,
+    EquilibriumComponent,
+    MixedBistrategy,
+    _intersect,
+    _maximin_lines,
+    _solve_linear,
+    bilinear_map,
+    conservative_bivalue_mixed,
+    mixed_equilibrium_components,
+)
 
 
 def brute_pure_nash(game: FiniteBimatrixGame) -> set[StrategyCell]:
@@ -262,6 +272,104 @@ def section_table(game: CoopetitiveGame, z: float) -> FiniteBimatrixGame:
     table1 = [[m.eval(1.0, 1.0).p1, m.eval(1.0, 0.0).p1], [m.eval(0.0, 1.0).p1, m.eval(0.0, 0.0).p1]]
     table2 = [[m.eval(1.0, 1.0).p2, m.eval(1.0, 0.0).p2], [m.eval(0.0, 1.0).p2, m.eval(0.0, 0.0).p2]]
     return FiniteBimatrixGame(np.array(table1), np.array(table2), game.orientation)
+
+
+def numpy_bilinear_map(game: FiniteBimatrixGame) -> geometry.PayoffMap:
+    """``mixed.bilinear_map`` filled entry by entry into a numpy array."""
+    coeffs = np.zeros((2, 5))
+    for k, p in enumerate((game.payoff1, game.payoff2)):
+        coeffs[k, 0] = p[1, 1]
+        coeffs[k, 1] = p[0, 1] - p[1, 1]
+        coeffs[k, 2] = p[1, 0] - p[1, 1]
+        coeffs[k, 4] = p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1]
+    return geometry.PayoffMap(coeffs, arity=2)
+
+
+def numpy_section_table(game: CoopetitiveGame, z: float) -> FiniteBimatrixGame:
+    """``coopetitive._section_table`` as numpy arrays: the section map on a
+    2x2 meshgrid, row 0 / column 0 at x = y = 1."""
+    x, y = np.meshgrid((1.0, 0.0), (1.0, 0.0), indexing="ij")
+    return FiniteBimatrixGame(*game.payoff.section(z).eval_arrays(x, y), game.orientation)
+
+
+def _numpy_verify_equilibrium(game: FiniteBimatrixGame, m, x: float, y: float) -> None:
+    s = game.orientation.sign
+    pure = np.array([0.0, 1.0])
+    best1 = (s * m.eval_arrays(pure, np.full(2, y))[0]).max()
+    best2 = (s * m.eval_arrays(np.full(2, x), pure)[1]).max()
+    here1, here2 = (s * v for v in m.eval_arrays(x, y))
+    tol = VERIFY_TOL * max(1.0, np.abs(game.payoff1).max(), np.abs(game.payoff2).max())
+    if best1 > here1 + tol or best2 > here2 + tol:
+        raise AssertionError(f"best-response verification failed at ({x}, {y})")
+
+
+def numpy_mixed_equilibrium_components(game: FiniteBimatrixGame) -> list[EquilibriumComponent]:
+    """``mixed.mixed_equilibrium_components`` on numpy scalars and arrays:
+    the oriented tables as arrays, each verification and payoff extreme an
+    evaluation of ``bilinear_map``."""
+    s = game.orientation.sign
+    p1 = s * game.payoff1
+    p2 = s * game.payoff2
+    a1 = (p1[0, 0] - p1[1, 0]) - (p1[0, 1] - p1[1, 1])
+    b1 = p1[0, 1] - p1[1, 1]
+    a2 = (p2[0, 0] - p2[0, 1]) - (p2[1, 0] - p2[1, 1])
+    b2 = p2[1, 0] - p2[1, 1]
+    classes = [((1.0, 1.0), "ge"), ((0.0, 0.0), "le"), ((0.0, 1.0), "eq")]
+    boxes = []
+    for x_box, rel1 in classes:
+        y_cond = _solve_linear(a1, b1, rel1)
+        if y_cond is None:
+            continue
+        for y_box, rel2 in classes:
+            x_cond = _solve_linear(a2, b2, rel2)
+            if x_cond is None:
+                continue
+            xi = _intersect(x_box, x_cond)
+            yi = _intersect(y_box, y_cond)
+            if xi is not None and yi is not None:
+                boxes.append((xi, yi))
+
+    def contains(outer, inner) -> bool:
+        (oxl, oxh), (oyl, oyh) = outer
+        (ixl, ixh), (iyl, iyh) = inner
+        return oxl <= ixl and ixh <= oxh and oyl <= iyl and iyh <= oyh
+
+    kept = []
+    for box in boxes:
+        if any(contains(other, box) for other in boxes if other != box):
+            continue
+        if box not in kept:
+            kept.append(box)
+    kept.sort()
+    payoff = numpy_bilinear_map(game)
+    components = []
+    for (xl, xh), (yl, yh) in kept:
+        xl, xh, yl, yh = float(xl), float(xh), float(yl), float(yh)
+        corners = sorted({(xl, yl), (xl, yh), (xh, yl), (xh, yh)})
+        for cx, cy in corners:
+            _numpy_verify_equilibrium(game, payoff, cx, cy)
+        degenerate = int(xl == xh) + int(yl == yh)
+        components.append(
+            EquilibriumComponent(
+                extreme_points=tuple(MixedBistrategy(cx, cy) for cx, cy in corners),
+                description={2: "isolated point", 1: "segment", 0: "rectangle"}[degenerate],
+                payoff_extremes=tuple(payoff.eval(cx, cy) for cx, cy in corners),
+                x_interval=(xl, xh),
+                y_interval=(yl, yh),
+            )
+        )
+    return components
+
+
+def numpy_conservative_bivalue_mixed(game: FiniteBimatrixGame) -> PayoffPoint:
+    """``mixed.conservative_bivalue_mixed`` with the four oriented corner
+    payoffs evaluated as one meshgrid."""
+    s = game.orientation.sign
+    x, y = np.meshgrid((0.0, 1.0), (0.0, 1.0), indexing="ij")
+    g1, g2 = (s * p for p in numpy_bilinear_map(game).eval_arrays(x, y))
+    v1 = _maximin_lines(g1[:, 0], g1[:, 1])
+    v2 = _maximin_lines(g2[0, :], g2[1, :])
+    return PayoffPoint(s * v1 + 0.0, s * v2 + 0.0)
 
 
 def _section_nash(game: CoopetitiveGame, z: float, grid_n: int):

@@ -327,6 +327,28 @@ class TestTranslatedSections:
             assert (calls["mixed_equilibrium_components"], calls["conservative_bivalue_mixed"]) == want
             assert calls["section"] <= 1
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the z = 0 table rounds apart two entries that tie exactly, and "
+        "section 1 has that tie, so the translated analysis misses its pure equilibrium",
+    )
+    def test_section_keeps_an_exact_tie_that_z0_rounds_apart(self):
+        # At z = 1/256 player 1 is indifferent between the rows in column 0,
+        # so (x, y) = (0, 1) is an equilibrium of that section; the z = 0
+        # table reads -1.6859999999999997 against -1.686 there.
+        game = CoopetitiveGame.with_uniform_grid(
+            PayoffMap(
+                np.array([[-1.677, -0.397, -0.009, -0.185, 0.397], [-1.299, -0.263, 0.08, -1.179, -0.769]]),
+                arity=3,
+            ),
+            Orientation.GAIN,
+            257,
+            initial_z=0.0,
+        )
+        z, payoffs = induced_path(game, "nash_payoffs", 65).samples[1]
+        assert z == 1 / 256
+        assert [-1.68672265625, -1.2236054687499998] in payoffs.tolist()
+
 
 class TestProperCoopetitive:
     def test_paper_solution(self, coop_game):

@@ -342,6 +342,56 @@ class TestParetoSweep:
             assert_matches_lexsort_path(payoffs, preimages)
 
 
+    @pytest.mark.parametrize("arity, grid_n", [(2, 129), (3, 17)])
+    @pytest.mark.parametrize("shape", ["opposed", "aligned"])
+    def test_lattice_copies_ranked_without_preimages(self, monkeypatch, arity, grid_n, shape):
+        # Row order is preimage order in a lattice cloud: its copies are ranked
+        # by row index, and only the boundary's own preimages are read.
+        reads = []
+        built = geometry._LatticeCloud.preimages_at
+
+        def recording(self, rows):
+            reads.append(len(rows))
+            return built(self, rows)
+
+        monkeypatch.setattr(geometry._LatticeCloud, "preimages_at", recording)
+        rng = np.random.default_rng([75, arity, len(shape)])
+        copies = 0
+        for _ in range(4):
+            cloud = sample_image(dense_shaped_map(rng, arity, shape), grid_n)
+            plain = PointCloud(cloud.payoffs, cloud.preimages, cloud.grid_step)
+            for flavor in ("maximal", "minimal"):
+                reads.clear()
+                got = pareto_filter(cloud, Orientation.GAIN, flavor)
+                assert reads == [len(got)]
+                want = pareto_filter(plain, Orientation.GAIN, flavor)
+                assert got.payoffs.tobytes() == want.payoffs.tobytes()
+                assert got.preimages.tobytes() == want.preimages.tobytes()
+                on_boundary = (cloud.payoffs[:, None, :] == got.payoffs[None, :, :]).all(axis=2)
+                copies += on_boundary.sum() - len(got)
+        # Boundary payoff pairs had copies in the cloud to rank.
+        assert copies > 0
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_small_clouds_skip_the_prefilter(self, monkeypatch, arity):
+        calls = []
+        prefilter = geometry._prefilter
+
+        def recording(payoffs, sign):
+            calls.append(len(payoffs))
+            return prefilter(payoffs, sign)
+
+        monkeypatch.setattr(geometry, "_prefilter", recording)
+        rng = np.random.default_rng([76, arity])
+        cut = geometry._PREFILTER_MIN_ROWS
+        for n in (1, 17, cut - 1, cut, cut + 1):
+            calls.clear()
+            payoffs = rng.integers(-40, 41, size=(n, 2)) / 4.0
+            preimages = rng.integers(0, 5, size=(n, arity)) / 4.0
+            assert_matches_lexsort_path(payoffs, preimages)
+            assert calls == ([] if n < cut else [n, n])
+
+
 def assert_prefilter_matches_frame(payoffs):
     """The column prefilter keeps the frame prefilter's rows, index for index,
     in both flavours and on row- and column-major input."""

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from coopetition.coopetitive import CoopetitiveGame, _section_table
 from coopetition.errors import UnsupportedGameError
+from coopetition.gamefile import MAX_PAYOFF
 from coopetition.games import (
     FiniteBimatrixGame,
     Orientation,
     PayoffPoint,
     translate,
 )
+from coopetition.geometry import PayoffMap
 from coopetition.mixed import (
     MixedBistrategy,
     _verify_equilibrium,
@@ -19,7 +22,14 @@ from coopetition.mixed import (
     mixed_equilibrium_components,
 )
 
-from oracles import exact_conservative_mixed, is_mixed_equilibrium, random_game
+from oracles import (
+    exact_conservative_mixed,
+    is_mixed_equilibrium,
+    numpy_conservative_bivalue_mixed,
+    numpy_mixed_equilibrium_components,
+    numpy_section_table,
+    random_game,
+)
 
 
 def matching_pennies():
@@ -136,8 +146,8 @@ class TestEquilibriumComponents:
             Orientation.GAIN,
         )
         with pytest.raises(AssertionError, match="non-equilibrium"):
-            _verify_equilibrium(g, bilinear_map(g), 1.0, 1.0)
-        _verify_equilibrium(g, bilinear_map(g), 0.0, 1.0)
+            _verify_equilibrium(g, bilinear_map(g).coeffs, 1.0, 1.0)
+        _verify_equilibrium(g, bilinear_map(g).coeffs, 0.0, 1.0)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(24)
@@ -209,3 +219,106 @@ class TestConservativeBivalueMixed:
             Orientation.LOSS,
         )
         assert conservative_bivalue_mixed(g) == PayoffPoint(-2.0, 4.0)
+
+
+def _bits(*values: float) -> bytes:
+    """The values' float64 bit patterns, sign bits included."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def _outcome(fn, game):
+    """A comparable form of ``fn(game)``: every float field as bits, or the
+    type of the exception raised."""
+    try:
+        out = fn(game)
+    except AssertionError as exc:
+        return type(exc)
+    if isinstance(out, PayoffPoint):
+        return _bits(out.p1, out.p2)
+    return [
+        (
+            c.description,
+            _bits(*c.x_interval, *c.y_interval),
+            _bits(*(v for s in c.extreme_points for v in (s.x, s.y))),
+            _bits(*(v for p in c.payoff_extremes for v in p)),
+        )
+        for c in out
+    ]
+
+
+class TestScalarSectionAnalysis:
+    """The section table, its mixed equilibria and conservative bi-value on
+    Python floats against the numpy forms kept in ``oracles``, bit for bit."""
+
+    @staticmethod
+    def assert_same(coeffs: np.ndarray) -> set[str]:
+        """Compare both forms on ``coeffs`` at a few sections, in both
+        orientations; returns the component shapes seen."""
+        shapes = set()
+        for orientation in Orientation:
+            game = CoopetitiveGame.with_uniform_grid(PayoffMap(coeffs, arity=3), orientation, 65)
+            for z in (0.0, *game.c_grid[[1, 31, 64]]):
+                table = _section_table(game, z)
+                want = numpy_section_table(game, z)
+                assert table.payoff1.tobytes() == want.payoff1.tobytes()
+                assert table.payoff2.tobytes() == want.payoff2.tobytes()
+                assert table.orientation is want.orientation
+                comps = _outcome(mixed_equilibrium_components, table)
+                assert comps == _outcome(numpy_mixed_equilibrium_components, table)
+                assert _outcome(conservative_bivalue_mixed, table) == _outcome(
+                    numpy_conservative_bivalue_mixed, table
+                )
+                shapes.update(c[0] for c in comps if isinstance(comps, list))
+        return shapes
+
+    def test_random_three_decimal_games(self):
+        rng = np.random.default_rng(90)
+        for _ in range(60):
+            self.assert_same(np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3))
+
+    def test_half_integer_ties(self):
+        rng = np.random.default_rng(91)
+        for _ in range(60):
+            self.assert_same(rng.integers(-4, 5, size=(2, 5)) / 2.0)
+
+    def test_negative_zero_coefficients(self):
+        rng = np.random.default_rng(92)
+        for _ in range(60):
+            coeffs = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0], size=(2, 5))
+            assert self.assert_same(coeffs)
+        # An all -0.0 map has -0.0 table entries in places.
+        assert self.assert_same(np.full((2, 5), -0.0)) == {"rectangle"}
+
+    def test_degenerate_games_give_segments_and_rectangles(self):
+        rng = np.random.default_rng(93)
+        shapes = set()
+        for _ in range(60):
+            coeffs = rng.integers(-2, 3, size=(2, 5)) / 2.0
+            # Player 1 or player 2 (or both) indifferent to the own mixture.
+            for k in ([0], [1], [0, 1])[rng.integers(3)]:
+                coeffs[k, [1 + k, 4]] = 0.0
+            shapes |= self.assert_same(coeffs)
+        assert {"segment", "rectangle"} <= shapes
+
+    def test_coefficients_near_max_payoff(self):
+        rng = np.random.default_rng(94)
+        for _ in range(60):
+            coeffs = rng.uniform(-1.0, 1.0, size=(2, 5))
+            coeffs *= MAX_PAYOFF / np.abs(coeffs).sum(axis=1, keepdims=True) * (1 - 1e-12)
+            self.assert_same(coeffs)
+
+    def test_finite_games(self):
+        rng = np.random.default_rng(95)
+        signed_zeros = [-1.0, -0.0, 0.0, 0.5]
+        for i in range(200):
+            if i % 2:
+                g = random_game(rng, rows=2, cols=2)
+            else:
+                g = FiniteBimatrixGame(
+                    *rng.choice(signed_zeros, size=(2, 2, 2)), (Orientation.GAIN, Orientation.LOSS)[i % 4 // 2]
+                )
+            for fn, ref in (
+                (mixed_equilibrium_components, numpy_mixed_equilibrium_components),
+                (conservative_bivalue_mixed, numpy_conservative_bivalue_mixed),
+            ):
+                assert _outcome(fn, g) == _outcome(ref, g)

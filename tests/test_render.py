@@ -1,4 +1,7 @@
-"""CSV emission: bytes against the row-by-row ``csv.writer`` reference, and tag checks."""
+"""CSV emission: bytes against the row-by-row ``csv.writer`` reference, and tag checks;
+SVG marks against per-point formatting."""
+
+import re
 
 import numpy as np
 import pytest
@@ -127,3 +130,27 @@ def test_malformed_blocks_are_refused(preimages, payoffs):
     with pytest.raises(ValueError, match="needs at least 3 preimage and 2 payoff columns"):
         scene.add(preimages, payoffs, "cloud")
     assert scene.blocks == []
+
+
+def test_svg_marks_match_per_point_formatting(tmp_path):
+    # Signed zeros, ties in p1 and repeated rows: the path order must be
+    # that of sorting (p1, p2) tuples, and every mark that of ``to_px`` and
+    # ``_fmt`` on one point at a time.
+    rng = np.random.default_rng(12)
+    vals = [-0.0, 0.0, 0.25, -1.5, 1e-3, 2.0 / 3, -2.0 / 3]
+    scene = Scene("marks", Orientation.GAIN, 2)
+    for tag in ("cloud", "pareto", "nash", "tu"):
+        scene.add(np.zeros((60, 2)), rng.choice(vals, size=(60, 2)), tag)
+    path = tmp_path / "marks.svg"
+    render.write_svg(path, scene)
+    text = path.read_text()
+    frame = render._Frame(np.concatenate([pay for _, _, pay in scene.blocks]))
+
+    def px(p1, p2):
+        return ",".join(map(render._fmt, frame.to_px(p1, p2)))
+
+    pareto = sorted(map(tuple, scene.blocks[1][2].tolist()))
+    want_d = " ".join(("M" if i == 0 else "L") + px(*p) for i, p in enumerate(pareto))
+    assert re.search(r'<path d="([^"]*)"', text).group(1) == want_d
+    marks = [",".join(m) for m in re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', text)]
+    assert marks == [px(*p) for i in (0, 2, 3) for p in scene.blocks[i][2].tolist()]
