@@ -24,7 +24,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bargaining import SolutionPoint, compromise_solution, payoff_core
+from .bargaining import SolutionPoint, compromise_solution
 from .errors import EmptyPortion, MissingInitialZ, SameHalfPlane
 from .games import FiniteBimatrixGame, Orientation, PayoffPoint, strictly_better
 from .geometry import (
@@ -294,18 +294,33 @@ def core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint:
     """Componentwise supremum of the payoff core of the section at ``z``.
 
     The core is the portion of the section's orientation-facing Pareto
-    boundary weakly better than its conservative bi-value; its supremum is
-    taken componentwise over the samples.
+    boundary weakly better than its conservative bi-value ``v``; its
+    supremum is taken componentwise over the samples.  It is read off the
+    lattice's payoff columns, with no Pareto pass.
+
+    Let ``S`` be the lattice rows weakly better than ``v``, compared as
+    ``payoff_core`` compares.  Every row of ``S`` is weakly dominated by a
+    row of the facing boundary, which is then weakly better than ``v`` and
+    so in ``S`` too.  So the core is empty iff ``S`` is, and the core's two
+    end points are lexicographic extremes of ``S``.  Under GAIN the
+    supremum is ``(max p1, max p2)`` over ``S``.  Under LOSS its p1 is the
+    least p1 among the rows of ``S`` at ``S``'s least p2, and its p2 the
+    least p2 among the rows at ``S``'s least p1.  A component's zeros on
+    a lattice share one sign (see ``lattice_tu``), so each reduction gives
+    the bits of the core's componentwise maximum.
     """
-    sec = section_game(game, z)
-    boundary = pareto_filter(
-        sample_image(sec.map, grid_n), game.orientation, facing_flavor(game.orientation)
-    )
-    conservative = conservative_bivalue_mixed(_section_table(game, z))
-    core = payoff_core(boundary, conservative)
-    if len(core) == 0:
+    cloud = sample_image(section_game(game, z).map, grid_n)
+    v = conservative_bivalue_mixed(_section_table(game, z))
+    s = game.orientation.sign
+    p1, p2 = cloud.payoffs.T
+    mask = s * p1 >= s * v.p1
+    mask &= s * p2 >= s * v.p2
+    if not mask.any():
         raise EmptyPortion(f"the payoff core of the section at z={z} is empty")
-    return PayoffPoint(*core.payoffs.max(axis=0))
+    p1, p2 = p1[mask], p2[mask]
+    if game.orientation is Orientation.GAIN:
+        return PayoffPoint(p1.max(), p2.max())
+    return PayoffPoint(p1[p2 == p2.min()].min(), p2[p1 == p1.min()].min())
 
 
 def win_win_report(

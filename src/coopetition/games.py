@@ -125,7 +125,8 @@ class FiniteBimatrixGame:
             raise ValueError(f"payoff1 must be a non-empty matrix, got shape {p1.shape}")
         if p1.shape != p2.shape:
             raise ValueError(f"payoff matrices differ in shape: {p1.shape} vs {p2.shape}")
-        if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
+        # A scan of Python floats: on tables this small, cheaper than two masks.
+        if not all(map(math.isfinite, p1.ravel().tolist() + p2.ravel().tolist())):
             raise ValueError("payoff entries must be finite")
         for name, labels, count in (
             ("row_labels", self.row_labels, p1.shape[0]),

@@ -12,16 +12,15 @@ import csv
 import numpy as np
 
 from coopetition import geometry
-from coopetition.bargaining import SolutionPoint
+from coopetition.bargaining import SolutionPoint, payoff_core
 from coopetition.coopetitive import (
     CoopetitiveGame,
-    core_supremum,
     section_game,
     tu_crossing_solution,
 )
 from coopetition.errors import EmptyPortion, MissingInitialZ
 from coopetition.games import FiniteBimatrixGame, Orientation, PayoffPoint, StrategyCell
-from coopetition.geometry import extrema, sample_image, tu_boundary, tu_line
+from coopetition.geometry import extrema, facing_flavor, pareto_filter, sample_image, tu_boundary, tu_line
 from coopetition.mixed import (
     VERIFY_TOL,
     EquilibriumComponent,
@@ -418,15 +417,30 @@ def cloud_tu_compromise(game: CoopetitiveGame, a, b, grid_n: int, tol: float = 1
     return tu_crossing_solution(tub, a, b)
 
 
+def cloud_core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint:
+    """``core_supremum`` by its definition: the section's sampled cloud,
+    its facing Pareto boundary, the portion weakly better than the
+    conservative bi-value, and that portion's componentwise maximum."""
+    sec = section_game(game, z)
+    boundary = pareto_filter(
+        sample_image(sec.map, grid_n), game.orientation, facing_flavor(game.orientation)
+    )
+    core = payoff_core(boundary, conservative_bivalue_mixed(section_table(game, z)))
+    if len(core) == 0:
+        raise EmptyPortion(f"the payoff core of the section at z={z} is empty")
+    return PayoffPoint(*core.payoffs.max(axis=0))
+
+
 def cloud_standard_win_win(game: CoopetitiveGame, grid_n: int, tol: float = 1e-6) -> SolutionPoint:
     """``standard_win_win_solution`` from the public cloud functions.
 
-    The TU data come from ``tu_boundary`` and ``extrema`` of
-    ``sample_image`` of the whole cube, not from ``lattice_tu``.
+    The core supremum comes from ``cloud_core_supremum``, and the TU data
+    from ``tu_boundary`` and ``extrema`` of ``sample_image`` of the whole
+    cube, not from ``lattice_tu``.
     """
     if game.initial_z is None:
         raise MissingInitialZ("the standard win-win solution needs initial_z set")
-    L = core_supremum(game, game.initial_z, grid_n)
+    L = cloud_core_supremum(game, game.initial_z, grid_n)
     cloud = sample_image(game.payoff, grid_n)
     tub = tu_boundary(cloud, game.orientation, tol)
     end_lo, end_hi = tu_line(tub, *extrema(cloud))

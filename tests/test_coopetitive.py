@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from coopetition.bargaining import SolutionPoint
 from coopetition.mixed import mixed_equilibrium_components
 
 from oracles import (
+    cloud_core_supremum,
     cloud_standard_win_win,
     cloud_tu_compromise,
     per_section_path,
@@ -417,6 +419,37 @@ class TestWinWin:
     def test_core_supremum_is_conservative_point(self, coop_game):
         L = core_supremum(coop_game, 0.0, 513)
         assert err(L, PayoffPoint(0, 1)) <= 1e-9
+
+    def test_core_supremum_matches_the_cloud_core(self):
+        # Bits or refusal of the Pareto-boundary construction, both
+        # orientations, on sweep-drawn games and on tie-heavy ones: small
+        # integers with -0.0 coefficients, every other game a function of
+        # x + y per player (c1 == c2, c4 == 0).  Matching pennies has an
+        # empty core on the 2-point lattice.
+        rng = random.Random(3)
+        values = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)
+        ties = []
+        for i in range(40):
+            coeffs = [[rng.choice(values) for _ in range(5)] for _ in range(2)]
+            if i % 2:
+                for c in coeffs:
+                    c[2], c[4] = c[1], 0.0
+            ties.append(make_coop(coeffs, c_size=5))
+        pennies = make_coop([[1, -2, -2, 0, 4], [-1, 2, 2, 0, -4]], Orientation.GAIN)
+        games = [g for seed in (1, 2) for g in sweep_style_games(seed, 10)] + ties + [pennies]
+        answers = refusals = negative_zeros = 0
+        for base in games:
+            for orientation in Orientation:
+                game = replace(base, orientation=orientation)
+                for z in (0.0, 1 / 256, 0.5, 57 / 64, 1.0):
+                    for grid_n in (2, 3, 17, 65):
+                        got = outcome(lambda: core_supremum(game, z, grid_n))
+                        assert got == outcome(lambda: cloud_core_supremum(game, z, grid_n))
+                        answers += got.startswith("PayoffPoint")
+                        refusals += got.startswith("EmptyPortion")
+                        negative_zeros += "-0.0" in got
+        assert outcome(lambda: core_supremum(pennies, 0.0, 2)).startswith("EmptyPortion")
+        assert answers > 1000 and refusals > 10 and negative_zeros > 10
 
     def test_report_on_known_candidate(self, coop_game):
         candidate = SolutionPoint(PayoffPoint(-2, 0), (0.5, 0.5, 1.0), "manual", 0.0)
