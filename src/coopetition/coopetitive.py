@@ -32,6 +32,7 @@ from .geometry import (
     PointCloud,
     TUBoundary,
     _component,
+    _fold_z,
     _lex_order,
     facing_flavor,
     lattice_tu,
@@ -158,10 +159,10 @@ def family_roundtrip_check(game: CoopetitiveGame, grid_n: int = 17) -> bool:
 def _section_table(game: CoopetitiveGame, z: float) -> FiniteBimatrixGame:
     """The 2x2 table of the section at ``z``; row 0 / column 0 is x = y = 1.
 
-    ``_component`` on floats, c_z * z folded into the constant as by
+    ``_component`` on floats over the section's ``_fold_z`` rows, those of
     ``PayoffMap.section``: the bits of the section map's array evaluation."""
-    tables = ([[_component((c0 + c3 * z, c1, c2, 0.0, c4), x, y, 0.0) for y in (1.0, 0.0)] for x in (1.0, 0.0)]
-              for c0, c1, c2, c3, c4 in game.payoff.coeffs.tolist())
+    tables = ([[_component(c, x, y, 0.0) for y in (1.0, 0.0)] for x in (1.0, 0.0)]
+              for c in _fold_z(game.payoff.coeffs, z))
     return FiniteBimatrixGame(*tables, game.orientation)
 
 
@@ -182,11 +183,10 @@ def _nash_lattice(game: CoopetitiveGame, grid_n: int) -> tuple[np.ndarray, np.nd
 
 def _section_payoffs(game: CoopetitiveGame, x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
     """Payoffs at (x, y) in every section, the two components stacked along
-    ``axis``: shape (len(c_grid), len(x), 2) by default."""
-    c = game.payoff.coeffs
-    const = c[:, 0] + c[:, 3] * game.c_grid[:, None]
-    p = [const[:, k, None] + c[k, 1] * x + c[k, 2] * y + c[k, 4] * x * y for k in (0, 1)]
-    return np.stack(p, axis=axis)
+    ``axis``: shape (len(c_grid), len(x), 2) by default.  Row k has the
+    bits of ``section_game(game, c_grid[k]).map.eval_arrays(x, y)``."""
+    rows = _fold_z(game.payoff.coeffs, game.c_grid[:, None])
+    return np.stack([_component(c, x, y, 0.0) for c in rows], axis=axis)
 
 
 def induced_path(game: CoopetitiveGame, quantity: PathQuantity, grid_n: int) -> SetValuedPath:
@@ -262,7 +262,7 @@ def tu_crossing_solution(
     reported preimage is the witness profile nearest it (the players
     realize the optimal total there and transfer utility to reach the
     agreed split).  ``tub`` comes from ``tu_boundary`` of a cloud or from
-    ``lattice_tu`` of a payoff map, which builds no cloud.
+    ``lattice_tu`` of a payoff map, which on a cube builds no cloud.
     """
     m = tub.optimal_sum
     sum_a = a.p1 + a.p2

@@ -134,16 +134,7 @@ def _close(p: PayoffPoint, q: PayoffPoint, tol: float) -> bool:
 
 def _context(game: FiniteBimatrixGame | CoopetitiveGame, grid_n: int) -> GameContext:
     """The context ``solve`` builds for ``game`` at ``grid_n`` with no tolerance set."""
-    finite = isinstance(game, FiniteBimatrixGame)
-    spec = GameSpec(
-        "finite" if finite else "coopetitive",
-        game.orientation,
-        game if finite else None,
-        None if finite else game,
-        AnalysisDefaults(),
-        "<paper-demo>",
-    )
-    return GameContext(spec, grid_n)
+    return GameContext(GameSpec(game, AnalysisDefaults(), "<paper-demo>"), grid_n)
 
 
 def run_paper_demo(out_dir: str | Path) -> str:

@@ -62,12 +62,14 @@ class AnalysisDefaults:
 
 @dataclass(frozen=True)
 class GameSpec:
-    kind: str
-    orientation: Orientation
-    finite: FiniteBimatrixGame | None
-    coopetitive: CoopetitiveGame | None
+    game: FiniteBimatrixGame | CoopetitiveGame
     analysis: AnalysisDefaults
     path: str
+
+    @property
+    def kind(self) -> str:
+        """``"finite"`` or ``"coopetitive"``, the file's ``kind``."""
+        return "finite" if isinstance(self.game, FiniteBimatrixGame) else "coopetitive"
 
 
 def _is_number(value) -> bool:
@@ -191,14 +193,12 @@ def load_game_file(path: str | Path) -> GameSpec:
             tol = float(tol)
         analysis = AnalysisDefaults(grid_n=grid_n, tol=tol)
 
-    finite = None
-    coopetitive = None
     if kind == "finite":
         p1 = v.matrix("payoff1")
         p2 = v.matrix("payoff2")
         if p1.shape != p2.shape:
             raise v.fail("payoff2", f"payoff matrices differ in shape: {p1.shape} vs {p2.shape}")
-        finite = FiniteBimatrixGame(
+        game = FiniteBimatrixGame(
             p1,
             p2,
             orientation,
@@ -222,7 +222,7 @@ def load_game_file(path: str | Path) -> GameSpec:
         if initial_z is not None and not _is_number(initial_z):
             raise v.fail("initial_z", f"initial_z must be a number, got {initial_z!r}")
         try:
-            coopetitive = CoopetitiveGame.with_uniform_grid(
+            game = CoopetitiveGame.with_uniform_grid(
                 PayoffMap(coeffs, arity=3),
                 orientation,
                 c_grid_size=c_size,
@@ -231,7 +231,7 @@ def load_game_file(path: str | Path) -> GameSpec:
         except ValueError as exc:
             raise v.fail("initial_z", str(exc)) from exc
 
-    return GameSpec(kind, orientation, finite, coopetitive, analysis, path)
+    return GameSpec(game, analysis, path)
 
 
 def resolve_grid(spec: GameSpec, cli_grid: int | None) -> int:
@@ -261,7 +261,7 @@ def resolve_grid(spec: GameSpec, cli_grid: int | None) -> int:
     points = grid_n**2
     if spec.kind == "coopetitive":
         # The cloud, or a Nash zone holding a full section rectangle for every z.
-        points *= max(grid_n, len(spec.coopetitive.c_grid))
+        points *= max(grid_n, len(spec.game.c_grid))
     if points > MAX_LATTICE_POINTS:
         raise GameFileError(
             f"grid size {grid_n} asks for {points} lattice points, "

@@ -139,10 +139,7 @@ class PayoffMap:
         """Fix the cooperative coordinate, folding it into the constants."""
         if self.arity != 3:
             raise ValueError("only arity-3 maps have sections")
-        c = self.coeffs.copy()
-        c[:, 0] += c[:, 3] * float(z)
-        c[:, 3] = 0.0
-        return PayoffMap(c, arity=2)
+        return PayoffMap(_fold_z(self.coeffs, float(z)), arity=2)
 
 
 def _component(c, x, y, z, out: np.ndarray | None = None):
@@ -161,6 +158,18 @@ def _component(c, x, y, z, out: np.ndarray | None = None):
     p = p + c[3] * z if out is None else np.add(p, c[3] * z, out=out)
     p += c[4] * x * y
     return p
+
+
+def _fold_z(coeffs: np.ndarray, z):
+    """The coefficient rows of the section at ``z``: ``(c0 + c3*z, c1, c2,
+    0.0, c4)`` per component of the (2, 5) ``coeffs``.
+
+    The one home of the fold.  ``z`` is a float, or an array of heights
+    that the constant then takes the shape of.  The other entries are
+    Python floats, and the constant has the bits of the same fold on
+    float64 arrays, as IEEE arithmetic rounds each operation alike.
+    """
+    return [(c0 + c3 * z, c1, c2, 0.0, c4) for c0, c1, c2, c3, c4 in coeffs.tolist()]
 
 
 class _PointSet:
@@ -365,11 +374,6 @@ def _lex_order(payoffs: np.ndarray, preimages: np.ndarray, *leading: np.ndarray)
     keys = [preimages[:, k] for k in range(preimages.shape[1] - 1, -1, -1)]
     keys += [payoffs[:, 1], payoffs[:, 0], *reversed(leading)]
     return np.lexsort(tuple(keys))
-
-
-def _drop_dominated(payoffs: np.ndarray, sign: float) -> np.ndarray:
-    """The surviving rows of ``_prefilter``."""
-    return _prefilter(payoffs, sign)[0]
 
 
 def _prefilter(payoffs: np.ndarray, sign: float):
@@ -738,26 +742,12 @@ def tu_boundary(
     The optimum is the max of the coordinate sum under GAIN and the min
     under LOSS; witnesses are the sampled points within ``tol`` of it,
     ordered by p1, and ``segment_ends`` are the extreme witness payoffs.
-    For a payoff map, :func:`lattice_tu` reads the same witnesses on the
-    lattice without building the cloud.
+    For a payoff map on the cube, :func:`lattice_tu` reads the same
+    witnesses on the lattice without building the cloud.
     """
     return _tu_witnesses(
         cloud.payoffs[:, 0], cloud.payoffs[:, 1], cloud.preimages_at, orientation, tol
     )
-
-
-def _columns(payoff_map: PayoffMap, x: np.ndarray, y: np.ndarray, z: np.ndarray):
-    """(p1, p2) on the lattice columns over the points ``(x[i], y[i])``.
-
-    Row ``k`` holds the payoffs at height ``z[k]`` and column ``i`` those
-    over ``(x[i], y[i])``; an arity-2 map has no height, so its one row
-    holds the points themselves.  The operations are those of the whole
-    lattice, so the bits are too.  Heights lead, so each operation runs
-    along a row of columns, not along a short column.
-    """
-    if payoff_map.arity == 2:
-        return payoff_map.eval_arrays(x[None, :], y[None, :])
-    return payoff_map.eval_arrays(x[None, :], y[None, :], z[:, None])
 
 
 def lattice_tu(
@@ -766,11 +756,12 @@ def lattice_tu(
     """``tu_boundary`` and ``extrema`` of ``sample_image(payoff_map, grid_n)``.
 
     Returns the TU boundary and the componentwise (infimum, supremum), bit
-    for bit those of the cloud, which is never built.  The map is evaluated
-    on the lattice's two z-faces, ``z = 0`` and ``z = 1``, and then in full
-    only on the candidate ``(x, y)`` columns; preimages are formed for the
-    witness rows only.  An arity-2 lattice is its own single face, and each
-    of its columns a single point.  Two arguments make this exact.
+    for bit those of the cloud.  An arity-2 map has no z faces to save
+    work on, so both are read off its cloud.  A cube's cloud is never
+    built: the map is evaluated on the lattice's two z-faces, ``z = 0``
+    and ``z = 1``, and then in full only on the candidate ``(x, y)``
+    columns; preimages are formed for the witness rows only.  Two
+    arguments make this exact.
 
     *Extrema need no slack.*  ``eval_arrays`` computes a component as
     ``fl(fl(S + fl(c3*z)) + T)``, where ``S``, the rounded sum of the
@@ -814,11 +805,16 @@ def lattice_tu(
     A generic map keeps one column or a few; a constant-sum map keeps them
     all, which costs the full lattice plus its two faces.
     """
+    if payoff_map.arity == 2:
+        cloud = sample_image(payoff_map, grid_n)
+        return (tu_boundary(cloud, orientation, tol), *extrema(cloud))
     t = _axis(grid_n)
-    # The (x, y) point of each column.
-    xs = np.repeat(t, grid_n)
-    ys = np.tile(t, grid_n)
-    f1, f2 = _columns(payoff_map, xs, ys, t[[0, -1]])
+    # The (x, y) point of each column, in one row: heights lead, so each
+    # operation runs along a row of columns, not along a short column.  The
+    # operations are those of the whole lattice, so the bits are too.
+    xs = np.repeat(t, grid_n)[None, :]
+    ys = np.tile(t, grid_n)[None, :]
+    f1, f2 = payoff_map.eval_arrays(xs, ys, t[[0, -1], None])
     ext = np.array([f1.min(), f2.min(), f1.max(), f2.max()])
     if not np.isfinite(ext).all():
         raise ValueError("payoffs must be finite")
@@ -829,14 +825,12 @@ def lattice_tu(
     # A NaN gap (an overflowing sum, or a NaN tol) keeps its column, so the
     # witness pass fails as it does on the cloud.
     cand = np.flatnonzero(~(best.max() - best > tol + slack))
-    xs, ys = xs[cand], ys[cand]
-    p1, p2 = _columns(payoff_map, xs, ys, t)
+    p1, p2 = payoff_map.eval_arrays(xs[:, cand], ys[:, cand], t[:, None])
 
     def preimages_of(sel):
         # Witness sel is at height k over column col, lattice row cand[col]·n + k.
         k, col = divmod(sel, len(cand))
-        rows = cand[col] * grid_n + k if payoff_map.arity == 3 else cand[col]
-        return _lattice_preimages(rows, grid_n, payoff_map.arity)
+        return _lattice_preimages(cand[col] * grid_n + k, grid_n, 3)
 
     tub = _tu_witnesses(p1.ravel(), p2.ravel(), preimages_of, orientation, tol)
     return tub, PayoffPoint(*ext[:2]), PayoffPoint(*ext[2:])

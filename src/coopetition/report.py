@@ -102,7 +102,7 @@ class GameContext:
     def __init__(self, spec: GameSpec, grid_n: int, tol: float | None = None):
         self.spec = spec
         self.grid_n = grid_n
-        self.game = spec.finite if spec.kind == "finite" else spec.coopetitive
+        self.game = spec.game
         self.orientation = self.game.orientation
         tol = tol or spec.analysis.tol
         self.ks_tol = tol or 3.0 / (grid_n - 1)

@@ -154,8 +154,8 @@ def drop_dominated(payoffs: np.ndarray, sign: float) -> np.ndarray:
     The frame ``sign * payoffs`` is built a block of rows at a time, its
     p1 range is cut into ``k`` equal buckets, and a row is dropped when its
     frame p2 is no smaller than the least frame p2 of any earlier bucket.
-    This is the row-major form that ``geometry._drop_dominated`` replaced
-    with passes over the raw payoff columns; returns the surviving row
+    This is the row-major form of the survivors that ``geometry._prefilter``
+    finds with passes over the raw payoff columns; returns the surviving row
     indices, ascending.
     """
     k = min(4096, len(payoffs) // 16)

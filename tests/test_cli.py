@@ -48,6 +48,17 @@ def loss_file(tmp_path, payoff1, payoff2):
     return str(path)
 
 
+#: A GAIN game whose payoffs are all at most zero, -0.0 at the origin of the cube.
+SIGNED_ZERO_GAME = {
+    "kind": "coopetitive",
+    "orientation": "gain",
+    "coefficients": {"p1": [-0.0, -1, -1, -1, -1], "p2": [-0.0, -2, -1, -1, -3]},
+    "c_grid_size": 5,
+    "initial_z": 0.0,
+    "analysis": {"grid_n": 9},
+}
+
+
 def run(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -199,6 +210,20 @@ class TestSolve:
         assert code == 0
         assert "payoff: (-1, -1)" in out
         assert "preimage: (0, 0, 1)" in out
+
+    def test_proper_coopetitive_zero_is_the_section_maps(self, tmp_path):
+        # Every coefficient is -0.0 or negative.  A section map adds its z
+        # term as 0.0 * z = 0.0, so its zero payoffs are 0.0; the cube's
+        # map adds -1 * 0.0 = -0.0 at z = 0, so its zeros are -0.0.
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps(SIGNED_ZERO_GAME))
+        code, out, _ = run("solve", str(path), "--solution", "proper-coopetitive")
+        assert code == 0
+        assert "payoff: (0, 0)" in out.splitlines()
+        # The Nash bargaining compromise reads the cube.
+        code, out, _ = run("solve", str(path), "--solution", "compromise:nash_pareto")
+        assert code == 0
+        assert "payoff: (-0, -0)" in out.splitlines()
 
     def test_grid_over_lattice_budget_exits_2(self, coop_path):
         code, out, err = run("solve", coop_path, "--solution", "tu", "--grid", "300")
@@ -375,7 +400,7 @@ def _check_one_answer_per_concept(tmp_path, path: str, tol_flag: list[str], grid
     if "proper-coopetitive" in blocks and not tol_flag:
         csv_path = tmp_path / "scene.csv"
         assert run("render", path, "--out-csv", str(csv_path), "--grid", grid)[0] == 0
-        marked = {r["tag"][len("solution:"):] for r in csv.DictReader(csv_path.open())
+        marked = {r["tag"][len("solution:"):] for r in csv.DictReader(csv_path.read_text().splitlines())
                   if r["tag"].startswith("solution:")}
         assert marked == {k for k, v in blocks.items() if not v[0].startswith("unavailable")}
 
@@ -407,7 +432,7 @@ def test_render_reads_analysis_tol(tmp_path):
     assert "  proper-coopetitive: unavailable (nearest boundary point is 0.00414409" in out
     csv_path = tmp_path / "scene.csv"
     assert run("render", str(path), "--out-csv", str(csv_path), "--grid", "17")[0] == 0
-    tags = {r["tag"] for r in csv.DictReader(csv_path.open())}
+    tags = {r["tag"] for r in csv.DictReader(csv_path.read_text().splitlines())}
     assert not any(tag.startswith("solution:") for tag in tags)
     _check_one_answer_per_concept(tmp_path, str(path), [], "17")
 
@@ -466,7 +491,7 @@ def test_payoffs_at_the_bound_give_finite_residuals(tmp_path, kind, command):
     assert all(np.isfinite(float(v)) for v in residuals), texts[1]
     assert codes[1] != 0 or residuals or command[0] == "render"
     if command[0] == "render":
-        rows = list(csv.reader((tmp_path / "huge.csv").open()))[1:]
+        rows = list(csv.reader((tmp_path / "huge.csv").read_text().splitlines()))[1:]
         assert np.isfinite(np.array([r[:-1] for r in rows], dtype=float)).all()
 
 
@@ -548,7 +573,7 @@ class TestRender:
         out_csv = tmp_path / "f.csv"
         code, _, _ = run("render", finite_path, "--out-csv", str(out_csv))
         assert code == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
         cloud = [r for r in rows if r["tag"] == "cloud"]
         assert len(cloud) == 4
         assert {r["tag"] for r in rows} >= {"cloud", "pareto", "nash", "tu"}
@@ -557,7 +582,7 @@ class TestRender:
         out_csv = tmp_path / "c.csv"
         code, _, _ = run("render", coop_path, "--out-csv", str(out_csv), "--grid", "9")
         assert code == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
         cloud = sum(1 for r in rows if r["tag"] == "cloud")
         assert cloud == 9**3
         markers = sum(1 for r in rows if r["tag"] != "cloud")
@@ -566,7 +591,7 @@ class TestRender:
     def test_csv_roundtrip_refilters_to_same_boundary(self, coop_path, tmp_path):
         out_csv = tmp_path / "c.csv"
         run("render", coop_path, "--out-csv", str(out_csv), "--grid", "9")
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
         cloud_rows = [r for r in rows if r["tag"] == "cloud"]
         payoffs = np.array([[float(r["p1"]), float(r["p2"])] for r in cloud_rows])
         pre = np.array([[float(r["x"]), float(r["y"]), float(r["z"])] for r in cloud_rows])
@@ -620,7 +645,7 @@ class TestRender:
         assert code == 0, err
         label = "proper-coopetitive" if concept.startswith("proper") else "standard-win-win"
         other = "standard-win-win" if label == "proper-coopetitive" else "proper-coopetitive"
-        tags = {r["tag"] for r in csv.DictReader(out["csv"].open())}
+        tags = {r["tag"] for r in csv.DictReader(out["csv"].read_text().splitlines())}
         assert f"solution:{other}" in tags and f"solution:{label}" not in tags
         svg = out["svg"].read_text()
         assert f">{other}</text>" in svg and label not in svg
@@ -641,7 +666,7 @@ class TestRender:
         code, _, err = run("render", str(path), "--out-csv", str(files["csv"]),
                            "--out-svg", str(files["svg"]))
         assert code == 0, err
-        tags = {r["tag"] for r in csv.DictReader(files["csv"].open())}
+        tags = {r["tag"] for r in csv.DictReader(files["csv"].read_text().splitlines())}
         assert "solution:standard-win-win" in tags and "solution:proper-coopetitive" not in tags
         assert files["svg"].read_text().startswith("<svg")
 
@@ -750,7 +775,7 @@ class TestPaperDemo:
 
 class TestEnvGrid:
     def test_env_override(self, coop_path, tmp_path, monkeypatch):
-        data = json.loads(open(coop_path).read())
+        data = json.loads(Path(coop_path).read_text())
         del data["analysis"]
         path = tmp_path / "noanalysis.json"
         path.write_text(json.dumps(data))
@@ -758,5 +783,5 @@ class TestEnvGrid:
         out_csv = tmp_path / "env.csv"
         code, _, _ = run("render", str(path), "--out-csv", str(out_csv))
         assert code == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
         assert sum(1 for r in rows if r["tag"] == "cloud") == 9**3

@@ -245,6 +245,49 @@ def assert_matches_per_section(game, grid_n, tol_for):
             assert np.abs(a - b).max() <= tol_for(quantity), quantity
 
 
+#: Coefficients whose payoffs are all at most zero, -0.0 at the cube's origin.
+SIGNED_ZERO_COEFFS = [[-0.0, -1, -1, -1, -1], [-0.0, -2, -1, -1, -3]]
+
+
+def one_formula_games():
+    """Games with -0.0 and 0.0 coefficients, whose section payoffs often sum
+    to zero, and generic three-decimal ones, each in both orientations."""
+    rng = np.random.default_rng(57)
+    coeffs = [SIGNED_ZERO_COEFFS]
+    coeffs += [rng.choice([-0.0, 0.0, 1.0, -1.0, 0.5, -0.25, -2.0], size=(2, 5)) for _ in range(40)]
+    coeffs += [np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3) for _ in range(20)]
+    for c in coeffs:
+        for orientation in Orientation:
+            yield make_coop(c, orientation, c_size=5)
+
+
+class TestOneSectionFormula:
+    """Paths, the Nash zone and the section table carry the bits of the
+    section map's own evaluation, sign of zero included."""
+
+    def test_nash_payoffs_and_zone_are_the_section_maps(self):
+        zeros = 0
+        for game in one_formula_games():
+            gx, gy = coopetitive._nash_lattice(game, 5)
+            path = induced_path(game, "nash_payoffs", 5).samples
+            zone = nash_zone(game, 5).payoffs.reshape(len(game.c_grid), len(gx), 2)
+            for (z, values), rows in zip(path, zone, strict=True):
+                want = np.stack(section_game(game, z).map.eval_arrays(gx, gy), axis=1)
+                assert values.tobytes() == want.tobytes()
+                assert rows.tobytes() == want.tobytes()
+                zeros += int((want == 0.0).sum())
+        assert zeros > 100
+
+    def test_section_table_is_the_section_map_at_the_corners(self):
+        x, y = np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 0.0], [1.0, 0.0]])
+        for game in one_formula_games():
+            for z in game.c_grid.tolist():
+                table = coopetitive._section_table(game, z)
+                p1, p2 = section_game(game, z).map.eval_arrays(x, y)
+                assert table.payoff1.tobytes() == p1.tobytes()
+                assert table.payoff2.tobytes() == p2.tobytes()
+
+
 class TestTranslatedSections:
     # Half-integer coefficients on dyadic c_grids keep every section's table
     # exact, so the translated answers must carry the per-section bits.  The

@@ -29,15 +29,15 @@ def write(tmp_path, data, name="game.json"):
 def test_loads_finite_fixture(tmp_path):
     spec = load_game_file(write(tmp_path, finite_game_dict()))
     assert spec.kind == "finite"
-    assert spec.finite.rows == 2
-    assert spec.finite.row_labels == ("E", "N")
+    assert spec.game.rows == 2
+    assert spec.game.row_labels == ("E", "N")
 
 
 def test_loads_coopetitive_fixture(tmp_path):
     spec = load_game_file(write(tmp_path, coopetitive_game_dict()))
     assert spec.kind == "coopetitive"
-    assert len(spec.coopetitive.c_grid) == 65
-    assert spec.coopetitive.initial_z == 0.0
+    assert len(spec.game.c_grid) == 65
+    assert spec.game.initial_z == 0.0
     assert spec.analysis.grid_n == 65
 
 
@@ -125,9 +125,9 @@ def test_payoffs_past_the_bound_exit_2_at_their_key(tmp_path, name):
 
 def test_payoff_bound_is_inclusive(tmp_path):
     data = dict(finite_game_dict(), payoff1=[[MAX_PAYOFF, 0], [0, -MAX_PAYOFF]])
-    assert load_game_file(write(tmp_path, data)).finite.payoff1[0, 0] == MAX_PAYOFF
+    assert load_game_file(write(tmp_path, data)).game.payoff1[0, 0] == MAX_PAYOFF
     data = coop_dict([MAX_PAYOFF / 2, 0, 0, 0, -MAX_PAYOFF / 2], [0, 0, 0, 0, 0])
-    assert load_game_file(write(tmp_path, data)).coopetitive is not None
+    assert load_game_file(write(tmp_path, data)).kind == "coopetitive"
     data["coefficients"]["p2"] = [MAX_PAYOFF / 2, 0, 0, 0, -MAX_PAYOFF * 0.51]
     with pytest.raises(GameFileError, match="coefficients.p2 magnitudes must sum"):
         load_game_file(write(tmp_path, data))

@@ -399,11 +399,11 @@ def assert_prefilter_matches_frame(payoffs):
     for sign in (1.0, -1.0):
         want = drop_dominated(np.ascontiguousarray(payoffs), sign)
         for layout in (np.ascontiguousarray, np.asfortranarray):
-            assert np.array_equal(geometry._drop_dominated(layout(payoffs), sign), want)
+            assert np.array_equal(geometry._prefilter(layout(payoffs), sign)[0], want)
 
 
 class TestColumnPrefilter:
-    """``_drop_dominated`` on raw payoff columns against the frame it folds in."""
+    """``_prefilter``'s survivors on raw payoff columns against the frame it folds in."""
 
     @pytest.mark.parametrize("arity, grid_n", [(2, 65), (3, 17)])
     @pytest.mark.parametrize("shape", ["generic", "opposed", "aligned"])
@@ -535,6 +535,14 @@ class TestMemoryBound:
         cloud, peak = self.traced_peak(lambda: sample_image(payoff_map, 129))
         assert peak <= cloud.payoffs.nbytes + self.SLACK
 
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_lattice_tu_on_a_square_holds_only_its_payoffs(self, orientation):
+        # A square has no z faces to save work on, so its one full-size
+        # array is the cloud's payoffs.
+        payoff_map = dense_shaped_map(np.random.default_rng([87, 2]), 2, "generic")
+        _, peak = self.traced_peak(lambda: lattice_tu(payoff_map, 1025, orientation))
+        assert peak <= 16 * 1025**2 + self.SLACK
+
     @pytest.mark.parametrize("seed", [91, 95])
     @pytest.mark.parametrize("flavor", ["maximal", "minimal"])
     def test_pareto_filter_on_a_duplicate_heavy_cloud(self, seed, flavor):
@@ -572,7 +580,7 @@ class TestCornerStep:
     def assert_keeps_every_nondominated_row(payoffs):
         payoffs = np.asfortranarray(payoffs, dtype=float)
         for sign in (1.0, -1.0):
-            before = geometry._drop_dominated(payoffs, sign)
+            before = geometry._prefilter(payoffs, sign)[0]
             after = corner_survivors(payoffs, sign)
             assert np.array_equal(after, np.unique(after))
             assert np.isin(after, before).all()
@@ -606,7 +614,7 @@ class TestCornerStep:
     def test_prunes_a_duplicate_heavy_cloud(self):
         cloud = sample_image(dense_shaped_map(np.random.default_rng(77), 2, "opposed"), 257)
         for sign in (1.0, -1.0):
-            before = geometry._drop_dominated(cloud.payoffs, sign)
+            before = geometry._prefilter(cloud.payoffs, sign)[0]
             assert len(corner_survivors(cloud.payoffs, sign)) < 0.5 * len(before)
 
 
