@@ -10,8 +10,8 @@ set, same half-plane, empty portion, degenerate problem), 5 I/O failure.
 
 The default sampling grid (513 per axis for finite games, 65 for
 coopetitive ones) can be overridden per file via the ``analysis`` block,
-globally via the ``COOPETITION_GRID`` environment variable, or per run
-via ``--grid``.
+or per run via ``--grid``, which wins.  Nothing else sets it: a command's
+output depends only on its game file and its flags.
 
 Every command reads its solutions from one :class:`report.GameContext`,
 so a concept gives the same answer in ``analyze``, ``solve``, ``render``

@@ -84,7 +84,7 @@ class CoopetitiveGame:
         object.__setattr__(self, "c_grid", grid)
         if self.initial_z is not None:
             z0 = float(self.initial_z)
-            if np.abs(grid - z0).min() > 1e-12:
+            if not np.abs(grid - z0).min() <= 1e-12:  # NaN is no member either
                 raise ValueError(f"initial_z={z0} is not a member of c_grid")
             object.__setattr__(self, "initial_z", z0)
 

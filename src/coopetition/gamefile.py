@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,15 +30,12 @@ __all__ = [
     "AnalysisDefaults",
     "load_game_file",
     "resolve_grid",
-    "GRID_ENV_VAR",
     "MAX_LATTICE_POINTS",
     "MAX_PAYOFF",
     "DEFAULT_GRID_2D",
     "DEFAULT_GRID_3D",
 ]
 
-#: Environment variable overriding the default sampling grid size.
-GRID_ENV_VAR = "COOPETITION_GRID"
 DEFAULT_GRID_2D = 513
 DEFAULT_GRID_3D = 65
 #: Most lattice points a run may sample (counted by ``resolve_grid``).
@@ -213,10 +209,11 @@ def load_game_file(path: str | Path) -> GameSpec:
             [v.coefficient_row(table, "p1"), v.coefficient_row(table, "p2")]
         )
         c_size = data.get("c_grid_size", 65)
-        if not isinstance(c_size, int) or not 2 <= c_size <= MAX_LATTICE_POINTS:
+        # resolve_grid counts at least 2**2 points per z: a larger c_grid_size fits no grid.
+        c_max = MAX_LATTICE_POINTS // 4
+        if not isinstance(c_size, int) or not 2 <= c_size <= c_max:
             raise v.fail(
-                "c_grid_size",
-                f"c_grid_size must be an integer in [2, {MAX_LATTICE_POINTS}], got {c_size!r}",
+                "c_grid_size", f"c_grid_size must be an integer in [2, {c_max}], got {c_size!r}"
             )
         initial_z = data.get("initial_z")
         if initial_z is not None and not _is_number(initial_z):
@@ -235,27 +232,17 @@ def load_game_file(path: str | Path) -> GameSpec:
 
 
 def resolve_grid(spec: GameSpec, cli_grid: int | None) -> int:
-    """Grid-size precedence: CLI flag, file analysis block, env var, default.
+    """Grid-size precedence: CLI flag, file analysis block, default by kind.
 
     From any source, a lattice over ``MAX_LATTICE_POINTS`` is rejected: ``grid_n**2``
     points, times ``max(grid_n, c_grid_size)`` for a coopetitive game.
     """
-    env = os.environ.get(GRID_ENV_VAR)
     if cli_grid is not None:
         if cli_grid < 2:
             raise GameFileError(f"grid size must be at least 2, got {cli_grid}", path=spec.path)
         grid_n = cli_grid
     elif spec.analysis.grid_n is not None:
         grid_n = spec.analysis.grid_n
-    elif env is not None:
-        try:
-            grid_n = int(env)
-        except ValueError:
-            raise GameFileError(
-                f"{GRID_ENV_VAR} must be an integer, got {env!r}", path=spec.path
-            ) from None
-        if grid_n < 2:
-            raise GameFileError(f"{GRID_ENV_VAR} must be at least 2, got {grid_n}", path=spec.path)
     else:
         grid_n = DEFAULT_GRID_2D if spec.kind == "finite" else DEFAULT_GRID_3D
     points = grid_n**2

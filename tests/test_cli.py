@@ -771,17 +771,3 @@ class TestPaperDemo:
         code, out, _ = run("analyze", str(out_dir / "paper-finite.json"), "--grid", "33")
         assert code == 0
         assert "(N,L)" in out
-
-
-class TestEnvGrid:
-    def test_env_override(self, coop_path, tmp_path, monkeypatch):
-        data = json.loads(Path(coop_path).read_text())
-        del data["analysis"]
-        path = tmp_path / "noanalysis.json"
-        path.write_text(json.dumps(data))
-        monkeypatch.setenv("COOPETITION_GRID", "9")
-        out_csv = tmp_path / "env.csv"
-        code, _, _ = run("render", str(path), "--out-csv", str(out_csv))
-        assert code == 0
-        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
-        assert sum(1 for r in rows if r["tag"] == "cloud") == 9**3

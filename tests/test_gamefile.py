@@ -12,7 +12,6 @@ from coopetition.errors import GameFileError
 from coopetition.gamefile import (
     DEFAULT_GRID_2D,
     DEFAULT_GRID_3D,
-    GRID_ENV_VAR,
     MAX_LATTICE_POINTS,
     MAX_PAYOFF,
     load_game_file,
@@ -180,6 +179,9 @@ TABLE_3D = [[[1], [2]], [[3], [4]]]
         ("coopetitive", "c_grid_size", True),
         ("coopetitive", "initial_z", True),
         ("coopetitive", "c_grid_size", MAX_LATTICE_POINTS + 1),
+        # Even grid 2 would sample 4 * c_grid_size points, over the limit.
+        ("coopetitive", "c_grid_size", MAX_LATTICE_POINTS // 4 + 1),
+        ("coopetitive", "initial_z", float("nan")),
         # 401-digit integer literals, past the float range.
         ("finite", "tol", 10**400),
         ("finite", "payoff1", 10**400),
@@ -195,9 +197,9 @@ TABLE_3D = [[[1], [2]], [[3], [4]]]
     ],
     ids=[
         "tol-true", "tol-infinity", "grid_n-true", "c_grid_size-true", "initial_z-true",
-        "c_grid_size-over-limit", "tol-huge", "payoff1-huge", "coefficient-huge",
-        "initial_z-huge", "payoff1-true", "payoff1-string", "coefficient-true",
-        "coefficient-string", "payoff1-3d", "both-payoffs-3d",
+        "c_grid_size-over-limit", "c_grid_size-no-grid-fits", "initial_z-nan", "tol-huge",
+        "payoff1-huge", "coefficient-huge", "initial_z-huge", "payoff1-true", "payoff1-string",
+        "coefficient-true", "coefficient-string", "payoff1-3d", "both-payoffs-3d",
     ],
 )
 def test_bad_scalar_exits_2_at_its_line(tmp_path, kind, key, value):
@@ -223,27 +225,19 @@ def test_bad_scalar_exits_2_at_its_line(tmp_path, kind, key, value):
 
 
 class TestResolveGrid:
-    def test_cli_flag_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(GRID_ENV_VAR, "99")
+    def test_cli_flag_wins(self, tmp_path):
         data = finite_game_dict()
         data["analysis"] = {"grid_n": 55}
         spec = load_game_file(write(tmp_path, data))
         assert resolve_grid(spec, 21) == 21
 
-    def test_file_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(GRID_ENV_VAR, "99")
+    def test_file_beats_env(self, tmp_path):
         data = finite_game_dict()
         data["analysis"] = {"grid_n": 55}
         spec = load_game_file(write(tmp_path, data))
         assert resolve_grid(spec, None) == 55
 
-    def test_env_beats_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(GRID_ENV_VAR, "99")
-        spec = load_game_file(write(tmp_path, finite_game_dict()))
-        assert resolve_grid(spec, None) == 99
-
-    def test_defaults_by_kind(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(GRID_ENV_VAR, raising=False)
+    def test_defaults_by_kind(self, tmp_path):
         finite = load_game_file(write(tmp_path, finite_game_dict(), "a.json"))
         assert resolve_grid(finite, None) == DEFAULT_GRID_2D
         data = coopetitive_game_dict()
@@ -251,22 +245,19 @@ class TestResolveGrid:
         coop = load_game_file(write(tmp_path, data, "b.json"))
         assert resolve_grid(coop, None) == DEFAULT_GRID_3D
 
-    def test_bad_env_value(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(GRID_ENV_VAR, "many")
+    def test_environment_sets_no_grid(self, tmp_path, monkeypatch):
+        # The grid comes from the flag or the file only.
+        monkeypatch.setenv("COOPETITION_GRID", "9")
         spec = load_game_file(write(tmp_path, finite_game_dict()))
-        with pytest.raises(GameFileError, match=GRID_ENV_VAR):
-            resolve_grid(spec, None)
+        assert resolve_grid(spec, None) == DEFAULT_GRID_2D
 
-    @pytest.mark.parametrize("source", ["flag", "file", "env"])
-    def test_coopetitive_lattice_over_budget(self, tmp_path, monkeypatch, source):
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_coopetitive_lattice_over_budget(self, tmp_path, source):
         # 300 ** 3 = 2.7e7 lattice points.
-        monkeypatch.delenv(GRID_ENV_VAR, raising=False)
         data = coopetitive_game_dict()
         del data["analysis"]
         if source == "file":
             data["analysis"] = {"grid_n": 300}
-        elif source == "env":
-            monkeypatch.setenv(GRID_ENV_VAR, "300")
         spec = load_game_file(write(tmp_path, data))
         with pytest.raises(GameFileError, match=f"limit of {MAX_LATTICE_POINTS}"):
             resolve_grid(spec, 300 if source == "flag" else None)

@@ -561,6 +561,14 @@ class TestMemoryBound:
         # The int16 bucket and bool keep arrays are the only full-length ones.
         assert peak <= 3 * len(cloud) + self.SLACK
 
+    def test_hausdorff_distance(self):
+        # Scattered sets give every point a wide p1 band, so the pairwise
+        # tables, at most 64 x 1024 floats each, are all that can grow.
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(5000, 2)), rng.normal(size=(5000, 2))
+        _, peak = self.traced_peak(lambda: hausdorff_distance(a, b))
+        assert peak <= 4 * (a.nbytes + b.nbytes) + self.SLACK
+
 
 def corner_survivors(payoffs, sign):
     return geometry._drop_corner_dominated(payoffs, *geometry._prefilter(payoffs, sign), sign)
