@@ -13,8 +13,11 @@ With no xz or yz monomial, section z is the z = 0 section plus c_z * z per
 player.  That constant changes no best reply, so every section has the z = 0
 equilibrium components, and its conservative bi-value and corner extrema
 move by exactly c_z * z: paths and the Nash zone analyse z = 0 once and
-translate the result along ``c_grid`` as arrays.  That table is eight
-numbers, so it is built and analysed on Python floats, by the one payoff formula.
+translate the result along ``c_grid`` as arrays.  The translation holds bit
+for bit: each player's advantage line is read off the coefficients that the
+z-fold leaves alone, (c1, c4) for player 1 and (d2, d4) for player 2.  The
+conservative bi-value reads the section's ``_fold_z`` rows at the four
+corners, on Python floats: the bits of the sampled lattice's corners.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .bargaining import SolutionPoint, compromise_solution
 from .errors import EmptyPortion, MissingInitialZ, SameHalfPlane
-from .games import FiniteBimatrixGame, Orientation, PayoffPoint, strictly_better
+from .games import Orientation, PayoffPoint, strictly_better
 from .geometry import (
     PayoffMap,
     PointCloud,
@@ -40,7 +43,7 @@ from .geometry import (
     sample_image,
     tu_line,
 )
-from .mixed import conservative_bivalue_mixed, mixed_equilibrium_components
+from .mixed import EquilibriumComponent, _conservative_value, _equilibria
 
 __all__ = [
     "CoopetitiveGame",
@@ -156,20 +159,23 @@ def family_roundtrip_check(game: CoopetitiveGame, grid_n: int = 17) -> bool:
     return True
 
 
-def _section_table(game: CoopetitiveGame, z: float) -> FiniteBimatrixGame:
-    """The 2x2 table of the section at ``z``; row 0 / column 0 is x = y = 1.
+def _section_components(game: CoopetitiveGame) -> list[EquilibriumComponent]:
+    """The mixed equilibrium components of every section, priced at z = 0.
 
-    ``_component`` on floats over the section's ``_fold_z`` rows, those of
-    ``PayoffMap.section``: the bits of the section map's array evaluation."""
-    tables = ([[_component(c, x, y, 0.0) for y in (1.0, 0.0)] for x in (1.0, 0.0)]
-              for c in _fold_z(game.payoff.coeffs, z))
-    return FiniteBimatrixGame(*tables, game.orientation)
+    Player 1's advantage of x = 1 over x = 0 is c1 + c4*y, and player 2's
+    of y = 1 over y = 0 is d2 + d4*x: coefficients that the z-fold leaves
+    alone, so every section has these components.  The payoffs are those
+    of the z = 0 section's ``_fold_z`` rows."""
+    s = game.orientation.sign
+    rows = _fold_z(game.payoff.coeffs, 0.0)
+    (_, c1, _, _, c4), (_, _, d2, _, d4) = rows
+    return _equilibria(s, (s * c1, s * c4), (s * d2, s * d4), rows)
 
 
 def _nash_lattice(game: CoopetitiveGame, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     """(x, y) lattice over each Nash component of the z = 0 section, in order."""
     xs, ys = [], []
-    for comp in mixed_equilibrium_components(_section_table(game, 0.0)):
+    for comp in _section_components(game):
         (xl, xh), (yl, yh) = comp.x_interval, comp.y_interval
         gx, gy = np.meshgrid(
             [xl] if xl == xh else np.linspace(xl, xh, grid_n),
@@ -205,7 +211,7 @@ def induced_path(game: CoopetitiveGame, quantity: PathQuantity, grid_n: int) -> 
     if quantity == "nash_payoffs":
         values = _section_payoffs(game, *_nash_lattice(game, grid_n))
     elif quantity == "conservative":
-        v = conservative_bivalue_mixed(_section_table(game, 0.0))
+        v = _conservative_value(game.orientation.sign, _fold_z(game.payoff.coeffs, 0.0))
         values = (v.as_array() + game.payoff.coeffs[:, 3] * game.c_grid[:, None])[:, None]
     else:
         x, y = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
@@ -310,8 +316,8 @@ def core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint:
     the bits of the core's componentwise maximum.
     """
     cloud = sample_image(section_game(game, z).map, grid_n)
-    v = conservative_bivalue_mixed(_section_table(game, z))
     s = game.orientation.sign
+    v = _conservative_value(s, _fold_z(game.payoff.coeffs, z))
     p1, p2 = cloud.payoffs.T
     mask = s * p1 >= s * v.p1
     mask &= s * p2 >= s * v.p2

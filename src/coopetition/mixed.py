@@ -13,10 +13,15 @@ Degenerate games produce continuum components (segments or rectangles);
 they are reported through their extreme points plus a shape tag, and every
 reported point is verified against both pure replies of each player.
 
-A 2x2 table is eight numbers, so the analysis runs on Python floats, where
-numpy's per-call cost would dominate: each table is read once with
-``tolist()``, and every payoff goes through ``geometry._component``, the one
-home of the payoff formula, which gives floats the bits it gives arrays.
+A 2x2 game is eight numbers, so the analysis runs on Python floats, where
+numpy's per-call cost would dominate.  One core answers each question:
+``_equilibria`` takes each player's oriented advantage line plus the
+coefficient rows that give the payoffs, and ``_conservative_value`` those
+rows alone.  A finite game reads its lines off its table and its rows are
+``bilinear_map``'s; a coopetitive section reads both off its coefficients
+(see ``coopetitive``), so no section is turned into a table.  Every payoff
+goes through ``geometry._component``, the one home of the payoff formula,
+which gives floats the bits it gives arrays.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ __all__ = [
     "nash_extreme",
 ]
 
-#: Tolerance of the best-response verification, per unit of the largest
-#: table entry: rounding in the expected payoffs grows with the payoffs.
+#: Tolerance of the best-response verification, per unit of a player's sum
+#: of |coefficients|: rounding in the expected payoffs grows with the payoffs.
 VERIFY_TOL = 1e-12
 
 
@@ -134,19 +139,18 @@ def _intersect(u: tuple[float, float], v: tuple[float, float]) -> tuple[float, f
     return (lo, hi) if lo <= hi else None
 
 
-def _verify_equilibrium(game: FiniteBimatrixGame, coeffs, x: float, y: float) -> PayoffPoint:
-    """The payoff at (x, y), checked to be an equilibrium of ``game`` up to
-    ``VERIFY_TOL``; ``coeffs`` are the game's bilinear coefficient rows."""
+def _verify_equilibrium(sign: float, rows, x: float, y: float) -> PayoffPoint:
+    """The payoff at (x, y) of the coefficient ``rows``, checked to be an
+    equilibrium under orientation ``sign`` up to ``VERIFY_TOL`` per unit of
+    each player's sum of |coefficients|, which bounds the payoffs."""
     # Own payoff is linear in the own mixture, so the two pure replies are
     # the exact best replies.
-    s = game.orientation.sign
-    c1, c2 = coeffs
+    c1, c2 = rows
     here = PayoffPoint(_component(c1, x, y, 0.0), _component(c2, x, y, 0.0))
-    best1 = max(s * _component(c1, t, y, 0.0) for t in (0.0, 1.0))
-    best2 = max(s * _component(c2, x, t, 0.0) for t in (0.0, 1.0))
-    entries = game.payoff1.tolist() + game.payoff2.tolist()
-    tol = VERIFY_TOL * max(1.0, *(abs(v) for row in entries for v in row))
-    if best1 > s * here.p1 + tol or best2 > s * here.p2 + tol:
+    best1 = max(sign * _component(c1, t, y, 0.0) for t in (0.0, 1.0))
+    best2 = max(sign * _component(c2, x, t, 0.0) for t in (0.0, 1.0))
+    tol1, tol2 = (VERIFY_TOL * max(1.0, sum(map(abs, c))) for c in rows)
+    if best1 > sign * here.p1 + tol1 or best2 > sign * here.p2 + tol2:
         raise AssertionError(
             f"best-response verification failed at ({x}, {y}); "
             "support enumeration produced a non-equilibrium"
@@ -154,24 +158,17 @@ def _verify_equilibrium(game: FiniteBimatrixGame, coeffs, x: float, y: float) ->
     return here
 
 
-def mixed_equilibrium_components(game: FiniteBimatrixGame) -> list[EquilibriumComponent]:
-    """All Nash equilibria of the 2x2 mixed extension, as components.
+def _equilibria(sign: float, line1, line2, rows) -> list[EquilibriumComponent]:
+    """Every equilibrium component, by support enumeration.
 
-    Support enumeration: player 1's advantage of row 0 over row 1 is
-    linear in y, player 2's advantage of column 0 over column 1 linear in
-    x.  Each of the nine support profiles contributes a (possibly empty)
-    closed box of solutions; boxes contained in others are dropped.
+    ``line1`` is player 1's oriented advantage of x = 1 over x = 0 as
+    (value at y = 0, slope in y), ``line2`` player 2's of y = 1 over y = 0
+    as (value at x = 0, slope in x); ``rows`` are the coefficient rows over
+    {1, x, y, z, xy} that give the payoffs, verified under ``sign``.  Each
+    of the nine support profiles contributes a (possibly empty) closed box
+    of solutions; boxes contained in others are dropped.
     """
-    _require_2x2(game)
-    s = game.orientation.sign
-    t1, t2 = game.payoff1.tolist(), game.payoff2.tolist()
-    (u00, u01), (u10, u11) = ([s * v for v in row] for row in t1)
-    (v00, v01), (v10, v11) = ([s * v for v in row] for row in t2)
-    # adv1(y) = a1*y + b1 > 0 means row 0 is strictly better for player 1.
-    a1, b1 = (u00 - u10) - (u01 - u11), u01 - u11
-    # adv2(x) = a2*x + b2 > 0 means column 0 is strictly better for player 2.
-    a2, b2 = (v00 - v01) - (v10 - v11), v10 - v11
-
+    (b1, a1), (b2, a2) = line1, line2
     # (support box, required sign of the own advantage function)
     classes = [((1.0, 1.0), "ge"), ((0.0, 0.0), "le"), ((0.0, 1.0), "eq")]
     # Each support box of x with the y that player 1 allows on it, and each
@@ -196,15 +193,9 @@ def mixed_equilibrium_components(game: FiniteBimatrixGame) -> list[EquilibriumCo
         (ixl, ixh), (iyl, iyh) = inner
         return oxl <= ixl and ixh <= oxh and oyl <= iyl and iyh <= oyh
 
-    kept: list[tuple[tuple[float, float], tuple[float, float]]] = []
-    for box in boxes:
-        if any(contains(other, box) for other in boxes if other != box):
-            continue
-        if box not in kept:
-            kept.append(box)
-    kept.sort()
+    # Boxes inside others go; a set keeps the first of equal boxes (-0.0 == 0.0).
+    kept = sorted({box for box in boxes if not any(contains(other, box) for other in boxes if other != box)})
 
-    coeffs = _bilinear_coeffs(t1, t2)
     components = []
     for (xl, xh), (yl, yh) in kept:
         corners = sorted({(xl, yl), (xl, yh), (xh, yl), (xh, yh)})
@@ -213,12 +204,29 @@ def mixed_equilibrium_components(game: FiniteBimatrixGame) -> list[EquilibriumCo
             EquilibriumComponent(
                 extreme_points=tuple(MixedBistrategy(cx, cy) for cx, cy in corners),
                 description={2: "isolated point", 1: "segment", 0: "rectangle"}[degenerate],
-                payoff_extremes=tuple(_verify_equilibrium(game, coeffs, cx, cy) for cx, cy in corners),
+                payoff_extremes=tuple(_verify_equilibrium(sign, rows, cx, cy) for cx, cy in corners),
                 x_interval=(xl, xh),
                 y_interval=(yl, yh),
             )
         )
     return components
+
+
+def mixed_equilibrium_components(game: FiniteBimatrixGame) -> list[EquilibriumComponent]:
+    """All Nash equilibria of the 2x2 mixed extension, as components.
+
+    Player 1's advantage of row 0 over row 1 is linear in y, player 2's
+    advantage of column 0 over column 1 linear in x; both lines are read
+    off the oriented table, and the payoffs off its bilinear coefficients.
+    """
+    _require_2x2(game)
+    s = game.orientation.sign
+    t1, t2 = game.payoff1.tolist(), game.payoff2.tolist()
+    (u00, u01), (u10, u11) = ([s * v for v in row] for row in t1)
+    (v00, v01), (v10, v11) = ([s * v for v in row] for row in t2)
+    line1 = (u01 - u11, (u00 - u10) - (u01 - u11))
+    line2 = (v10 - v11, (v00 - v01) - (v10 - v11))
+    return _equilibria(s, line1, line2, _bilinear_coeffs(t1, t2))
 
 
 def nash_extreme(components: list[EquilibriumComponent]) -> PayoffPoint:
@@ -241,22 +249,30 @@ def _maximin_lines(line0: tuple[float, float], line1: tuple[float, float]) -> fl
     return float(best)
 
 
+def _conservative_value(sign: float, rows) -> PayoffPoint:
+    """Conservative bi-value of the coefficient ``rows`` over {1, x, y, z,
+    xy} under orientation ``sign``, from each player's payoffs at the four
+    corners: ``_component`` of the rows on floats.
+
+    The payoffs are bilinear, so the opponent's extremal reply is pure and
+    each player's guarantee is the lower of two lines in their own mixture.
+    """
+    # g[i][j] is the oriented payoff at the corner x = i, y = j.
+    g1, g2 = ([[sign * _component(c, x, y, 0.0) for y in (0.0, 1.0)] for x in (0.0, 1.0)] for c in rows)
+    v1 = _maximin_lines((g1[0][0], g1[1][0]), (g1[0][1], g1[1][1]))
+    v2 = _maximin_lines(g2[0], g2[1])
+    # Adding 0.0 turns the -0.0 of a negated zero into 0.0.
+    return PayoffPoint(sign * v1 + 0.0, sign * v2 + 0.0)
+
+
 def conservative_bivalue_mixed(game: FiniteBimatrixGame) -> PayoffPoint:
     """Conservative bi-value of the mixed extension, in closed form.
 
     Under LOSS this is inf-sup of each player's expected payoff (own
-    strategy outside, opponent inside), under GAIN sup-inf.  The payoffs
-    are bilinear, so the opponent's extremal reply is pure and each
-    player's guarantee is the lower of two lines in their own mixture.
+    strategy outside, opponent inside), under GAIN sup-inf.  The corners
+    are those of ``bilinear_map``, so the value has the bits of the sampled
+    cloud's corners.
     """
     _require_2x2(game)
-    s = game.orientation.sign
-    # g[i][j] is the oriented payoff at the corner x = i, y = j.
-    g1, g2 = (
-        [[s * _component(c, x, y, 0.0) for y in (0.0, 1.0)] for x in (0.0, 1.0)]
-        for c in _bilinear_coeffs(game.payoff1.tolist(), game.payoff2.tolist())
-    )
-    v1 = _maximin_lines((g1[0][0], g1[1][0]), (g1[0][1], g1[1][1]))
-    v2 = _maximin_lines(g2[0], g2[1])
-    # Adding 0.0 turns the -0.0 of a negated zero into 0.0.
-    return PayoffPoint(s * v1 + 0.0, s * v2 + 0.0)
+    rows = _bilinear_coeffs(game.payoff1.tolist(), game.payoff2.tolist())
+    return _conservative_value(game.orientation.sign, rows)

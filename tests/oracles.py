@@ -29,8 +29,6 @@ from coopetition.mixed import (
     _maximin_lines,
     _solve_linear,
     bilinear_map,
-    conservative_bivalue_mixed,
-    mixed_equilibrium_components,
 )
 
 
@@ -265,12 +263,21 @@ def exact_conservative_mixed(game: FiniteBimatrixGame) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def section_table(game: CoopetitiveGame, z: float) -> FiniteBimatrixGame:
-    """The 2x2 table of the section at ``z``, one cell evaluation at a time."""
+def section_corners(game: CoopetitiveGame, z: float) -> np.ndarray:
+    """Each player's payoffs at the corners of the section at ``z``, shape
+    (2, 2, 2) with ``[k, i, j]`` at x = i, y = j: one cell evaluation of the
+    section map at a time."""
     m = section_game(game, z).map
-    table1 = [[m.eval(1.0, 1.0).p1, m.eval(1.0, 0.0).p1], [m.eval(0.0, 1.0).p1, m.eval(0.0, 0.0).p1]]
-    table2 = [[m.eval(1.0, 1.0).p2, m.eval(1.0, 0.0).p2], [m.eval(0.0, 1.0).p2, m.eval(0.0, 0.0).p2]]
-    return FiniteBimatrixGame(np.array(table1), np.array(table2), game.orientation)
+    cells = [[m.eval(float(x), float(y)).as_tuple() for y in (0, 1)] for x in (0, 1)]
+    return np.moveaxis(np.array(cells), 2, 0)
+
+
+def corner_bivalue(corners: np.ndarray, orientation: Orientation) -> PayoffPoint:
+    """The conservative bi-value of a 2x2 game from its ``section_corners``:
+    the maximin of two lines per player, as ``numpy_conservative_bivalue_mixed``."""
+    s = orientation.sign
+    g1, g2 = s * corners
+    return PayoffPoint(s * _maximin_lines(g1[:, 0], g1[:, 1]) + 0.0, s * _maximin_lines(g2[0], g2[1]) + 0.0)
 
 
 def numpy_bilinear_map(game: FiniteBimatrixGame) -> geometry.PayoffMap:
@@ -284,21 +291,14 @@ def numpy_bilinear_map(game: FiniteBimatrixGame) -> geometry.PayoffMap:
     return geometry.PayoffMap(coeffs, arity=2)
 
 
-def numpy_section_table(game: CoopetitiveGame, z: float) -> FiniteBimatrixGame:
-    """``coopetitive._section_table`` as numpy arrays: the section map on a
-    2x2 meshgrid, row 0 / column 0 at x = y = 1."""
-    x, y = np.meshgrid((1.0, 0.0), (1.0, 0.0), indexing="ij")
-    return FiniteBimatrixGame(*game.payoff.section(z).eval_arrays(x, y), game.orientation)
-
-
 def _numpy_verify_equilibrium(game: FiniteBimatrixGame, m, x: float, y: float) -> None:
     s = game.orientation.sign
     pure = np.array([0.0, 1.0])
     best1 = (s * m.eval_arrays(pure, np.full(2, y))[0]).max()
     best2 = (s * m.eval_arrays(np.full(2, x), pure)[1]).max()
     here1, here2 = (s * v for v in m.eval_arrays(x, y))
-    tol = VERIFY_TOL * max(1.0, np.abs(game.payoff1).max(), np.abs(game.payoff2).max())
-    if best1 > here1 + tol or best2 > here2 + tol:
+    tol1, tol2 = VERIFY_TOL * np.maximum(1.0, np.abs(m.coeffs).sum(axis=1))
+    if best1 > here1 + tol1 or best2 > here2 + tol2:
         raise AssertionError(f"best-response verification failed at ({x}, {y})")
 
 
@@ -371,11 +371,56 @@ def numpy_conservative_bivalue_mixed(game: FiniteBimatrixGame) -> PayoffPoint:
     return PayoffPoint(s * v1 + 0.0, s * v2 + 0.0)
 
 
+def numpy_map_components(m: geometry.PayoffMap, orientation: Orientation) -> list[EquilibriumComponent]:
+    """The mixed equilibrium components of an arity-2 coefficient map, on
+    numpy scalars: player 1's advantage of x = 1 over x = 0 is c1 + c4*y and
+    player 2's of y = 1 over y = 0 is d2 + d4*x, read off ``m.coeffs``.
+    Every extreme is checked against both pure replies, up to ``VERIFY_TOL``
+    per unit of the player's sum of |coefficients|, and its payoff is
+    ``m.eval``."""
+    s = orientation.sign
+    c, d = m.coeffs
+    classes = [((1.0, 1.0), "ge"), ((0.0, 0.0), "le"), ((0.0, 1.0), "eq")]
+    boxes = []
+    for x_box, rel1 in classes:
+        y_cond = _solve_linear(s * c[4], s * c[1], rel1)
+        for y_box, rel2 in classes:
+            x_cond = _solve_linear(s * d[4], s * d[2], rel2)
+            if y_cond is None or x_cond is None:
+                continue
+            xi, yi = _intersect(x_box, x_cond), _intersect(y_box, y_cond)
+            if xi is not None and yi is not None:
+                boxes.append((tuple(map(float, xi)), tuple(map(float, yi))))
+    tol = VERIFY_TOL * np.maximum(1.0, np.abs(m.coeffs).sum(axis=1))
+    components = []
+    for xi, yi in sorted(set(boxes)):
+        if any(o != (xi, yi) and o[0][0] <= xi[0] and xi[1] <= o[0][1] and o[1][0] <= yi[0] and yi[1] <= o[1][1]
+               for o in boxes):
+            continue
+        corners = sorted({(cx, cy) for cx in xi for cy in yi})
+        for cx, cy in corners:
+            here = s * np.array(m.eval_arrays(cx, cy))
+            best1 = (s * m.eval_arrays(np.array([0.0, 1.0]), np.full(2, cy))[0]).max()
+            best2 = (s * m.eval_arrays(np.full(2, cx), np.array([0.0, 1.0]))[1]).max()
+            if best1 > here[0] + tol[0] or best2 > here[1] + tol[1]:
+                raise AssertionError(f"best-response verification failed at ({cx}, {cy})")
+        components.append(
+            EquilibriumComponent(
+                extreme_points=tuple(MixedBistrategy(cx, cy) for cx, cy in corners),
+                description=("rectangle", "segment", "isolated point")[(xi[0] == xi[1]) + (yi[0] == yi[1])],
+                payoff_extremes=tuple(m.eval(cx, cy) for cx, cy in corners),
+                x_interval=xi,
+                y_interval=yi,
+            )
+        )
+    return components
+
+
 def _section_nash(game: CoopetitiveGame, z: float, grid_n: int):
     """Payoffs and (x, y) lattice of every Nash component of one section."""
     m = section_game(game, z).map
     payoffs, lattice = [], []
-    for comp in mixed_equilibrium_components(section_table(game, z)):
+    for comp in numpy_map_components(m, game.orientation):
         (xl, xh), (yl, yh) = comp.x_interval, comp.y_interval
         xs = np.array([xl]) if xl == xh else np.linspace(xl, xh, grid_n)
         ys = np.array([yl]) if yl == yh else np.linspace(yl, yh, grid_n)
@@ -392,10 +437,9 @@ def per_section_path(game: CoopetitiveGame, quantity: str, grid_n: int) -> list:
         if quantity == "nash_payoffs":
             arr = _section_nash(game, z, grid_n)[0]
         elif quantity == "conservative":
-            arr = np.array([conservative_bivalue_mixed(section_table(game, z)).as_tuple()])
+            arr = np.array([corner_bivalue(section_corners(game, z), game.orientation).as_tuple()])
         else:
-            table = section_table(game, z)
-            corners = np.stack([table.payoff1.ravel(), table.payoff2.ravel()], axis=1)
+            corners = section_corners(game, z).reshape(2, 4).T
             arr = (corners.max if quantity == "supremum" else corners.min)(axis=0, keepdims=True)
         samples.append((float(z), arr))
     return samples
@@ -420,12 +464,13 @@ def cloud_tu_compromise(game: CoopetitiveGame, a, b, grid_n: int, tol: float = 1
 def cloud_core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint:
     """``core_supremum`` by its definition: the section's sampled cloud,
     its facing Pareto boundary, the portion weakly better than the
-    conservative bi-value, and that portion's componentwise maximum."""
+    conservative bi-value of the section map's corners, and that portion's
+    componentwise maximum."""
     sec = section_game(game, z)
     boundary = pareto_filter(
         sample_image(sec.map, grid_n), game.orientation, facing_flavor(game.orientation)
     )
-    core = payoff_core(boundary, conservative_bivalue_mixed(section_table(game, z)))
+    core = payoff_core(boundary, corner_bivalue(section_corners(game, z), game.orientation))
     if len(core) == 0:
         raise EmptyPortion(f"the payoff core of the section at z={z} is empty")
     return PayoffPoint(*core.payoffs.max(axis=0))

@@ -263,6 +263,42 @@ class TestSolve:
             p1, p2 = (float(v) for v in line[len("payoff: ("):-1].split(", "))
             assert abs(p1 + p2 - 6.741) <= 1e-12
 
+    def test_core_at_a_corner_value_is_answered(self, tmp_path):
+        # The initial section's conservative value is a lattice corner's
+        # payoff.  Read an ulp off that corner, it left the core empty
+        # (win-win exited 4), and it made the default threat of
+        # nash-bargaining miss the boundary vertex (exit 4).
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps({
+            "kind": "coopetitive",
+            "orientation": "gain",
+            "coefficients": {
+                "p1": [-0.503, 1.861, -1.447, 0.202, 0.016],
+                "p2": [0.605, -1.565, 1.227, 0.036, 1.672],
+            },
+            "c_grid_size": 65,
+            "initial_z": 0.78125,
+        }))
+        for solution in ("win-win", "nash-bargaining"):
+            code, out, err = run("solve", str(path), "--solution", solution, "--grid", "17")
+            assert code == 0, err
+            assert out.startswith("solution: ")
+
+    @pytest.mark.parametrize("orientation, p1, p2, solution", [
+        ("loss", [[0.004, -1.838], [1.257, -1.616]], [[-0.88, -0.188], [-1.153, -0.203]], "nash-bargaining"),
+        ("gain", [[0.421, 0.843], [-0.704, -0.904]], [[0.44, -1.064], [1.115, -1.661]], "tu"),
+    ])
+    def test_finite_threat_at_the_cloud_vertex_is_answered(self, tmp_path, orientation, p1, p2, solution):
+        # The default threat is the pure corner (1, 1), a vertex of the
+        # sampled cloud, whose bits differ from the table entries there by
+        # an ulp.  A threat with the entries' bits would fail the exact
+        # feasibility tests, and both concepts would refuse (exit 4).
+        path = tmp_path / "vertex.json"
+        path.write_text(json.dumps({"kind": "finite", "orientation": orientation, "payoff1": p1, "payoff2": p2}))
+        code, out, err = run("solve", str(path), "--solution", solution, "--grid", "17")
+        assert code == 0, err
+        assert "preimage: (1, 1)" in out
+
     @pytest.mark.parametrize("solution", ["proper-coopetitive", "win-win"])
     def test_coopetitive_concepts_sample_no_cloud(self, coop_path, monkeypatch, solution):
         def refuse(*args):

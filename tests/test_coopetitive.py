@@ -24,15 +24,16 @@ from coopetition.errors import EmptyPortion, MissingInitialZ, SameHalfPlane
 from coopetition.games import Orientation, PayoffPoint
 from coopetition.geometry import PayoffMap, extrema, lattice_tu, sample_image, tu_boundary
 from coopetition.bargaining import SolutionPoint
-from coopetition.mixed import mixed_equilibrium_components
 
 from oracles import (
     cloud_core_supremum,
     cloud_standard_win_win,
     cloud_tu_compromise,
+    corner_bivalue,
+    numpy_map_components,
     per_section_path,
     per_section_zone,
-    section_table,
+    section_corners,
 )
 
 TU_POINT = PayoffPoint(-25.0 / 7.0, -3.0 / 7.0)
@@ -262,7 +263,7 @@ def one_formula_games():
 
 
 class TestOneSectionFormula:
-    """Paths, the Nash zone and the section table carry the bits of the
+    """Paths, the Nash zone and the conservative bi-value carry the bits of the
     section map's own evaluation, sign of zero included."""
 
     def test_nash_payoffs_and_zone_are_the_section_maps(self):
@@ -278,14 +279,12 @@ class TestOneSectionFormula:
                 zeros += int((want == 0.0).sum())
         assert zeros > 100
 
-    def test_section_table_is_the_section_map_at_the_corners(self):
-        x, y = np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 0.0], [1.0, 0.0]])
+    def test_conservative_value_is_the_section_maps_at_the_corners(self):
         for game in one_formula_games():
             for z in game.c_grid.tolist():
-                table = coopetitive._section_table(game, z)
-                p1, p2 = section_game(game, z).map.eval_arrays(x, y)
-                assert table.payoff1.tobytes() == p1.tobytes()
-                assert table.payoff2.tobytes() == p2.tobytes()
+                value = coopetitive._conservative_value(game.orientation.sign, geometry._fold_z(game.payoff.coeffs, z))
+                want = corner_bivalue(section_corners(game, z), game.orientation)
+                assert np.array(value.as_tuple()).tobytes() == np.array(want.as_tuple()).tobytes()
 
 
 class TestTranslatedSections:
@@ -330,7 +329,7 @@ class TestTranslatedSections:
             if rng.integers(2):
                 coeffs[1, [2, 4]] = 0.0
             game = make_coop(coeffs, Orientation.GAIN if i % 2 else Orientation.LOSS, c_size=9)
-            seen.update(c.description for c in mixed_equilibrium_components(section_table(game, 0.0)))
+            seen.update(c.description for c in numpy_map_components(section_game(game, 0.0).map, game.orientation))
             scale = max(1.0, np.abs(coeffs).max())
             assert_matches_per_section(game, 5, self.half_integer_tol(scale))
         assert {"segment", "rectangle"} <= seen
@@ -349,7 +348,7 @@ class TestTranslatedSections:
     def test_one_section_analysis_per_call(self, coop_game, monkeypatch, c_size):
         import coopetition.coopetitive as mod
 
-        calls = {"mixed_equilibrium_components": 0, "conservative_bivalue_mixed": 0, "section": 0}
+        calls = {"_equilibria": 0, "_conservative_value": 0, "section": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -357,7 +356,7 @@ class TestTranslatedSections:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("mixed_equilibrium_components", "conservative_bivalue_mixed"):
+        for name in ("_equilibria", "_conservative_value"):
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         monkeypatch.setattr(PayoffMap, "section", counted("section", PayoffMap.section))
         game = CoopetitiveGame.with_uniform_grid(coop_game.payoff, coop_game.orientation, c_size)
@@ -369,18 +368,13 @@ class TestTranslatedSections:
         ):
             calls.update(dict.fromkeys(calls, 0))
             run()
-            assert (calls["mixed_equilibrium_components"], calls["conservative_bivalue_mixed"]) == want
+            assert (calls["_equilibria"], calls["_conservative_value"]) == want
             assert calls["section"] <= 1
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the z = 0 table rounds apart two entries that tie exactly, and "
-        "section 1 has that tie, so the translated analysis misses its pure equilibrium",
-    )
     def test_section_keeps_an_exact_tie_that_z0_rounds_apart(self):
-        # At z = 1/256 player 1 is indifferent between the rows in column 0,
-        # so (x, y) = (0, 1) is an equilibrium of that section; the z = 0
-        # table reads -1.6859999999999997 against -1.686 there.
+        # Player 1's advantage of x = 1 at y = 1 is c1 + c4 = 0 in every
+        # section, so (x, y) = (0, 1) is an equilibrium of section 1.  A z = 0
+        # table read -1.6859999999999997 against -1.686 there and lost it.
         game = CoopetitiveGame.with_uniform_grid(
             PayoffMap(
                 np.array([[-1.677, -0.397, -0.009, -0.185, 0.397], [-1.299, -0.263, 0.08, -1.179, -0.769]]),
@@ -468,7 +462,9 @@ class TestWinWin:
         # orientations, on sweep-drawn games and on tie-heavy ones: small
         # integers with -0.0 coefficients, every other game a function of
         # x + y per player (c1 == c2, c4 == 0).  Matching pennies has an
-        # empty core on the 2-point lattice.
+        # empty core on the 2-point lattice.  The zero-sum game with payoffs
+        # +-(3x - 1)(3y - 1) has a value of 0 that only x = 1/3 or y = 1/3
+        # attains, so its core is empty on every dyadic lattice.
         rng = random.Random(3)
         values = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)
         ties = []
@@ -479,7 +475,8 @@ class TestWinWin:
                     c[2], c[4] = c[1], 0.0
             ties.append(make_coop(coeffs, c_size=5))
         pennies = make_coop([[1, -2, -2, 0, 4], [-1, 2, 2, 0, -4]], Orientation.GAIN)
-        games = [g for seed in (1, 2) for g in sweep_style_games(seed, 10)] + ties + [pennies]
+        thirds = make_coop([[1, -3, -3, 0, 9], [-1, 3, 3, 0, -9]], Orientation.GAIN)
+        games = [g for seed in (1, 2) for g in sweep_style_games(seed, 10)] + ties + [pennies, thirds]
         answers = refusals = negative_zeros = 0
         for base in games:
             for orientation in Orientation:
@@ -493,6 +490,20 @@ class TestWinWin:
                         negative_zeros += "-0.0" in got
         assert outcome(lambda: core_supremum(pennies, 0.0, 2)).startswith("EmptyPortion")
         assert answers > 1000 and refusals > 10 and negative_zeros > 10
+
+    def test_core_keeps_the_corner_that_attains_the_value(self):
+        # The conservative value is a lattice corner's payoff, so that corner
+        # is in the core.  Re-evaluating the corners through a table's
+        # bilinear coefficients set the value an ulp past it, and the core
+        # came out empty at every grid.
+        game = make_coop(
+            [[-0.296, -1.776, 1.48, 0.28, -1.201], [0.019, -0.06, -0.573, -0.616, 0.154]],
+            Orientation.LOSS,
+            c_size=65,
+        )
+        for z in (0.0, 0.5):
+            for grid_n in (2, 3, 17, 65):
+                assert outcome(lambda: core_supremum(game, z, grid_n)).startswith("PayoffPoint")
 
     def test_report_on_known_candidate(self, coop_game):
         candidate = SolutionPoint(PayoffPoint(-2, 0), (0.5, 0.5, 1.0), "manual", 0.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coopetition.coopetitive import CoopetitiveGame, _section_table
+from coopetition.coopetitive import CoopetitiveGame, _section_components, section_game
 from coopetition.errors import UnsupportedGameError
 from coopetition.gamefile import MAX_PAYOFF
 from coopetition.games import (
@@ -12,9 +12,10 @@ from coopetition.games import (
     PayoffPoint,
     translate,
 )
-from coopetition.geometry import PayoffMap
+from coopetition.geometry import PayoffMap, _fold_z
 from coopetition.mixed import (
     MixedBistrategy,
+    _conservative_value,
     _verify_equilibrium,
     bilinear_map,
     conservative_bivalue_mixed,
@@ -23,12 +24,14 @@ from coopetition.mixed import (
 )
 
 from oracles import (
+    corner_bivalue,
     exact_conservative_mixed,
     is_mixed_equilibrium,
     numpy_conservative_bivalue_mixed,
+    numpy_map_components,
     numpy_mixed_equilibrium_components,
-    numpy_section_table,
     random_game,
+    section_corners,
 )
 
 
@@ -139,15 +142,17 @@ class TestEquilibriumComponents:
 
     def test_verification_rejects_a_unit_gain_at_large_scale(self):
         # Player 1 gains exactly 1 by leaving (row 0, col 0) for row 1; the
-        # tolerance grows with the table (to 1e-6 here) but stays far below that.
+        # tolerance grows with the coefficients (to 1e-6 here) but stays far
+        # below that.
         g = FiniteBimatrixGame(
             np.array([[1e6, 0.0], [1e6 + 1, 0.0]]),
             np.array([[1e6, 0.0], [0.0, 0.0]]),
             Orientation.GAIN,
         )
+        rows = bilinear_map(g).coeffs.tolist()
         with pytest.raises(AssertionError, match="non-equilibrium"):
-            _verify_equilibrium(g, bilinear_map(g).coeffs, 1.0, 1.0)
-        _verify_equilibrium(g, bilinear_map(g).coeffs, 0.0, 1.0)
+            _verify_equilibrium(g.orientation.sign, rows, 1.0, 1.0)
+        _verify_equilibrium(g.orientation.sign, rows, 0.0, 1.0)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(24)
@@ -247,28 +252,29 @@ def _outcome(fn, game):
 
 
 class TestScalarSectionAnalysis:
-    """The section table, its mixed equilibria and conservative bi-value on
-    Python floats against the numpy forms kept in ``oracles``, bit for bit."""
+    """Sections analysed from their coefficient rows, and finite games from
+    their table, against the numpy forms kept in ``oracles``, bit for bit."""
 
     @staticmethod
     def assert_same(coeffs: np.ndarray) -> set[str]:
-        """Compare both forms on ``coeffs`` at a few sections, in both
-        orientations; returns the component shapes seen."""
+        """Compare ``coeffs``' analysis with an independent one of
+        ``section_game(game, z).map`` at a few sections, in both
+        orientations: the components have that section's intervals, extreme
+        points and shapes, and at z = 0 its payoffs too; the conservative
+        bi-value of the ``_fold_z`` rows is that of the section map's
+        corners.  Returns the component shapes seen."""
         shapes = set()
         for orientation in Orientation:
             game = CoopetitiveGame.with_uniform_grid(PayoffMap(coeffs, arity=3), orientation, 65)
-            for z in (0.0, *game.c_grid[[1, 31, 64]]):
-                table = _section_table(game, z)
-                want = numpy_section_table(game, z)
-                assert table.payoff1.tobytes() == want.payoff1.tobytes()
-                assert table.payoff2.tobytes() == want.payoff2.tobytes()
-                assert table.orientation is want.orientation
-                comps = _outcome(mixed_equilibrium_components, table)
-                assert comps == _outcome(numpy_mixed_equilibrium_components, table)
-                assert _outcome(conservative_bivalue_mixed, table) == _outcome(
-                    numpy_conservative_bivalue_mixed, table
-                )
-                shapes.update(c[0] for c in comps if isinstance(comps, list))
+            comps = _outcome(_section_components, game)
+            for z in (0.0, *game.c_grid[[1, 31, 64]].tolist()):
+                m = section_game(game, z).map
+                want = _outcome(lambda g: numpy_map_components(m, g.orientation), game)
+                assert [c[:3] for c in comps] == [c[:3] for c in want]
+                assert z != 0.0 or comps == want
+                value = _conservative_value(orientation.sign, _fold_z(game.payoff.coeffs, z))
+                assert _bits(*value) == _bits(*corner_bivalue(section_corners(game, z), orientation))
+            shapes.update(c[0] for c in comps)
         return shapes
 
     def test_random_three_decimal_games(self):
@@ -317,8 +323,20 @@ class TestScalarSectionAnalysis:
                 g = FiniteBimatrixGame(
                     *rng.choice(signed_zeros, size=(2, 2, 2)), (Orientation.GAIN, Orientation.LOSS)[i % 4 // 2]
                 )
-            for fn, ref in (
-                (mixed_equilibrium_components, numpy_mixed_equilibrium_components),
-                (conservative_bivalue_mixed, numpy_conservative_bivalue_mixed),
-            ):
-                assert _outcome(fn, g) == _outcome(ref, g)
+            self.assert_same_finite(g)
+        # Tables whose entries and bilinear evaluation round.
+        rng = np.random.default_rng(96)
+        for i in range(200):
+            if i % 2:
+                tables = np.round(rng.uniform(-2.0, 2.0, size=(2, 2, 2)), 3)
+            else:
+                tables = rng.uniform(-MAX_PAYOFF, MAX_PAYOFF, size=(2, 2, 2)) / 4
+            self.assert_same_finite(FiniteBimatrixGame(*tables, (Orientation.GAIN, Orientation.LOSS)[i % 4 // 2]))
+
+    @staticmethod
+    def assert_same_finite(g: FiniteBimatrixGame) -> None:
+        for fn, ref in (
+            (mixed_equilibrium_components, numpy_mixed_equilibrium_components),
+            (conservative_bivalue_mixed, numpy_conservative_bivalue_mixed),
+        ):
+            assert _outcome(fn, g) == _outcome(ref, g)
