@@ -33,6 +33,7 @@ from .coopetitive import (
 from .errors import (
     CoopetitionError,
     DegenerateProblem,
+    DemoCheckError,
     EmptyFeasibleSet,
     EmptyPortion,
     GameFileError,

@@ -13,6 +13,10 @@ coopetitive ones) can be overridden per file via the ``analysis`` block,
 or per run via ``--grid``, which wins.  Nothing else sets it: a command's
 output depends only on its game file and its flags.
 
+This module parses arguments and prints: ``analyze`` prints
+:func:`report.build_report`, and ``render`` writes the one scene that
+:func:`render.game_scene` builds for the file.
+
 Every command reads its solutions from one :class:`report.GameContext`,
 so a concept gives the same answer in ``analyze``, ``solve``, ``render``
 and ``paper-demo``: the demo's coopetitive answers equal ``solve``'s on
@@ -29,17 +33,13 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from .bargaining import compromise_solution
 from .coopetitive import win_win_report
-from .demo import DemoCheckError, run_paper_demo
-from .errors import GameFileError, MissingInitialZ, SolverRefusal, UnsupportedGameError
+from .demo import run_paper_demo
+from .errors import DemoCheckError, GameFileError, MissingInitialZ, SolverRefusal, UnsupportedGameError
 from .gamefile import MAX_PAYOFF, load_game_file, resolve_grid
-from .games import FiniteBimatrixGame, PayoffPoint, pure_nash_equilibria
-from .geometry import PointCloud, facing_flavor, pareto_filter, tu_boundary
-from .render import Scene, write_csv, write_svg
-from .report import GameContext, build_report, coopetitive_scene, fmt_point, solution_lines
+from .games import PayoffPoint
+from .render import game_scene, write_csv, write_svg
+from .report import GameContext, build_report, fmt_point, solution_lines
 
 __all__ = ["main"]
 
@@ -102,12 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("path")
     analyze.add_argument("--grid", type=int, default=None, help="lattice points per axis")
     analyze.add_argument("--tol", type=_tolerance, default=None, help="solution tolerance")
-    analyze.add_argument(
-        "--mixed",
-        action="store_true",
-        default=None,
-        help="force the mixed-extension analysis (errors on non-2x2 games)",
-    )
     analyze.set_defaults(func=_cmd_analyze)
 
     solve = sub.add_parser("solve", help="run one solution concept")
@@ -138,7 +132,7 @@ def _context(args) -> GameContext:
 
 
 def _cmd_analyze(args) -> int:
-    sys.stdout.write(build_report(_context(args), mixed=args.mixed).to_text())
+    sys.stdout.write(build_report(_context(args)).to_text())
     return 0
 
 
@@ -157,46 +151,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _finite_scene(game: FiniteBimatrixGame) -> Scene:
-    # One row per cell (row, col), in row-major order.
-    cells = np.indices(game.payoff1.shape, dtype=float).reshape(2, -1).T
-    payoffs = np.stack([game.payoff1.ravel(), game.payoff2.ravel()], axis=1)
-    cloud = PointCloud(payoffs, cells, grid_step=1.0)
-    boundary = pareto_filter(cloud, game.orientation, facing_flavor(game.orientation))
-    nash = sorted(pure_nash_equilibria(game), key=lambda cell: (cell.row, cell.col))
-    tub = tu_boundary(cloud, game.orientation, 1e-9)
-    scene = Scene(f"finite {game.rows}x{game.cols} game ({game.orientation.value})",
-                  game.orientation, 2)
-    scene.add(cells, payoffs, "cloud")
-    scene.add(boundary.preimages, boundary.payoffs, "pareto")
-    for cell in nash:
-        p = game.payoff_at(cell)
-        scene.add([[float(cell.row), float(cell.col)]], [[p.p1, p.p2]], "nash")
-    scene.add(tub.witness_preimages, tub.witness_payoffs, "tu")
-    if (game.rows, game.cols) == (2, 2):
-        sol = compromise_solution("pareto", boundary, tol=float("inf"))
-        scene.add_solution("compromise-pareto", sol.preimage, sol.payoff)
-    return scene
-
-
-def _coopetitive_scene(ctx: GameContext) -> Scene:
-    game = ctx.game
-    scene = coopetitive_scene(ctx, f"coopetitive payoff space ({game.orientation.value})")
-    # A refused concept gets no marker, as analyze prints it "unavailable".
-    for name in ["proper-coopetitive"] + (["win-win"] if game.initial_z is not None else []):
-        try:
-            sol = ctx.solve(name)
-        except SolverRefusal:
-            continue
-        scene.add_solution(sol.method, sol.preimage, sol.payoff)
-    return scene
-
-
 def _cmd_render(args) -> int:
     if args.out_csv is None and args.out_svg is None:
         raise GameFileError("render needs --out-csv and/or --out-svg", path=args.path)
-    ctx = _context(args)
-    scene = _finite_scene(ctx.game) if ctx.spec.kind == "finite" else _coopetitive_scene(ctx)
+    scene = game_scene(_context(args))
     if args.out_csv is not None:
         write_csv(args.out_csv, scene)
         print(f"wrote {args.out_csv}")

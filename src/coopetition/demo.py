@@ -25,7 +25,7 @@ import numpy as np
 
 from .bargaining import payoff_core
 from .coopetitive import CoopetitiveGame, win_win_report
-from .errors import CoopetitionError
+from .errors import DemoCheckError
 from .gamefile import AnalysisDefaults, GameSpec
 from .games import (
     FiniteBimatrixGame,
@@ -39,11 +39,10 @@ from .games import (
 )
 from .geometry import PayoffMap, extrema, hausdorff_distance, lattice_tu, tu_line
 from .mixed import bilinear_map
-from .render import Scene, write_csv, write_svg
-from .report import GameContext, coopetitive_scene, fmt, fmt_point
+from .render import Scene, coopetitive_scene, write_csv, write_svg
+from .report import GameContext, fmt, fmt_point
 
 __all__ = [
-    "DemoCheckError",
     "market_entry_table",
     "entry_loss_game",
     "normalized_loss_game",
@@ -61,10 +60,6 @@ ENTRY_C_GRID = 65
 #: Lattice points per axis of the figures on the square and on the cube.
 FIGURE_GRID_2D = 129
 FIGURE_GRID_3D = 33
-
-
-class DemoCheckError(CoopetitionError):
-    """A built-in scenario assertion failed."""
 
 
 def market_entry_table() -> FiniteBimatrixGame:

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: schema problems exit 2, unsupported
+The CLI maps these onto exit codes: a failed ``paper-demo`` check
+(:class:`DemoCheckError`) exits 1, schema problems exit 2, unsupported
 analyses exit 3, solver refusals (:class:`SolverRefusal`) exit 4, I/O
 failures exit 5.
 """
@@ -18,6 +19,7 @@ __all__ = [
     "SameHalfPlane",
     "EmptyPortion",
     "MissingInitialZ",
+    "DemoCheckError",
 ]
 
 
@@ -67,3 +69,7 @@ class EmptyPortion(SolverRefusal):
 
 class MissingInitialZ(CoopetitionError):
     """The operation needs a game with a marked initial cooperative strategy."""
+
+
+class DemoCheckError(CoopetitionError):
+    """A built-in scenario assertion failed; the CLI exits 1."""

@@ -558,21 +558,9 @@ def _pareto_sweep(payoffs: np.ndarray, preimages_at, rows: np.ndarray, sign: flo
         return rows[sel]
     if preimages_at is None:
         return np.minimum.reduceat(rows[sel], np.flatnonzero(first))
-    pre = preimages_at(rows[sel])
-    for k in range(pre.shape[1]):
-        # Keep the copies at the group's least preimage coordinate k.  Like
-        # a sort, fmin ranks NaN last, and an all-NaN group stays whole.
-        v = pre[:, k]
-        floor = np.fmin.reduceat(v, np.flatnonzero(first))
-        ids = _run_ids(first)
-        keep = v == floor[ids]
-        if np.isnan(floor).any():
-            keep |= np.isnan(floor)[ids]
-        sel, group, pre = sel[keep], group[keep], pre[keep]
-        first = _first_of_runs(group)
-        if first.all():
-            return rows[sel]
-    # Copies left here agree in every key; the first in input order wins.
+    # ``group`` ascends, so ranking by it first keeps each group in place
+    # and ``first`` still marks where the groups start.
+    sel = sel[_lex_order(payoffs[rows[sel]], preimages_at(rows[sel]), group)]
     return rows[sel[first]]
 
 
@@ -630,7 +618,10 @@ def pareto_filter(
     least p2, which are copies of one payoff pair: the one with the least
     preimage, compared one coordinate at a time in the sort's order (-0.0
     equal to 0.0, NaN last), and among equal preimages the first in input
-    order, which the stable p1 sort keeps within a run.  A run that holds one row needs no comparison at all.
+    order, which the stable p1 sort keeps within a run.  The copies are
+    ranked by ``_lex_order``, the package's one tie-break, whose stable
+    ``lexsort`` makes exactly these comparisons.  A run that holds one
+    row needs no comparison at all.
     The boundary's p1 is strictly monotone, so the maximal boundary is
     the sweep's output reversed, which is the reference's final sort.
 

@@ -1,4 +1,10 @@
-"""Deterministic CSV and SVG emission for payoff-space scenes.
+"""Payoff-space scenes of a game file, and their deterministic CSV and SVG
+emission.
+
+:func:`game_scene` builds the figure the ``render`` command draws for a
+game file, and :func:`coopetitive_scene` the coopetitive part that
+``paper-demo`` shares with it; both read their answers from a
+:class:`report.GameContext`.
 
 CSV columns are exactly ``x,y[,z],p1,p2,tag``; floats are written with
 ``repr`` so they round-trip bit-exactly, and a tag may hold no character
@@ -17,9 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .games import Orientation, PayoffPoint
+from .bargaining import compromise_solution
+from .coopetitive import nash_zone
+from .errors import SolverRefusal
+from .games import FiniteBimatrixGame, Orientation, PayoffPoint, pure_nash_equilibria
+from .geometry import PointCloud, extrema, facing_flavor, pareto_filter, tu_boundary, tu_line
+from .report import GameContext
 
-__all__ = ["Scene", "write_csv", "write_svg"]
+__all__ = ["Scene", "coopetitive_scene", "game_scene", "write_csv", "write_svg"]
 
 #: Cloud points drawn into an SVG are thinned to at most this many.
 SVG_CLOUD_CAP = 4000
@@ -81,6 +92,63 @@ def _check_tag(tag: str) -> None:
     # is refused rather than written differently.
     if any(c in tag for c in ',"\r\n'):
         raise ValueError(f"scene tag must not contain ',', '\"', CR or LF, got {tag!r}")
+
+
+def _finite_scene(game: FiniteBimatrixGame) -> Scene:
+    # One row per cell (row, col), in row-major order.
+    cells = np.indices(game.payoff1.shape, dtype=float).reshape(2, -1).T
+    payoffs = np.stack([game.payoff1.ravel(), game.payoff2.ravel()], axis=1)
+    cloud = PointCloud(payoffs, cells, grid_step=1.0)
+    boundary = pareto_filter(cloud, game.orientation, facing_flavor(game.orientation))
+    nash = sorted(pure_nash_equilibria(game), key=lambda cell: (cell.row, cell.col))
+    tub = tu_boundary(cloud, game.orientation, 1e-9)
+    scene = Scene(f"finite {game.rows}x{game.cols} game ({game.orientation.value})",
+                  game.orientation, 2)
+    scene.add(cells, payoffs, "cloud")
+    scene.add(boundary.preimages, boundary.payoffs, "pareto")
+    for cell in nash:
+        p = game.payoff_at(cell)
+        scene.add([[float(cell.row), float(cell.col)]], [[p.p1, p.p2]], "nash")
+    scene.add(tub.witness_preimages, tub.witness_payoffs, "tu")
+    if (game.rows, game.cols) == (2, 2):
+        sol = compromise_solution("pareto", boundary, tol=float("inf"))
+        scene.add_solution("compromise-pareto", sol.preimage, sol.payoff)
+    return scene
+
+
+def coopetitive_scene(ctx: GameContext, title: str) -> Scene:
+    """A coopetitive game's cloud, facing Pareto boundary, Nash zone and TU
+    witnesses, with the TU line; the caller adds its solution markers."""
+    cloud, tub = ctx.cloud, ctx.tu
+    zone = nash_zone(ctx.game, ctx.grid_n)
+    scene = Scene(title, ctx.orientation, 3)
+    scene.add(cloud.preimages, cloud.payoffs, "cloud")
+    scene.add(ctx.boundary.preimages, ctx.boundary.payoffs, "pareto")
+    scene.add(zone.preimages, zone.payoffs, "nash")
+    scene.add(tub.witness_preimages, tub.witness_payoffs, "tu")
+    scene.tu_segment = tu_line(tub, *extrema(cloud))
+    return scene
+
+
+def game_scene(ctx: GameContext) -> Scene:
+    """The figure ``render`` draws for a game file, chosen by its kind.
+
+    A finite game shows its cells, their Pareto boundary, pure Nash cells
+    and TU witnesses, and on a 2x2 table the Pareto compromise.  A
+    coopetitive game shows :func:`coopetitive_scene` with the
+    proper-coopetitive and (given ``initial_z``) win-win markers.
+    """
+    if ctx.spec.kind == "finite":
+        return _finite_scene(ctx.game)
+    scene = coopetitive_scene(ctx, f"coopetitive payoff space ({ctx.orientation.value})")
+    # A refused concept gets no marker, as analyze prints it "unavailable".
+    for name in ["proper-coopetitive"] + (["win-win"] if ctx.game.initial_z is not None else []):
+        try:
+            sol = ctx.solve(name)
+        except SolverRefusal:
+            continue
+        scene.add_solution(sol.method, sol.preimage, sol.payoff)
+    return scene
 
 
 def write_csv(path: str | Path, scene: Scene) -> None:

@@ -7,6 +7,10 @@ modules with the same parameters, so it can be reproduced independently.
 default threat, utopia and tolerance, so ``analyze``, ``solve``, ``render``
 and ``paper-demo`` give one answer per concept: the demo's coopetitive
 answers equal ``solve``'s on the game file it emits.
+
+This module answers and writes analysis text only; it draws nothing and
+imports nothing from :mod:`render`, which builds the figures from a
+:class:`GameContext`.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from .geometry import (
     pareto_filter,
     sample_image,
     tu_boundary,
-    tu_line,
 )
 from .mixed import (
     EquilibriumComponent,
@@ -61,10 +64,8 @@ from .mixed import (
     mixed_equilibrium_components,
     nash_extreme,
 )
-from .render import Scene
 
-__all__ = ["AnalysisReport", "GameContext", "build_report", "coopetitive_scene", "fmt",
-           "fmt_point", "solution_lines"]
+__all__ = ["AnalysisReport", "GameContext", "build_report", "fmt", "fmt_point", "solution_lines"]
 
 def fmt(v: float) -> str:
     return f"{float(v):.10g}"
@@ -179,20 +180,6 @@ class GameContext:
         raise ValueError(f"unknown solution concept {name!r}")
 
 
-def coopetitive_scene(ctx: GameContext, title: str) -> Scene:
-    """A coopetitive game's cloud, facing Pareto boundary, Nash zone and TU
-    witnesses, with the TU line; the caller adds its solution markers."""
-    cloud, tub = ctx.cloud, ctx.tu
-    zone = nash_zone(ctx.game, ctx.grid_n)
-    scene = Scene(title, ctx.orientation, 3)
-    scene.add(cloud.preimages, cloud.payoffs, "cloud")
-    scene.add(ctx.boundary.preimages, ctx.boundary.payoffs, "pareto")
-    scene.add(zone.preimages, zone.payoffs, "nash")
-    scene.add(tub.witness_preimages, tub.witness_payoffs, "tu")
-    scene.tu_segment = tu_line(tub, *extrema(cloud))
-    return scene
-
-
 def solution_lines(sol: SolutionPoint) -> list[str]:
     """The preimage, residual, threat and utopia lines of a solution."""
     lines = []
@@ -234,7 +221,7 @@ def _strategy_set(game: FiniteBimatrixGame, player: int, ids: set[int]) -> str:
     return "{" + ", ".join(names) + "}"
 
 
-def build_finite_report(ctx: GameContext, mixed: bool | None) -> AnalysisReport:
+def build_finite_report(ctx: GameContext) -> AnalysisReport:
     spec, game = ctx.spec, ctx.game
     sections: list[tuple[str, tuple[str, ...]]] = []
     summary = [
@@ -261,12 +248,7 @@ def build_finite_report(ctx: GameContext, mixed: bool | None) -> AnalysisReport:
         ("conservative bi-value", (fmt_point(conservative_bivalue(game)),))
     )
 
-    want_mixed = mixed if mixed is not None else (game.rows == 2 and game.cols == 2)
-    if mixed and (game.rows, game.cols) != (2, 2):
-        raise UnsupportedGameError(
-            f"mixed-extension analysis needs a 2x2 game, got {game.rows}x{game.cols}"
-        )
-    if not want_mixed:
+    if (game.rows, game.cols) != (2, 2):
         sections.append(
             ("mixed extension", ("skipped (only available for 2x2 games)",))
         )
@@ -335,7 +317,7 @@ def build_coopetitive_report(ctx: GameContext) -> AnalysisReport:
     return AnalysisReport(tuple(sections))
 
 
-def build_report(ctx: GameContext, mixed: bool | None = None) -> AnalysisReport:
+def build_report(ctx: GameContext) -> AnalysisReport:
     if ctx.spec.kind == "finite":
-        return build_finite_report(ctx, mixed)
+        return build_finite_report(ctx)
     return build_coopetitive_report(ctx)

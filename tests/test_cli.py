@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coopetition import cli, report
+from coopetition import cli, demo, report
 from coopetition.cli import main
 from coopetition.demo import coopetitive_game_dict, finite_game_dict, run_paper_demo
 from coopetition.errors import DegenerateProblem, EmptyPortion, NoIntersection, SameHalfPlane
 from coopetition.gamefile import MAX_PAYOFF
-from coopetition.games import Orientation
+from coopetition.games import FiniteBimatrixGame, Orientation
 from coopetition.geometry import PointCloud, pareto_filter
 from test_golden import GRID as GOLDEN_GRID, golden_games
 
@@ -98,17 +98,13 @@ class TestAnalyze:
         assert out == ""
         assert "error" in err
 
-    def test_forced_mixed_on_3x3_exits_3(self, tmp_path):
+    def test_3x3_report_skips_the_mixed_extension(self, tmp_path):
         data = finite_game_dict()
         data["payoff1"] = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
         data["payoff2"] = [[2, 1, 0], [0, 2, 1], [1, 0, 2]]
         del data["row_labels"], data["col_labels"]
         path = tmp_path / "rps.json"
         path.write_text(json.dumps(data))
-        code, _, err = run("analyze", str(path), "--mixed")
-        assert code == 3
-        assert "unsupported" in err
-        # Without the flag the finite sections still print.
         code, out, _ = run("analyze", str(path))
         assert code == 0
         assert "skipped" in out
@@ -531,6 +527,15 @@ def test_payoffs_at_the_bound_give_finite_residuals(tmp_path, kind, command):
         assert np.isfinite(np.array([r[:-1] for r in rows], dtype=float)).all()
 
 
+def _probe(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -c code argv...`` with this checkout's package on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 # Blocks scipy, then runs the CLI as ``python -m coopetition.cli`` would (or
 # only imports the package when given no arguments) and prints every scipy
 # module loaded anyway.  An import of scipy raises ImportError.
@@ -560,15 +565,17 @@ print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" a
     ids=["import", "analyze", "solve-ks", "render", "paper-demo"],
 )
 def test_commands_do_not_load_scipy(finite_path, coop_path, tmp_path, argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [a.format(finite=finite_path, coop=coop_path, out=tmp_path) for a in argv]
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _probe(_SCIPY_PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_report_does_not_load_render():
+    # The answers layer draws nothing; render builds the figures from it.
+    proc = _probe("import sys, coopetition.report; print('coopetition.render' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def _render_games() -> dict[str, dict]:
@@ -800,6 +807,15 @@ class TestPaperDemo:
             assert code == 0, err
             (payoff,) = [v for v in out.splitlines() if v.startswith("payoff: ")]
             assert f"  {label}: {payoff[len('payoff: '):]}" in report_lines, concept
+
+    def test_failed_check_exits_1(self, tmp_path, monkeypatch):
+        # Every cell of the all-zero table is an equilibrium, not the paper's two.
+        zeros = FiniteBimatrixGame(np.zeros((2, 2)), np.zeros((2, 2)), Orientation.GAIN)
+        monkeypatch.setattr(demo, "market_entry_table", lambda: zeros)
+        code, out, err = run("paper-demo", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: demo check failed: pure Nash equilibria")
 
     def test_emitted_game_files_load(self, tmp_path):
         out_dir = tmp_path / "demo"
