@@ -37,10 +37,10 @@ from .geometry import (
     _component,
     _fold_z,
     _lex_order,
+    _sample,
     facing_flavor,
     lattice_tu,
     pareto_filter,
-    sample_image,
     tu_line,
 )
 from .mixed import EquilibriumComponent, _conservative_value, _equilibria
@@ -130,11 +130,17 @@ class WinWinReport:
     margin: PayoffPoint
 
 
-def section_game(game: CoopetitiveGame, z: float) -> SectionGame:
-    """The section at cooperative strategy ``z`` in [0, 1]."""
+def _height(z: float) -> float:
+    """The cooperative strategy ``z`` as a float, refused outside [0, 1]."""
     z = float(z)
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"z must lie in [0, 1], got {z}")
+    return z
+
+
+def section_game(game: CoopetitiveGame, z: float) -> SectionGame:
+    """The section at cooperative strategy ``z`` in [0, 1]."""
+    z = _height(z)
     return SectionGame(z, game.payoff.section(z))
 
 
@@ -302,7 +308,9 @@ def core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint:
     The core is the portion of the section's orientation-facing Pareto
     boundary weakly better than its conservative bi-value ``v``; its
     supremum is taken componentwise over the samples.  It is read off the
-    lattice's payoff columns, with no Pareto pass.
+    payoff columns that ``sample_image`` would give the section, sampled
+    straight from its ``_fold_z`` coefficient rows, with no section map
+    and no Pareto pass.
 
     Let ``S`` be the lattice rows weakly better than ``v``, compared as
     ``payoff_core`` compares.  Every row of ``S`` is weakly dominated by a
@@ -315,10 +323,10 @@ def core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint:
     a lattice share one sign (see ``lattice_tu``), so each reduction gives
     the bits of the core's componentwise maximum.
     """
-    cloud = sample_image(section_game(game, z).map, grid_n)
+    rows = _fold_z(game.payoff.coeffs, _height(z))
     s = game.orientation.sign
-    v = _conservative_value(s, _fold_z(game.payoff.coeffs, z))
-    p1, p2 = cloud.payoffs.T
+    v = _conservative_value(s, rows)
+    p1, p2 = _sample(rows, grid_n, 2).T
     mask = s * p1 >= s * v.p1
     mask &= s * p2 >= s * v.p2
     if not mask.any():

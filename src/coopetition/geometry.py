@@ -84,8 +84,15 @@ def _fix_mmap_threshold() -> None:
 _fix_mmap_threshold()
 
 #: Clouds with fewer rows go straight to the Pareto sweep: the prefilter's
-#: fixed cost outweighs what it saves below about 1,600 rows.
+#: fixed cost outweighs what it saves below about 1,600 rows.  Lattice
+#: clouds below it skip the block bounds too.
 _PREFILTER_MIN_ROWS = 1600
+#: Lattice points per block edge of the block bounds (``_block_rows``), by
+#: arity: a block is 16 x 16 points of a square or 8 x 8 x 8 of a cube.
+_BOUND_EDGE = {2: 16, 3: 8}
+#: The block bounds' rows are read only when at least 7 blocks in 8 drop;
+#: otherwise the passes read the whole cloud, as without the bounds.
+_BOUND_MIN_DROPPED = 7 / 8
 #: Points per block of the Hausdorff band sweep, and of the other set per
 #: slice of its band: each pairwise table holds at most 64 x 1024 floats,
 #: so it stays below the mmap threshold and is reused from the heap.
@@ -255,12 +262,14 @@ class _LatticeCloud(PointCloud):
     ``PointCloud`` would store.
     """
 
-    def __init__(self, payoffs: np.ndarray, grid_n: int, arity: int):
-        self._check_finite(payoffs)
+    def __init__(self, payoffs: np.ndarray, grid_n: int, arity: int, coeffs: np.ndarray):
         payoffs.flags.writeable = False
         object.__setattr__(self, "payoffs", payoffs)
         object.__setattr__(self, "grid_step", 1.0 / (grid_n - 1))
         object.__setattr__(self, "_lattice", (grid_n, arity))
+        # The map's coefficient rows, which bound the payoffs of a block of
+        # the lattice (see ``_block_rows``).
+        object.__setattr__(self, "_coeffs", coeffs)
 
     @property
     def arity(self) -> int:
@@ -348,12 +357,18 @@ def sample_image(payoff_map: PayoffMap, grid_n: int) -> PointCloud:
     Only the payoffs are stored; the cloud derives a row's preimage from
     its index (see ``_LatticeCloud``).
     """
+    payoffs = _sample(payoff_map.coeffs, grid_n, payoff_map.arity)
+    return _LatticeCloud(payoffs, grid_n, payoff_map.arity, payoff_map.coeffs)
+
+
+def _sample(coeffs, grid_n: int, arity: int) -> np.ndarray:
+    """The (n, 2) column-major payoffs of the coefficient rows ``coeffs``
+    on the lattice of ``sample_image``, checked finite."""
     # Sparse axes broadcast in the same operation order as full coordinate
     # arrays, so the payoffs are identical without the full-size coordinate
     # temporaries.  The map is evaluated a slab of x-planes at a time,
     # straight into the column-major output: the x axis varies slowest, so
     # each slab is a contiguous run of each payoff column.
-    arity = payoff_map.arity
     axes = np.meshgrid(*([_axis(grid_n)] * arity), indexing="ij", sparse=True)
     y, z = axes[1], axes[2] if arity == 3 else 0.0
     plane = grid_n ** (arity - 1)
@@ -364,8 +379,9 @@ def sample_image(payoff_map: PayoffMap, grid_n: int) -> PointCloud:
         rows = slice(i * plane, (i + len(x)) * plane)
         for k in range(2):
             out = payoffs[rows, k].reshape((len(x),) + (grid_n,) * (arity - 1))
-            _component(payoff_map.coeffs[k], x, y, z, out=out)
-    return _LatticeCloud(payoffs, grid_n, arity)
+            _component(coeffs[k], x, y, z, out=out)
+    _PointSet._check_finite(payoffs)
+    return payoffs
 
 
 def _lex_order(payoffs: np.ndarray, preimages: np.ndarray, *leading: np.ndarray) -> np.ndarray:
@@ -374,6 +390,129 @@ def _lex_order(payoffs: np.ndarray, preimages: np.ndarray, *leading: np.ndarray)
     keys = [preimages[:, k] for k in range(preimages.shape[1] - 1, -1, -1)]
     keys += [payoffs[:, 1], payoffs[:, 0], *reversed(leading)]
     return np.lexsort(tuple(keys))
+
+
+def _rounding_slack(coeffs, tol: float = 0.0) -> float:
+    """``128*eps*(A + tol) + tiny``, with ``A`` the sum of the ``|c|`` of
+    ``coeffs`` and ``tiny = 2**-1022``: a bound, with a wide margin, on
+    how far rounding can carry a computed lattice payoff, or sum of the two
+    payoffs, past a value read off other lattice points.
+
+    ``coeffs`` is one coefficient row for a payoff component, as for the
+    Pareto box of ``_dominated_blocks``, or both rows for the payoff sum, as
+    for the TU tests of ``_far_from_best``.  Let ``u = eps/2`` be the unit
+    roundoff.  Every monomial lies in [0, 1], and each term of a component
+    passes through at most five roundings, the sum of the two components
+    one more.  So a computed value is within ``E = 6u/(1 - 6u) * A +
+    2**-1071 <= 4*eps*A + 2**-1071`` of the exact value ``sigma`` at the
+    same lattice point, the second term bounding underflow in the
+    products.  ``sigma`` is multilinear in the strategies, so over a box of
+    the lattice (a block, or a z column) it is a convex combination of its
+    values at the box's corners, and the computed values in the box lie
+    within ``2E`` of the range of the computed corner values.
+
+    *A Pareto box.*  With ``m`` the least computed corner value of a
+    component, ``|m| <= A + E``, so the computed ``fl(m - slack)`` errs by at
+    most ``u*(A + E + slack)`` and is still below ``m - 2E``: no row of the
+    box is below it.
+
+    *The TU test.*  Read the optimum as a maximum of ``s*sum``, with ``s``
+    the orientation's sign, as negation is exact.  Let ``F`` be the best
+    computed corner sum of a box, and ``M`` the best over all boxes; ``M`` is
+    a lattice sum, so the optimum is at least ``M``.  A witness passes
+    ``|fl(s(p) - opt)| <= tol``, and a subtraction errs by a factor ``1 +
+    delta`` with ``|delta| <= u``, so ``s(p) >= opt - tol/(1 - u) >= M -
+    tol/(1 - u)``, while ``s(p) <= F + 2E``.  A box that holds a witness so
+    has ``M - F <= tol + eps*tol + 8*eps*A + 2**-1070``, which the computed
+    ``tol + slack`` exceeds; rounding is monotone, so the computed gap
+    ``fl(M - F)`` is at most ``fl(tol + slack)`` and the box is kept.
+
+    An ``A`` beyond the float range gives an infinite slack, which drops
+    nothing.
+    """
+    with np.errstate(over="ignore"):
+        return 128.0 * np.finfo(float).eps * (np.abs(coeffs).sum() + tol) + np.finfo(float).tiny
+
+
+def _over_blocks(ufunc, corners: np.ndarray) -> np.ndarray:
+    """``ufunc`` of each block's corner values, from the corner grid: along
+    each axis, of every two neighbouring corners."""
+    for a in range(corners.ndim):
+        head = (slice(None),) * a
+        corners = ufunc(corners[head + (slice(None, -1),)], corners[head + (slice(1, None),)])
+    return corners
+
+
+def _dominated_blocks(coeffs, c1: np.ndarray, c2: np.ndarray, sign: float) -> np.ndarray:
+    """The blocks every row of which a corner row strictly dominates in
+    the minimal frame ``sign * payoffs``: a corner is below the block's
+    Pareto box (``_rounding_slack``) in both components."""
+    c1, c2 = sign * c1, sign * c2
+    box1 = _over_blocks(np.minimum, c1) - _rounding_slack(coeffs[0])
+    box2 = _over_blocks(np.minimum, c2) - _rounding_slack(coeffs[1])
+    order = np.argsort(c1, axis=None)
+    # ``least[j]`` is the least p2 among the corners of the j least p1.
+    least = np.minimum.accumulate(np.append(np.inf, c2.ravel()[order]))
+    return least[np.searchsorted(c1.ravel()[order], box1)] < box2
+
+
+def _tu_blocks(coeffs, c1: np.ndarray, c2: np.ndarray, sign: float, tol: float) -> np.ndarray:
+    """The blocks that cannot hold a TU witness: their best corner sum
+    ``sign * (p1 + p2)`` is too far below the best (``_far_from_best``)."""
+    return _far_from_best(_over_blocks(np.maximum, sign * (c1 + c2)), coeffs, tol)
+
+
+def _far_from_best(best: np.ndarray, coeffs, tol: float) -> np.ndarray:
+    """The boxes whose best computed sum ``best`` (read as a maximum) is
+    too far below the best of all for a box to hold a TU witness (see
+    ``_rounding_slack``).  A NaN gap, from an overflowing sum or a NaN tol,
+    keeps its box, so the witness pass fails as it does on the cloud."""
+    return best.max() - best > tol + _rounding_slack(coeffs, tol)
+
+
+def _block_rows(cloud: PointCloud, dropped, *args) -> np.ndarray | None:
+    """The rows of a lattice cloud's blocks that ``dropped`` keeps, or None.
+
+    The lattice is cut into blocks of ``_BOUND_EDGE`` points per axis (the
+    last block of an axis may be shorter), and a block's corners are the
+    lattice points at its own first index and the next block's along each
+    axis, the last index closing the last block.  ``dropped(coeffs, c1,
+    c2, *args)`` reads the corner grids of the two payoffs and returns the
+    mask of blocks no row of which can be in the answer; it is evaluated
+    with overflow and invalid operations quiet, as infinities and NaN
+    only keep blocks.  Its bound rests on the map being multilinear (see
+    ``_rounding_slack``), so only a cloud of ``sample_image`` of at least
+    ``_PREFILTER_MIN_ROWS`` rows is cut.
+
+    Returns None, so that the caller reads the whole cloud, unless at
+    least ``_BOUND_MIN_DROPPED`` (7 in 8) of the blocks drop: gathering the
+    rows of more blocks costs more than it saves, and holds a copy of them.
+    Measured on the benchmark's ``dense-geometry`` maps (2-core Xeon,
+    Python 3.11, numpy 2.4): TU keeps at most 1.4% of the blocks of any
+    of them, and Pareto a median 1.5% (cubes) and 3% (squares) of a generic
+    map's, but 100% of a duplicate-heavy square's with opposed slopes and
+    a median 18% of such a cube's.  Gathering whatever dropped took 144 to
+    161 ops/s against 181 to 184 with the threshold, on seeds 2, 5 and 6,
+    and raised peak RSS from 142 to 179, 177 to 225 and 208 to 257 MB.  The
+    rows are returned block by block, not in ascending order.
+    """
+    if not isinstance(cloud, _LatticeCloud) or len(cloud) < _PREFILTER_MIN_ROWS:
+        return None
+    n, arity = cloud._lattice
+    edge = _BOUND_EDGE[arity]
+    at = np.ix_(*[np.append(np.arange(0, n, edge), n - 1)] * arity)
+    corners = [cloud.payoffs[:, k].reshape((n,) * arity)[at] for k in range(2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        drop = dropped(cloud._coeffs, *corners, *args)
+    if np.count_nonzero(drop) < _BOUND_MIN_DROPPED * drop.size:
+        return None
+    # The row (i*n + j)*n + k of each point (i, j, k) of a kept block,
+    # built one axis at a time; a short last block has no point at n or past.
+    rows, inside, offsets = 0, True, np.arange(edge)
+    for a, b in enumerate(np.nonzero(~drop)):
+        i = b.reshape((-1,) + (1,) * arity) * edge + offsets.reshape((-1,) + (1,) * (arity - 1 - a))
+        rows, inside = rows * n + i, inside & (i < n)
+    return rows[np.broadcast_to(inside, rows.shape)]
 
 
 def _prefilter(payoffs: np.ndarray, sign: float):
@@ -564,6 +703,14 @@ def _pareto_sweep(payoffs: np.ndarray, preimages_at, rows: np.ndarray, sign: flo
     return rows[sel[first]]
 
 
+def _undominated(payoffs: np.ndarray, sign: float) -> np.ndarray:
+    """The rows that the prefilter and corner step keep, or every row of a
+    cloud below ``_PREFILTER_MIN_ROWS``."""
+    if len(payoffs) < _PREFILTER_MIN_ROWS:
+        return np.arange(len(payoffs))
+    return _drop_corner_dominated(payoffs, *_prefilter(payoffs, sign), sign)
+
+
 def pareto_filter(
     cloud: PointCloud | ParetoBoundary,
     orientation: Orientation,
@@ -633,7 +780,24 @@ def pareto_filter(
     against 180 us with them, and on generic 2D section clouds the two
     cost the same between 1,521 and 1,849 rows.
 
-    The cost is O(n) plus O(m log m) for one key.  The preimages read
+    *Block bounds.*  A cloud of ``sample_image`` is the image of a lattice
+    under a map multilinear in the strategies, so over each block of the
+    lattice (16 x 16 points, or 8 x 8 x 8) the exact payoffs lie in the
+    convex hull of the block's corner images, and the computed ones in
+    that hull's bounding box widened by ``_rounding_slack`` per component.
+    Before the passes above, every block whose widened box corner, its
+    least p1 and least p2 in the frame, is strictly beaten in both payoffs
+    by a corner row is dropped: that corner row strictly dominates each of
+    the block's rows, so none is on the boundary or a copy of a boundary
+    pair.  The prefilter, corner step and sweep then run on the kept
+    blocks' rows, and are exact on any such superset.  Unless at least 7
+    blocks in 8 drop (``_block_rows``), the passes read the whole cloud,
+    as gathering the kept rows would cost more than it saves; a generic
+    map keeps a few percent of its blocks, a duplicate-heavy map with
+    opposed slopes, whose rows are nearly all boundary copies, most.
+
+    The cost is O(n) plus O(m log m) for one key, and a pruned lattice
+    cloud's O(n) is that of its kept blocks and block corners.  The preimages read
     are those of the rows ranked among copies and of the boundary, through
     ``preimages_at``, so a lattice cloud's are never built.  A lattice
     cloud's rows are in preimage order, so its copies are ranked by row
@@ -646,10 +810,14 @@ def pareto_filter(
         raise ValueError("cannot filter an empty cloud")
     sign = 1.0 if flavor == "minimal" else -1.0
     payoffs = cloud.payoffs
-    if len(payoffs) < _PREFILTER_MIN_ROWS:
-        rows = np.arange(len(payoffs))
+    kept = _block_rows(cloud, _dominated_blocks, sign)
+    if kept is None:
+        rows = _undominated(payoffs, sign)
     else:
-        rows = _drop_corner_dominated(payoffs, *_prefilter(payoffs, sign), sign)
+        sub = np.empty((len(kept), 2), order="F")
+        for k in range(2):
+            np.take(payoffs[:, k], kept, out=sub[:, k], mode="clip")
+        rows = kept[_undominated(sub, sign)]
     lattice = isinstance(cloud, _LatticeCloud)
     rows = _pareto_sweep(payoffs, None if lattice else cloud.preimages_at, rows, sign)
     if flavor == "maximal":
@@ -735,10 +903,23 @@ def tu_boundary(
     ordered by p1, and ``segment_ends`` are the extreme witness payoffs.
     For a payoff map on the cube, :func:`lattice_tu` reads the same
     witnesses on the lattice without building the cloud.
+
+    A cloud of ``sample_image`` is read a block of its lattice at a time:
+    the map is multilinear, so a block's computed sums lie within twice
+    the rounding error of its corner sums' range (``_rounding_slack``).
+    A block whose best corner sum is too far below the best corner sum of
+    all to hold a witness (``_far_from_best``, the test ``lattice_tu``
+    makes per column) is skipped, and the witness pass reads the rest,
+    which hold the optimum and every witness.  Witnesses are ordered by
+    payoff and preimage, so which rows were read changes no bit.  Unless
+    at least 7 blocks in 8 drop, as on a constant-sum map, the whole cloud
+    is read (``_block_rows``).
     """
-    return _tu_witnesses(
-        cloud.payoffs[:, 0], cloud.payoffs[:, 1], cloud.preimages_at, orientation, tol
-    )
+    p1, p2 = cloud.payoffs[:, 0], cloud.payoffs[:, 1]
+    kept = _block_rows(cloud, _tu_blocks, orientation.sign, tol)
+    if kept is None:
+        return _tu_witnesses(p1, p2, cloud.preimages_at, orientation, tol)
+    return _tu_witnesses(p1[kept], p2[kept], lambda sel: cloud.preimages_at(kept[sel]), orientation, tol)
 
 
 def lattice_tu(
@@ -748,7 +929,8 @@ def lattice_tu(
 
     Returns the TU boundary and the componentwise (infimum, supremum), bit
     for bit those of the cloud.  An arity-2 map has no z faces to save
-    work on, so both are read off its cloud.  A cube's cloud is never
+    work on, so both are read off its cloud, whose ``tu_boundary`` reads
+    only the blocks that can hold a witness.  A cube's cloud is never
     built: the map is evaluated on the lattice's two z-faces, ``z = 0``
     and ``z = 1``, and then in full only on the candidate ``(x, y)``
     columns; preimages are formed for the witness rows only.  Two
@@ -768,26 +950,10 @@ def lattice_tu(
     reductions give a zero extremum the sign that ``extrema``'s reductions
     of the cloud give it.
 
-    *The TU sum needs a slack.*  Read the optimum as a maximum of ``s*sum``
-    with ``s`` the orientation's sign, as negation is exact.  Let ``u =
-    eps/2`` be the unit roundoff and ``A`` the sum of all ten ``|c|``.
-    Every monomial lies in [0, 1], and each term of a component passes
-    through at most five roundings, the sum of the two components one
-    more.  So a computed sum ``s(z)`` is within ``E = 6u/(1 - 6u) * A +
-    2**-1071 <= 4*eps*A + 2**-1071`` of the exact sum ``sigma(z)`` at the
-    same lattice point, the second term bounding underflow in the ten
-    products.  ``sigma`` is affine in ``z``
-    over a column, so ``s(z) <= sigma(z) + E <= max(sigma(0), sigma(1)) + E
-    <= F + 2E``, where ``F`` is the column's best face sum.  Let ``M`` be
-    the best face sum of all; it is a lattice sum, so the optimum is at
-    least ``M``.  A witness passes ``|fl(s(z) - opt)| <= tol``, and a
-    subtraction errs by a factor ``1 + delta`` with ``|delta| <= u``, so
-    ``s(z) >= opt - tol/(1 - u) >= M - tol/(1 - u)``.  Together, ``M - F
-    <= tol + eps*tol + 8*eps*A + 2**-1070``, which the computed ``tol +
-    slack`` exceeds by a wide margin with ``slack = 128*eps*(A + tol) +
-    tiny`` (``tiny = 2**-1022``).  Rounding is monotone, so the computed
-    gap ``fl(M - F)`` is then at most the computed ``fl(tol + slack)``,
-    and the test keeps every column that holds a witness; an infinite
+    *The TU sum needs a slack.*  A column is a box of the lattice whose
+    corners are its two face points, so ``_far_from_best`` keeps every
+    column whose best face sum is close enough to the best of all to hold a
+    witness, with the slack that ``_rounding_slack`` proves; an infinite
     slack keeps every column.  The optimum is itself a witness, so the
     candidate rows have the lattice's optimum and exactly its witnesses.
     ``_tu_witnesses`` orders them by payoff and then by preimage, which is
@@ -810,12 +976,7 @@ def lattice_tu(
     if not np.isfinite(ext).all():
         raise ValueError("payoffs must be finite")
     sums = orientation.sign * (f1 + f2)
-    best = np.maximum(sums[0], sums[-1])
-    eps = np.finfo(float).eps
-    slack = 128.0 * eps * (np.abs(payoff_map.coeffs).sum() + tol) + np.finfo(float).tiny
-    # A NaN gap (an overflowing sum, or a NaN tol) keeps its column, so the
-    # witness pass fails as it does on the cloud.
-    cand = np.flatnonzero(~(best.max() - best > tol + slack))
+    cand = np.flatnonzero(~_far_from_best(np.maximum(sums[0], sums[-1]), payoff_map.coeffs, tol))
     p1, p2 = payoff_map.eval_arrays(xs[:, cand], ys[:, cand], t[:, None])
 
     def preimages_of(sel):

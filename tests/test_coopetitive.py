@@ -596,15 +596,17 @@ class TestLatticeSolutions:
 
     def test_win_win_samples_no_cube(self, coop_game, monkeypatch):
         # Fails if win-win or the TU compromise falls back to the cube's cloud.
+        # Every lattice is sampled by ``geometry._sample``, which
+        # ``sample_image`` wraps and ``core_supremum`` calls on its section.
         arities = []
-        sample = geometry.sample_image
+        sample = geometry._sample
 
-        def recording(payoff_map, grid_n):
-            arities.append(payoff_map.arity)
-            return sample(payoff_map, grid_n)
+        def recording(coeffs, grid_n, arity):
+            arities.append(arity)
+            return sample(coeffs, grid_n, arity)
 
-        monkeypatch.setattr(geometry, "sample_image", recording)
-        monkeypatch.setattr(coopetitive, "sample_image", recording)
+        monkeypatch.setattr(geometry, "_sample", recording)
+        monkeypatch.setattr(coopetitive, "_sample", recording)
         standard_win_win_solution(coop_game, 33)
         tub = lattice_tu(coop_game.payoff, 33, coop_game.orientation, 1e-6)[0]
         tu_crossing_solution(tub, PayoffPoint(0, 1), PayoffPoint(-5, -1))

@@ -16,6 +16,7 @@ from coopetition.geometry import (
     PayoffMap,
     PointCloud,
     extrema,
+    facing_flavor,
     hausdorff_distance,
     lattice_tu,
     pareto_filter,
@@ -561,6 +562,36 @@ class TestMemoryBound:
         # The int16 bucket and bool keep arrays are the only full-length ones.
         assert peak <= 3 * len(cloud) + self.SLACK
 
+    @pytest.mark.parametrize("flavor", ["maximal", "minimal"])
+    def test_pareto_filter_on_a_generic_cube(self, flavor):
+        # Most blocks drop, so only the rows of the rest are gathered and
+        # bucketed: 0.56 and 2.74 MiB measured, where the passes over the
+        # whole cloud hold 7.2 MiB, 3 bytes a row.
+        cloud = sample_image(dense_shaped_map(np.random.default_rng([87, 3]), 3, "generic"), 129)
+        _, peak = self.traced_peak(lambda: pareto_filter(cloud, Orientation.GAIN, flavor))
+        assert peak <= len(cloud) + self.SLACK
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_tu_boundary_on_a_generic_cube(self, orientation):
+        # 0.25 MiB measured; the pass over the whole cloud holds 1.5 MiB.
+        cloud = sample_image(dense_shaped_map(np.random.default_rng([87, 3]), 3, "generic"), 129)
+        _, peak = self.traced_peak(lambda: tu_boundary(cloud, orientation))
+        assert peak <= self.SLACK // 2
+
+    #: The benchmark's ``dense_maps(6)[131]``: a duplicate-heavy cube with
+    #: opposed slopes, whose boundaries hold 43.5k and 44.5k rows.  No block
+    #: drops, so the passes read the whole cloud.
+    OPPOSED_CUBE = [[0.634, -0.651, -0.651, 0.163, 0.0], [-0.174, 1.352, 1.352, -0.339, 0.0]]
+
+    @pytest.mark.parametrize("flavor", ["maximal", "minimal"])
+    def test_pareto_filter_on_an_opposed_cube(self, flavor):
+        cloud = sample_image(PayoffMap(self.OPPOSED_CUBE, 3), 129)
+        # Pinned at the peak of the passes over the whole cloud, 84.31 and
+        # 84.33 MB traced (2.455 times the payoffs) before the block bounds
+        # existed, so that the bounds never add to it.
+        _, peak = self.traced_peak(lambda: pareto_filter(cloud, Orientation.GAIN, flavor))
+        assert peak <= 2.46 * cloud.payoffs.nbytes
+
     def test_hausdorff_distance(self):
         # Scattered sets give every point a wide p1 band, so the pairwise
         # tables, at most 64 x 1024 floats each, are all that can grow.
@@ -912,17 +943,28 @@ class TestLatticeTU:
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="payoffs must be finite"):
                 build()
 
-    def test_overflowing_sums_raise(self):
+    def test_overflowing_sums_raise(self, monkeypatch):
         # Both payoffs finite, their sum not: no witness could be selected.
         m = PayoffMap(np.array([[1e308, 0, 0, 0, 0], [1e308, 0, 0, 0, 0]]), arity=3)
-        for build in (
-            lambda: tu_boundary(sample_image(m, 5), Orientation.GAIN),
-            lambda: lattice_tu(m, 5, Orientation.GAIN),
-        ):
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                ValueError, match="payoff sums must be finite"
+        far = []
+        far_from_best = geometry._far_from_best
+        monkeypatch.setattr(geometry, "_far_from_best", lambda *args: far.append(far_from_best(*args)) or far[-1])
+        # The cloud of 17³ points is large enough for block bounds, 5³ not.
+        for grid_n in (5, 17):
+            far.clear()
+            for build in (
+                lambda: tu_boundary(sample_image(m, grid_n), Orientation.GAIN),
+                lambda: lattice_tu(m, grid_n, Orientation.GAIN),
             ):
-                build()
+                with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                    ValueError, match="payoff sums must be finite"
+                ):
+                    build()
+            # A sum overflows only where the sum of the |c| does, and so the
+            # rounding slack: ``lattice_tu`` keeps every column and, on the
+            # larger cloud, ``tu_boundary`` every block.
+            assert len(far) == (1 if grid_n**3 < geometry._PREFILTER_MIN_ROWS else 2)
+            assert not any(mask.any() for mask in far)
 
     def test_argument_checks(self, f0):
         with pytest.raises(ValueError, match="grid_n"):
@@ -930,6 +972,119 @@ class TestLatticeTU:
         for tol in (0.0, float("nan")):
             with pytest.raises(ValueError, match="tol"):
                 lattice_tu(f0, 17, Orientation.LOSS, tol)
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """Whether each call of ``geometry._block_rows`` took the pruned path."""
+    taken = []
+    rows = geometry._block_rows
+
+    def recording(*args):
+        kept = rows(*args)
+        taken.append(kept is not None)
+        return kept
+
+    monkeypatch.setattr(geometry, "_block_rows", recording)
+    return taken
+
+
+def assert_pruned_paths_match(cloud, tols=(1e-9, 0.05)):
+    """``pareto_filter`` is the sort-everything filter and ``tu_boundary``
+    is ``_tu_witnesses`` on the whole payoff columns, bit for bit and sign
+    bit for sign bit, under both orientations and flavors."""
+    p1, p2 = cloud.payoffs[:, 0], cloud.payoffs[:, 1]
+    for orientation in Orientation:
+        assert_matches_sort(cloud, orientation)
+        for tol in tols:
+            want = geometry._tu_witnesses(p1, p2, cloud.preimages_at, orientation, tol)
+            got = tu_boundary(cloud, orientation, tol)
+            assert repr(got.optimal_sum) == repr(want.optimal_sum)
+            for a, b in ((got.witness_payoffs, want.witness_payoffs), (got.witness_preimages, want.witness_preimages)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            ends = [[p.as_tuple() for p in tub.segment_ends] for tub in (got, want)]
+            assert np.array_equal(*ends) and np.array_equal(*np.signbit(ends))
+            assert got.tolerance == want.tolerance
+
+
+class TestBlockBounds:
+    """Lattice clouds skip the blocks their corners prove out of the answer,
+    and every output keeps its bits."""
+
+    @staticmethod
+    def assert_both_paths_match(monkeypatch, cloud, block_rows):
+        # Once at the default share of dropped blocks, and once with none
+        # required, so the pruned path runs whatever drops.
+        assert_pruned_paths_match(cloud)
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_BOUND_MIN_DROPPED", 0.0)
+            block_rows.clear()
+            assert_pruned_paths_match(cloud)
+            assert block_rows and all(block_rows)
+
+    @pytest.mark.parametrize("arity, grids", [(2, (65, 150)), (3, (17, 26))])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_map_families(self, monkeypatch, block_rows, family, arity, grids):
+        # The block edge divides n - 1 on the first grid and not on the second.
+        rng = np.random.default_rng([90, FAMILIES.index(family), arity])
+        for _ in range(2):
+            payoff_map = family_map(family, rng, arity)
+            for grid_n in grids:
+                self.assert_both_paths_match(monkeypatch, sample_image(payoff_map, grid_n), block_rows)
+
+    @pytest.mark.parametrize("arity, grid_n", [(2, 150), (3, 26)])
+    @pytest.mark.parametrize("shape", ["generic", "opposed", "aligned"])
+    def test_dense_shapes(self, monkeypatch, block_rows, arity, grid_n, shape):
+        rng = np.random.default_rng([91, arity, len(shape)])
+        for _ in range(3):
+            cloud = sample_image(dense_shaped_map(rng, arity, shape), grid_n)
+            self.assert_both_paths_match(monkeypatch, cloud, block_rows)
+
+    @pytest.mark.parametrize("arity, grid_n", [(2, 1000), (3, 50)])
+    def test_edge_not_dividing_a_large_grid(self, block_rows, arity, grid_n):
+        cloud = sample_image(dense_shaped_map(np.random.default_rng([92, arity]), arity, "generic"), grid_n)
+        assert (grid_n - 1) % geometry._BOUND_EDGE[arity] != 0
+        assert_pruned_paths_match(cloud)
+        # A generic map drops at least 7 blocks in 8 for every TU answer.
+        # The Pareto boxes need many blocks per axis to drop as many, which
+        # 1000² has (63) and 50³ (7) has not.
+        pareto, tu = [True, True, False, False] * 2, [False, False, True, True] * 2
+        assert block_rows == [t or (p and arity == 2) for p, t in zip(pareto, tu)]
+
+    @pytest.mark.parametrize("scale", [2.0**1000, 2.0**-1000])
+    @pytest.mark.parametrize("arity, grid_n", [(2, 65), (3, 17)])
+    def test_extreme_scales(self, monkeypatch, block_rows, scale, arity, grid_n):
+        rng = np.random.default_rng([93, arity])
+        for shape in ("generic", "opposed"):
+            payoff_map = dense_shaped_map(rng, arity, shape)
+            scaled = PayoffMap(payoff_map.coeffs * scale, arity)
+            self.assert_both_paths_match(monkeypatch, sample_image(scaled, grid_n), block_rows)
+
+    def test_generic_cube_reads_few_rows(self, monkeypatch):
+        cloud = sample_image(dense_shaped_map(np.random.default_rng(94), 3, "generic"), 65)
+        sizes = []
+        witnesses, undominated = geometry._tu_witnesses, geometry._undominated
+
+        def recording(inner):
+            def call(*args):
+                sizes.append(len(args[0]))
+                return inner(*args)
+            return call
+
+        monkeypatch.setattr(geometry, "_tu_witnesses", recording(witnesses))
+        monkeypatch.setattr(geometry, "_undominated", recording(undominated))
+        for orientation in Orientation:
+            tu_boundary(cloud, orientation)
+            pareto_filter(cloud, orientation, facing_flavor(orientation))
+        assert len(sizes) == 4
+        assert max(sizes) < len(cloud) / 8
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_bad_tolerances_raise(self, tol):
+        cloud = sample_image(dense_shaped_map(np.random.default_rng(95), 3, "generic"), 17)
+        for orientation in Orientation:
+            with pytest.raises(ValueError, match="tol must be positive"):
+                tu_boundary(cloud, orientation, tol)
 
 
 class TestBlocks:
@@ -958,6 +1113,21 @@ class TestBlocks:
         assert grid_n**arity <= geometry._BLOCK
         for block in (1, 7, 64, 300):
             monkeypatch.setattr(geometry, "_BLOCK", block)
+            for a, b in zip(self.outputs(payoff_map, grid_n), whole, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("arity, grid_n", [(2, 40), (3, 12)])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bound_edge_changes_no_bit(self, monkeypatch, family, arity, grid_n):
+        # With no share of dropped blocks required, every edge takes the
+        # pruned path, blocks of one point and blocks wider than the
+        # lattice included.
+        payoff_map = family_map(family, np.random.default_rng([71, FAMILIES.index(family), arity]), arity)
+        whole = self.outputs(payoff_map, grid_n)
+        assert grid_n**arity >= geometry._PREFILTER_MIN_ROWS
+        monkeypatch.setattr(geometry, "_BOUND_MIN_DROPPED", 0.0)
+        for edge in (1, 3, 5, 16, 64):
+            monkeypatch.setattr(geometry, "_BOUND_EDGE", {arity: edge})
             for a, b in zip(self.outputs(payoff_map, grid_n), whole, strict=True):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
