@@ -5,8 +5,10 @@ utopia point, read per orientation: under LOSS the threat is the
 componentwise larger point.  On a discrete boundary the Kalai-Smorodinsky
 solution is the argmin of distance to the threat-utopia segment with a
 tolerance gate, which converges to the unique continuous intersection as
-the sampling step shrinks; ties break toward the utopia point and then by
-payoff and preimage, so results are deterministic.
+the sampling step shrinks; ties break toward the utopia point, then toward
+the payoff better for player 1 (the smaller under LOSS, the larger under
+GAIN, so a game and its negated twin break ties alike) and then by
+preimage, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -87,8 +89,15 @@ def _segment_distances(points: np.ndarray, a: PayoffPoint, b: PayoffPoint) -> np
 
 
 def _pick(boundary: ParetoBoundary, *leading: np.ndarray) -> int:
-    """Deterministic argmin over (the leading keys in turn, payoff, preimage)."""
-    return int(_lex_order(boundary.payoffs, boundary.preimages, *leading)[0])
+    """Deterministic argmin over (the leading keys in turn, payoff, preimage).
+
+    Payoffs rank in the frame ``-s*p``, with ``s`` the orientation's sign,
+    so a tie goes to the payoff better for player 1: the smaller one under
+    LOSS, the larger under GAIN.  Negation is exact, so a game and its
+    negated twin pick the same row.
+    """
+    s = boundary.orientation.sign
+    return int(_lex_order(-s * boundary.payoffs, boundary.preimages, *leading)[0])
 
 
 def ks_solution(problem: BargainingProblem, tol: float) -> SolutionPoint:

@@ -303,38 +303,40 @@ def tu_crossing_solution(
 
 
 def core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint:
-    """Componentwise supremum of the payoff core of the section at ``z``.
+    """The orientation-worst corner of the payoff core of the section at ``z``.
 
-    The core is the portion of the section's orientation-facing Pareto
-    boundary weakly better than its conservative bi-value ``v``; its
-    supremum is taken componentwise over the samples.  It is read off the
+    The paper reads it in a LOSS game, where it is the core's componentwise
+    supremum; in a GAIN game it is the mirror, the componentwise infimum,
+    so a game and its negated twin give negated answers.  The core is the
+    portion of the section's orientation-facing Pareto boundary weakly
+    better than its conservative bi-value ``v``.  It is read off the
     payoff columns that ``sample_image`` would give the section, sampled
     straight from its ``_fold_z`` coefficient rows, with no section map
     and no Pareto pass.
 
-    Let ``S`` be the lattice rows weakly better than ``v``, compared as
+    Work in the frame ``q = s*p``, with ``s`` the orientation's sign, where
+    greater is better under either orientation; negation is exact.  Let
+    ``S`` be the lattice rows with ``q >= s*v``, compared as
     ``payoff_core`` compares.  Every row of ``S`` is weakly dominated by a
     row of the facing boundary, which is then weakly better than ``v`` and
     so in ``S`` too.  So the core is empty iff ``S`` is, and the core's two
-    end points are lexicographic extremes of ``S``.  Under GAIN the
-    supremum is ``(max p1, max p2)`` over ``S``.  Under LOSS its p1 is the
-    least p1 among the rows of ``S`` at ``S``'s least p2, and its p2 the
-    least p2 among the rows at ``S``'s least p1.  A component's zeros on
-    a lattice share one sign (see ``lattice_tu``), so each reduction gives
-    the bits of the core's componentwise maximum.
+    end points are lexicographic extremes of ``S``: the greatest q1 among
+    the rows at ``S``'s greatest q2, and the greatest q2 among the rows at
+    its greatest q1.  The worst corner takes q1 from the first and q2 from
+    the second, times ``s``.  A component's zeros on a lattice share one
+    sign (see ``lattice_tu``), so each reduction gives the bits of the
+    core's worst corner.
     """
     rows = _fold_z(game.payoff.coeffs, _height(z))
     s = game.orientation.sign
     v = _conservative_value(s, rows)
-    p1, p2 = _sample(rows, grid_n, 2).T
-    mask = s * p1 >= s * v.p1
-    mask &= s * p2 >= s * v.p2
+    q1, q2 = s * _sample(rows, grid_n, 2).T
+    mask = q1 >= s * v.p1
+    mask &= q2 >= s * v.p2
     if not mask.any():
         raise EmptyPortion(f"the payoff core of the section at z={z} is empty")
-    p1, p2 = p1[mask], p2[mask]
-    if game.orientation is Orientation.GAIN:
-        return PayoffPoint(p1.max(), p2.max())
-    return PayoffPoint(p1[p2 == p2.min()].min(), p2[p1 == p1.min()].min())
+    q1, q2 = q1[mask], q2[mask]
+    return PayoffPoint(s * q1[q2 == q2.max()].max(), s * q2[q1 == q1.max()].max())
 
 
 def win_win_report(

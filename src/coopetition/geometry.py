@@ -831,24 +831,30 @@ def pareto_filter(
     )
 
 
-def extrema(cloud: PointCloud | ParetoBoundary) -> tuple[PayoffPoint, PayoffPoint]:
-    """Componentwise (infimum, supremum) of the sampled payoffs."""
-    if len(cloud) == 0:
+def extrema(points: _PointSet | np.ndarray) -> tuple[PayoffPoint, PayoffPoint]:
+    """Componentwise (infimum, supremum) of the payoffs of a cloud, a
+    boundary or an (n, 2) array of payoff pairs."""
+    if len(points) == 0:
         raise ValueError("cannot take extrema of an empty point set")
-    # One reduction per column, each over a contiguous vector.
-    p1, p2 = cloud.payoffs[:, 0], cloud.payoffs[:, 1]
+    payoffs = points if isinstance(points, np.ndarray) else points.payoffs
+    # One reduction per column: over a contiguous vector for a point set,
+    # whose payoffs are stored column-major.
+    p1, p2 = payoffs[:, 0], payoffs[:, 1]
     return PayoffPoint(p1.min(), p2.min()), PayoffPoint(p1.max(), p2.max())
 
 
-def orientation_best(cloud: PointCloud | ParetoBoundary, orientation: Orientation) -> PayoffPoint:
-    """The componentwise best corner of the set per orientation."""
-    lo, hi = extrema(cloud)
+def orientation_best(points: _PointSet | np.ndarray, orientation: Orientation) -> PayoffPoint:
+    """The componentwise best corner of the points per orientation."""
+    lo, hi = extrema(points)
     return hi if orientation is Orientation.GAIN else lo
 
 
-def orientation_worst(cloud: PointCloud | ParetoBoundary, orientation: Orientation) -> PayoffPoint:
-    """The componentwise worst corner of the set per orientation."""
-    lo, hi = extrema(cloud)
+def orientation_worst(points: _PointSet | np.ndarray, orientation: Orientation) -> PayoffPoint:
+    """The componentwise worst corner of the points per orientation: the
+    componentwise maximum under LOSS, where the paper reads its threats,
+    and the minimum under GAIN.  Every default threat read off a set of
+    points is this corner."""
+    lo, hi = extrema(points)
     return lo if orientation is Orientation.GAIN else hi
 
 

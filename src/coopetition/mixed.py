@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .errors import UnsupportedGameError
 from .games import FiniteBimatrixGame, PayoffPoint
 from .geometry import PayoffMap, _component
@@ -42,7 +40,6 @@ __all__ = [
     "bilinear_map",
     "mixed_equilibrium_components",
     "conservative_bivalue_mixed",
-    "nash_extreme",
 ]
 
 #: Tolerance of the best-response verification, per unit of a player's sum
@@ -227,12 +224,6 @@ def mixed_equilibrium_components(game: FiniteBimatrixGame) -> list[EquilibriumCo
     line1 = (u01 - u11, (u00 - u10) - (u01 - u11))
     line2 = (v10 - v11, (v00 - v01) - (v10 - v11))
     return _equilibria(s, line1, line2, _bilinear_coeffs(t1, t2))
-
-
-def nash_extreme(components: list[EquilibriumComponent]) -> PayoffPoint:
-    """Componentwise maximum of the components' extreme payoffs."""
-    pts = np.array([p.as_tuple() for c in components for p in c.payoff_extremes])
-    return PayoffPoint(*pts.max(axis=0))
 
 
 def _maximin_lines(line0: tuple[float, float], line1: tuple[float, float]) -> float:

@@ -53,6 +53,7 @@ from .geometry import (
     extrema,
     facing_flavor,
     orientation_best,
+    orientation_worst,
     pareto_filter,
     sample_image,
     tu_boundary,
@@ -62,7 +63,6 @@ from .mixed import (
     bilinear_map,
     conservative_bivalue_mixed,
     mixed_equilibrium_components,
-    nash_extreme,
 )
 
 __all__ = ["AnalysisReport", "GameContext", "build_report", "fmt", "fmt_point", "solution_lines"]
@@ -93,7 +93,12 @@ class GameContext:
     """One game file at one grid: every solution concept reads it from here.
 
     The sampled cloud, its facing Pareto boundary and the default threat
-    points are built on first use.  The tolerance is ``tol`` (the ``--tol``
+    points are built on first use.  A default threat point that is read off
+    a set of points (the conservative path of a coopetitive game, the Nash
+    payoffs) is the set's orientation-worst corner, and the default utopia
+    is the cloud's orientation-best corner: ``geometry.orientation_worst``
+    and ``orientation_best``, so a game and its negated twin get negated
+    defaults.  The tolerance is ``tol`` (the ``--tol``
     flag) if given, else the file's ``analysis.tol``, else a default per
     concept: three grid steps for the Kalai-Smorodinsky concepts, whose
     answer is a sampled point near a segment, and 1e-6 for the TU ones,
@@ -136,18 +141,20 @@ class GameContext:
 
     @cached_property
     def conservative(self) -> PayoffPoint:
-        """Conservative bi-value, or the supremum of the conservative path."""
+        """Conservative bi-value, or the orientation-worst corner of the conservative path."""
         if self.spec.kind == "finite":
             return conservative_bivalue_mixed(self.game)
         pts = np.concatenate([pts for _, pts in self.conservative_path.samples], axis=0)
-        return PayoffPoint(*pts.max(axis=0))
+        return orientation_worst(pts, self.orientation)
 
     @cached_property
     def nash_extreme(self) -> PayoffPoint:
-        """Supremum of the Nash zone in the payoff plane."""
+        """Orientation-worst corner of the Nash payoffs: the mixed equilibrium
+        components' extreme payoffs, or the Nash zone."""
         if self.spec.kind == "finite":
-            return nash_extreme(self.components)
-        return PayoffPoint(*nash_zone(self.game, self.grid_n).payoffs.max(axis=0))
+            pts = np.array([p.as_tuple() for c in self.components for p in c.payoff_extremes])
+            return orientation_worst(pts, self.orientation)
+        return orientation_worst(nash_zone(self.game, self.grid_n), self.orientation)
 
     def solve(
         self, name: str, threat: PayoffPoint | None = None, utopia: PayoffPoint | None = None

@@ -20,7 +20,15 @@ from coopetition.coopetitive import (
 )
 from coopetition.errors import EmptyPortion, MissingInitialZ
 from coopetition.games import FiniteBimatrixGame, Orientation, PayoffPoint, StrategyCell
-from coopetition.geometry import extrema, facing_flavor, pareto_filter, sample_image, tu_boundary, tu_line
+from coopetition.geometry import (
+    extrema,
+    facing_flavor,
+    orientation_worst,
+    pareto_filter,
+    sample_image,
+    tu_boundary,
+    tu_line,
+)
 from coopetition.mixed import (
     VERIFY_TOL,
     EquilibriumComponent,
@@ -465,7 +473,7 @@ def cloud_core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffP
     """``core_supremum`` by its definition: the section's sampled cloud,
     its facing Pareto boundary, the portion weakly better than the
     conservative bi-value of the section map's corners, and that portion's
-    componentwise maximum."""
+    orientation-worst corner (its componentwise maximum under LOSS)."""
     sec = section_game(game, z)
     boundary = pareto_filter(
         sample_image(sec.map, grid_n), game.orientation, facing_flavor(game.orientation)
@@ -473,7 +481,7 @@ def cloud_core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffP
     core = payoff_core(boundary, corner_bivalue(section_corners(game, z), game.orientation))
     if len(core) == 0:
         raise EmptyPortion(f"the payoff core of the section at z={z} is empty")
-    return PayoffPoint(*core.payoffs.max(axis=0))
+    return orientation_worst(core, game.orientation)
 
 
 def cloud_standard_win_win(game: CoopetitiveGame, grid_n: int, tol: float = 1e-6) -> SolutionPoint:

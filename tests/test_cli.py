@@ -21,7 +21,7 @@ from coopetition.errors import DegenerateProblem, EmptyPortion, NoIntersection, 
 from coopetition.gamefile import MAX_PAYOFF
 from coopetition.games import FiniteBimatrixGame, Orientation
 from coopetition.geometry import PointCloud, pareto_filter
-from test_golden import GRID as GOLDEN_GRID, golden_games
+from test_golden import GRID as GOLDEN_GRID, golden_games, negated_file
 
 
 @pytest.fixture()
@@ -465,7 +465,7 @@ def test_render_reads_analysis_tol(tmp_path):
     csv_path = tmp_path / "scene.csv"
     assert run("render", str(path), "--out-csv", str(csv_path), "--grid", "17")[0] == 0
     tags = {r["tag"] for r in csv.DictReader(csv_path.read_text().splitlines())}
-    assert not any(tag.startswith("solution:") for tag in tags)
+    assert "solution:proper-coopetitive" not in tags
     _check_one_answer_per_concept(tmp_path, str(path), [], "17")
 
 
@@ -584,16 +584,9 @@ def _render_games() -> dict[str, dict]:
     coop = coopetitive_game_dict()
     return {
         "finite-gain": fin,
-        "finite-loss": dict(
-            fin, orientation="loss",
-            payoff1=[[-v for v in row] for row in fin["payoff1"]],
-            payoff2=[[-v for v in row] for row in fin["payoff2"]],
-        ),
+        "finite-loss": negated_file(fin),
         "coopetitive-loss": coop,
-        "coopetitive-gain": dict(
-            coop, orientation="gain",
-            coefficients={k: [-v for v in vs] for k, vs in coop["coefficients"].items()},
-        ),
+        "coopetitive-gain": negated_file(coop),
     }
 
 
@@ -606,8 +599,8 @@ RENDER_SHA256 = {
     "finite-loss.svg": "bd32a5c3c59be9c21e3435d0cce93760c2d7a36f1a4801c6877e9f9706873025",
     "coopetitive-loss.csv": "ce5859af8d328d2240b240f668c116b715867087110a09b1aef95a1ea48d0b46",
     "coopetitive-loss.svg": "776cf76699f6cdbeaf1c33e6b30f099edd87d8d00a7b1528ec9858d58c7e58a8",
-    "coopetitive-gain.csv": "d37ea0a340ae195315c8a13f6450f3a1149253dcf1a766aed20c7c1882ba4ab7",
-    "coopetitive-gain.svg": "6cabb06e69fba85488a7197ab1bdbbe33396f12bd039afb2ca0821a910bd3f82",
+    "coopetitive-gain.csv": "c5546785953f9d855b51cf6c6b46563e46f627e5baff00089e905ba1cd95815a",
+    "coopetitive-gain.svg": "52b20612dfa7c9186949524050aa5fbdd839695b989c98ded4fd251ec967f65d",
 }
 
 

@@ -30,6 +30,17 @@ from perfbench import inputs as I  # noqa: E402
 GRID = {"finite": "129", "coopetitive": "33"}
 
 
+def negated_file(game: dict) -> dict:
+    """The twin of a game-file dict: every payoff negated and the other
+    orientation, so that each answer of the twin is the negated answer."""
+    flipped = "gain" if game["orientation"] == "loss" else "loss"
+    if game["kind"] == "finite":
+        tables = {k: [[-v for v in row] for row in game[k]] for k in ("payoff1", "payoff2")}
+        return dict(game, orientation=flipped, **tables)
+    coefficients = {k: [-v for v in vs] for k, vs in game["coefficients"].items()}
+    return dict(game, orientation=flipped, coefficients=coefficients)
+
+
 def golden_games() -> dict[str, dict]:
     rng = random.Random(2012)
     games = {
@@ -39,17 +50,13 @@ def golden_games() -> dict[str, dict]:
     for i in (1, 2):
         games[f"coop{i}-gain"] = I.coop_file(rng, I.GAIN)
         games[f"coop{i}-loss"] = I.coop_file(rng, I.LOSS)
-    demo = coopetitive_game_dict()
-    games["demo-negated-gain"] = dict(
-        demo,
-        orientation="gain",
-        coefficients={k: [-v for v in vs] for k, vs in demo["coefficients"].items()},
-    )
+    games["demo-negated-gain"] = negated_file(coopetitive_game_dict())
     return games
 
 
-def commands(game: dict) -> dict[str, list[str]]:
-    grid = ["--grid", GRID[game["kind"]]]
+def commands(game: dict, grid: str | None = None) -> dict[str, list[str]]:
+    """Every command run on ``game``, by name, at ``grid`` or the kind's ``GRID``."""
+    grid = ["--grid", grid or GRID[game["kind"]]]
     cmds = {"analyze": ["analyze", "{game}"] + grid}
     for name in SOLUTIONS:
         cmds[f"solve {name}"] = ["solve", "{game}", "--solution", name] + grid
@@ -57,7 +64,13 @@ def commands(game: dict) -> dict[str, list[str]]:
     return cmds
 
 
-def digest(tmp_path: Path, stem: str, game: dict, argv: list[str]) -> str:
+def run_command(tmp_path: Path, stem: str, game: dict, argv: list[str]) -> tuple[str, dict[str, bytes]]:
+    """Run ``argv`` in process on ``game``, written to ``tmp_path``.
+
+    Returns the exit code, stdout and stderr as one text, with the temporary
+    directory replaced by a placeholder, and the bytes of each output file
+    by extension.
+    """
     paths = {
         "game": tmp_path / f"{stem}.json",
         "csv": tmp_path / f"{stem}.csv",
@@ -67,13 +80,20 @@ def digest(tmp_path: Path, stem: str, game: dict, argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([arg.format(**{k: str(p) for k, p in paths.items()}) for arg in argv])
-    h = hashlib.sha256()
     text = f"{code}\n{out.getvalue()}\n{err.getvalue()}".replace(str(tmp_path), "<tmp>")
-    h.update(text.encode("utf-8"))
+    files = {}
     for ext in ("csv", "svg"):
         if "{" + ext + "}" in argv:
-            h.update(paths[ext].read_bytes())
+            files[ext] = paths[ext].read_bytes()
             paths[ext].unlink()
+    return text, files
+
+
+def digest(tmp_path: Path, stem: str, game: dict, argv: list[str]) -> str:
+    text, files = run_command(tmp_path, stem, game, argv)
+    h = hashlib.sha256(text.encode("utf-8"))
+    for data in files.values():
+        h.update(data)
     return h.hexdigest()
 
 
@@ -107,14 +127,14 @@ GOLDEN_SHA256 = {
     "finite-loss solve compromise:conservative_pareto": "81f3259e50eac7f1f60381a091ed7b439d307273a41875f54de1175d1c19e4fb",
     "finite-loss render": "376cb66f9017f972d1d5cc6fb40c396269f399fd9ac7c329334aa681961f2446",
     "coop1-gain analyze": "5d72069d60a008ea4667ca09da223b671e364dea5d7b6f4e8a29f6fa4628ea08",
-    "coop1-gain solve ks": "d97d0d12d53a6a4e47e17c8e4dcabe2c0aa361e4ca4ebc2f745d248416b7e2df",
-    "coop1-gain solve nash-bargaining": "8ff9b884de8470a5dbd374f03b7edf5f5d56640081f35b00f6d8cb8e387a7c30",
-    "coop1-gain solve tu": "97b798da789d5e21c7176cc5d749ff45d899c1725044f3b8277fd3d134b972e1",
+    "coop1-gain solve ks": "16dc7b10227ebdceffabd3464ba1925d8ee6766a537369b852d3341e804cbb30",
+    "coop1-gain solve nash-bargaining": "cbafa4c549b61e1f76658502113a2796ee16b61089fc7c34b1030bfeef398d1f",
+    "coop1-gain solve tu": "35c8075278b58683f5333a09981c00652d7d9182eb7191a561cd9c74352d251a",
     "coop1-gain solve proper-coopetitive": "ffe123d292956c651e5c89d2b2ca0caeddaea3971c45fa8af3c02166edadf76d",
     "coop1-gain solve win-win": "a8d518b516630fa49c6be9225112eb21858006954ba189d1c8d1f04363c5e54e",
     "coop1-gain solve compromise:pareto": "8c769ac6c137196e278eb808d272c74baa9fdc1f416266d51c416b2fc9b3d8c9",
-    "coop1-gain solve compromise:nash_pareto": "fbbb710bb18e7512edfe24d8da773266680df7420716a7652fe4519efe363902",
-    "coop1-gain solve compromise:conservative_pareto": "a0762ad323de03981f8cb0a70187d6638e080be8ff37308e5ffed54d48db1d8f",
+    "coop1-gain solve compromise:nash_pareto": "e1ff79ee7477e6cae36e83dc28d33eb97e4e7c630f27336e5d5d91ce2c3c10bf",
+    "coop1-gain solve compromise:conservative_pareto": "f12e9c9a18cc6bb2bc0a660cac63679a37d623db46b416b6e5dc485491c5e178",
     "coop1-gain render": "6c611d0b5bc5c95183ad536bf1601c98d0b7bd7ee047b550f165020a884e98ee",
     "coop1-loss analyze": "a93fad135153f5400ff29544ef81957b7717b7b77272f4e3d113b1026ad10319",
     "coop1-loss solve ks": "b319263e4d76cdef10de6db52ab488beb30f9334c723b3614130e0d73ae46d40",
@@ -127,14 +147,14 @@ GOLDEN_SHA256 = {
     "coop1-loss solve compromise:conservative_pareto": "c377247daa8e13c09f868058028d5287b0ffa13aef3b3b5a18ed06ba47b4625a",
     "coop1-loss render": "487bcb9ebbfd5d0e64e7966c5b724563d381f64469add718830a86f154c742ce",
     "coop2-gain analyze": "0a9b8b0a6bcb7c85b58ea97c951462ba0519f30fd1eec6a941af213cad36662b",
-    "coop2-gain solve ks": "cd31ef79a3253d8a99d3d832be1b18d0bc4c1ea449a6d20f259d4f62cb402316",
-    "coop2-gain solve nash-bargaining": "bdffd1d34490482e488d6c2037d5327d5b322575f180c9916163631af0f863c8",
-    "coop2-gain solve tu": "d93621aa1e1a13cbda74855126b03f89a98286983241e52ae40c0fff42dea0f3",
+    "coop2-gain solve ks": "eb86447f9609bae3784c83a7d9c7b2d39fd86c267a532f64f69b442f4cea5e94",
+    "coop2-gain solve nash-bargaining": "86bf4b61e4bca712fa1811388796dcdaf16f19021c03b87750f17f353bb62642",
+    "coop2-gain solve tu": "e84b2ed27c75def7c4f5187aa69467f6509c5de4667e797a10d4efb1b963fe24",
     "coop2-gain solve proper-coopetitive": "7a6ee8c8cc59df0c97f9ef1daea2c5815be08f2292d594532484cfb5b5c6cadd",
     "coop2-gain solve win-win": "298a745d83a867e7354186394fdb11eafdb46f5ed2867406f3d03de38a791b87",
     "coop2-gain solve compromise:pareto": "bf1a437ac36e9f198b27db8eb2df9f499c055edee8472795987d24ada41d9c2a",
-    "coop2-gain solve compromise:nash_pareto": "fbbb710bb18e7512edfe24d8da773266680df7420716a7652fe4519efe363902",
-    "coop2-gain solve compromise:conservative_pareto": "9531fc6c4b2f8f5d72d39961dab2117579fabe3f60a54f99c1cdf59bac36a7f9",
+    "coop2-gain solve compromise:nash_pareto": "92727a9bb30a1e77a94f9a75f7b7564426a2bd0126c8c303bdfef00ea875271b",
+    "coop2-gain solve compromise:conservative_pareto": "08cca9de24d6320e5a6692ea511f9981e20b6da0fd58a00e5c45e3ad825dfa4d",
     "coop2-gain render": "aaa00e0822c73932fd70673472a5d14b6ec3b07d4613692b46d82f2e1b51aa24",
     "coop2-loss analyze": "0968108851cf7f35c0494a26823016bc1653043b0896627ed8d71b4ee1136ea8",
     "coop2-loss solve ks": "9e082affca21e8e34270e5a0e170fffdc764840745e226e47bfb13338abfbe57",
@@ -146,16 +166,16 @@ GOLDEN_SHA256 = {
     "coop2-loss solve compromise:nash_pareto": "9296bfd0c07f1a7cb0eb1bee43eed4cd83a34c4689479b24af2b56e06be60d41",
     "coop2-loss solve compromise:conservative_pareto": "c3b8dba5d007d7098de1e5abd7bafe95892af7035130dbf136d4c39628d9e89b",
     "coop2-loss render": "731672a065b4e8f13a0b918611703b61d5b96d5a497b9eaec8482f7cc94927ed",
-    "demo-negated-gain analyze": "5c44cf97cf134dff97f93367b7634f7af3aefcc86f09f82ef720c356e9a70b83",
-    "demo-negated-gain solve ks": "02d544e654f2ad6aa5c10f276a96bb0e30610b08448c9ff74a35f943752fa5dc",
-    "demo-negated-gain solve nash-bargaining": "d5d15686833712a870f21ed848896b2fff906804b8c2585a20027b129e0924a4",
-    "demo-negated-gain solve tu": "adb6038623d88060dafd352c7c25cd87d55e01d7a6d35448f2fff752a20616c8",
+    "demo-negated-gain analyze": "8fe1c7cf0b60109195572c3f589196cc2d857472b71612e8d969c8c1cbba7807",
+    "demo-negated-gain solve ks": "188f588fd8ce18819f1bf0c4d48f83144735e7fcc7a839f89efd1de3597b1ac2",
+    "demo-negated-gain solve nash-bargaining": "247f28037c28608cb3c15505e8cab979b26d3b78a1e4fdcf7b13deba20788c7b",
+    "demo-negated-gain solve tu": "147927593f43da43d77066fa0482e787f32ca4f1f8e8d872846e584a9cba45e8",
     "demo-negated-gain solve proper-coopetitive": "fbfcb0c26e4037482f85e65c7a39006a114a3df1564f3215ad58595493e9ae7b",
-    "demo-negated-gain solve win-win": "3bfdcfa454d384c743fd03605b974020da8212bf84ea4a94dade5ccd3cb2c09d",
+    "demo-negated-gain solve win-win": "92c75b205afbace6910046b56b2c00d1a8b1db04b015e92b7561d88ef1c7c787",
     "demo-negated-gain solve compromise:pareto": "ac9f3070114b598e945dd7d2c50fed68e8e11cb4bbd33c60c1fa73e8ea19c3d5",
-    "demo-negated-gain solve compromise:nash_pareto": "dadeee4dac926a20c2b17a33ba7cdf5acb42d5fcf818f0ef3b8d56c9dcebf88e",
-    "demo-negated-gain solve compromise:conservative_pareto": "1ea8e45571f0e148167b747a2bd765af9442df85ccc45752be2ee912c61ae842",
-    "demo-negated-gain render": "7b139e75fc77f61b60541e5942775387683d94960303a8a33e7ef5d1d3990255",
+    "demo-negated-gain solve compromise:nash_pareto": "669dca90da2eac282fda781cba37834bc12f6d191d80afe3293892d296b5b3aa",
+    "demo-negated-gain solve compromise:conservative_pareto": "bea1c7d4523fcb948095b21e0f9e5abf3fd17d7779a7da73434bcb2cfda714dc",
+    "demo-negated-gain render": "27cdbf6d13e51603121156c08799d9ac7d146ed4903b34558afeea85a88cb65e",
 }
 
 
