@@ -19,6 +19,10 @@ With ``--parent``, the source tree of ``REV`` is exported with
 corpus in its own process.  The commands that differ are printed grouped
 by command, each with its first differing line.  The exit status is 0
 whatever differs; it is non-zero only if the census itself fails.
+
+To compare two older revisions A and B, run this file with ``--parent A``
+in a clone whose ``src`` is B's and whose ``tests`` are this revision's:
+each side imports only ``coopetition`` from its own tree.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ def corpus(seed: int, files: int = FILES) -> dict[str, dict]:
     return games
 
 
-def records(games: dict[str, dict], grid: str | None = None) -> dict[str, dict]:
+def records(games: dict[str, dict]) -> dict[str, dict]:
     """Each command's record by "stem command", run in this process."""
     # Imported on use: a side's process puts its own package on sys.path first.
     from test_golden import commands, run_command
@@ -84,7 +88,7 @@ def records(games: dict[str, dict], grid: str | None = None) -> dict[str, dict]:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for stem, game in games.items():
-            for name, argv in commands(game, grid).items():
+            for name, argv in commands(game).items():
                 text, files = run_command(Path(tmp), stem, game, argv)
                 digests = {ext: hashlib.sha256(data).hexdigest() for ext, data in files.items()}
                 out[f"{stem} {name}"] = {"text": text, "files": digests}
@@ -115,11 +119,11 @@ def differences(base: dict[str, dict], head: dict[str, dict]) -> dict[str, list[
     return dict(found)
 
 
-def _side(src: Path, corpus_file: Path, grid: str | None, out_file: Path) -> dict[str, dict]:
+def _side(src: Path, corpus_file: Path, out_file: Path) -> dict[str, dict]:
     """The records of the package under ``src``, from a process of its own."""
     argv = [sys.executable, str(Path(__file__).resolve()), "--records-of", str(src),
             "--corpus", str(corpus_file), "--out", str(out_file)]
-    subprocess.run(argv + (["--grid", grid] if grid else []), check=True)
+    subprocess.run(argv, check=True)
     return json.loads(out_file.read_text(encoding="utf-8"))
 
 
@@ -135,8 +139,6 @@ def _export(rev: str, dest: Path) -> Path:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=26, help="seed of the drawn corpus")
-    parser.add_argument("--files", type=int, default=FILES, help="drawn files besides the demo ones")
-    parser.add_argument("--grid", default=None, help="lattice points per axis (default: test_golden.GRID)")
     parser.add_argument("--golden", action="store_true", help="run test_golden's files instead of a drawn corpus")
     parser.add_argument("--parent", default=None, help="git revision to compare the working tree with")
     parser.add_argument("--records-of", default=None, help=argparse.SUPPRESS)
@@ -151,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         if not Path(coopetition.__file__).resolve().is_relative_to(Path(args.records_of).resolve()):
             raise ImportError(f"coopetition was imported from {coopetition.__file__}, not {args.records_of}")
         games = json.loads(Path(args.corpus).read_text(encoding="utf-8"))
-        Path(args.out).write_text(json.dumps(records(games, args.grid)), encoding="utf-8")
+        Path(args.out).write_text(json.dumps(records(games)), encoding="utf-8")
         return 0
     sys.path.insert(0, str(ROOT / "src"))
     if args.golden:
@@ -159,9 +161,9 @@ def main(argv: list[str] | None = None) -> int:
 
         games = golden_games()
     else:
-        games = corpus(args.seed, args.files)
+        games = corpus(args.seed)
     if args.parent is None:
-        for key, rec in records(games, args.grid).items():
+        for key, rec in records(games).items():
             h = hashlib.sha256(rec["text"].encode("utf-8"))
             for ext in sorted(rec["files"]):
                 h.update(rec["files"][ext].encode("ascii"))
@@ -171,8 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         tmp = Path(tmp)
         corpus_file = tmp / "corpus.json"
         corpus_file.write_text(json.dumps(games), encoding="utf-8")
-        base = _side(_export(args.parent, tmp), corpus_file, args.grid, tmp / "base.json")
-        head = _side(ROOT / "src", corpus_file, args.grid, tmp / "head.json")
+        base = _side(_export(args.parent, tmp), corpus_file, tmp / "base.json")
+        head = _side(ROOT / "src", corpus_file, tmp / "head.json")
     found = differences(base, head)
     total = sum(map(len, found.values()))
     source = "test_golden's files" if args.golden else f"seed {args.seed}"

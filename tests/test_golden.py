@@ -54,9 +54,8 @@ def golden_games() -> dict[str, dict]:
     return games
 
 
-def commands(game: dict, grid: str | None = None) -> dict[str, list[str]]:
-    """Every command run on ``game``, by name, at ``grid`` or the kind's ``GRID``."""
-    grid = ["--grid", grid or GRID[game["kind"]]]
+def commands(game: dict) -> dict[str, list[str]]:
+    grid = ["--grid", GRID[game["kind"]]]
     cmds = {"analyze": ["analyze", "{game}"] + grid}
     for name in SOLUTIONS:
         cmds[f"solve {name}"] = ["solve", "{game}", "--solution", name] + grid
