@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateProblem, EmptyFeasibleSet, NoIntersection
 from .games import Orientation, PayoffPoint, strictly_better
-from .geometry import ParetoBoundary, _lex_order, facing_flavor, orientation_best, orientation_worst
+from .geometry import ParetoBoundary, _pick, facing_flavor, orientation_best, orientation_worst
 
 __all__ = [
     "BargainingProblem",
@@ -88,18 +88,6 @@ def _segment_distances(points: np.ndarray, a: PayoffPoint, b: PayoffPoint) -> np
     return np.hypot(*(points - proj).T)
 
 
-def _pick(boundary: ParetoBoundary, *leading: np.ndarray) -> int:
-    """Deterministic argmin over (the leading keys in turn, payoff, preimage).
-
-    Payoffs rank in the frame ``-s*p``, with ``s`` the orientation's sign,
-    so a tie goes to the payoff better for player 1: the smaller one under
-    LOSS, the larger under GAIN.  Negation is exact, so a game and its
-    negated twin pick the same row.
-    """
-    s = boundary.orientation.sign
-    return int(_lex_order(-s * boundary.payoffs, boundary.preimages, *leading)[0])
-
-
 def ks_solution(problem: BargainingProblem, tol: float) -> SolutionPoint:
     """Kalai-Smorodinsky (best compromise) solution of the problem.
 
@@ -111,17 +99,18 @@ def ks_solution(problem: BargainingProblem, tol: float) -> SolutionPoint:
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    d = _segment_distances(problem.boundary.payoffs, problem.initial, problem.utopia)
-    d_utopia = np.hypot(*(problem.boundary.payoffs - problem.utopia.as_array()).T)
-    i = _pick(problem.boundary, d, d_utopia)
+    boundary = problem.boundary
+    d = _segment_distances(boundary.payoffs, problem.initial, problem.utopia)
+    d_utopia = np.hypot(*(boundary.payoffs - problem.utopia.as_array()).T)
+    i = _pick(boundary.payoffs, boundary.preimages, boundary.orientation, d, d_utopia)
     if not d[i] <= tol:
         raise NoIntersection(
             f"nearest boundary point is {d[i]:.6g} from the threat-utopia "
             f"segment (tolerance {tol:.6g})"
         )
     return SolutionPoint(
-        payoff=PayoffPoint(*problem.boundary.payoffs[i]),
-        preimage=tuple(problem.boundary.preimages[i].tolist()),
+        payoff=PayoffPoint(*boundary.payoffs[i]),
+        preimage=tuple(boundary.preimages[i].tolist()),
         method="ks",
         residual=float(d[i]),
         threat=problem.initial,
@@ -147,7 +136,7 @@ def nash_bargaining(
             f"no boundary point weakly improves on {disagreement.as_tuple()}"
         )
     product = np.where(feasible, gains[:, 0] * gains[:, 1], -np.inf)
-    i = _pick(boundary, -product)
+    i = _pick(boundary.payoffs, boundary.preimages, boundary.orientation, -product)
     return SolutionPoint(
         payoff=PayoffPoint(*boundary.payoffs[i]),
         preimage=tuple(boundary.preimages[i].tolist()),

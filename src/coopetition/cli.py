@@ -24,7 +24,8 @@ the game file it emits.  The context's tolerance is ``--tol`` if given
 (``render`` has no such flag), else the file's ``analysis.tol``, else
 three grid steps for the Kalai-Smorodinsky concepts (``ks``,
 ``proper-coopetitive``, ``compromise:*``) and 1e-6 for the TU ones
-(``tu``, ``win-win``, and the TU witnesses that ``render`` draws).
+(``tu``, ``win-win``, the TU line of ``analyze`` and the TU witnesses
+that ``render`` draws, of finite and coopetitive files alike).
 """
 
 from __future__ import annotations

@@ -36,10 +36,11 @@ from .geometry import (
     TUBoundary,
     _component,
     _fold_z,
-    _lex_order,
+    _pick,
     _sample,
     facing_flavor,
     lattice_tu,
+    orientation_best,
     pareto_filter,
     tu_line,
 )
@@ -261,7 +262,7 @@ def proper_coopetitive_solution(
 
 def _nearest_witness(tub: TUBoundary, point: np.ndarray) -> tuple[float, ...]:
     w, pre = tub.witness_payoffs, tub.witness_preimages
-    return tuple(float(v) for v in pre[_lex_order(w, pre, np.hypot(*(w - point).T))[0]])
+    return tuple(float(v) for v in pre[_pick(w, pre, tub.orientation, np.hypot(*(w - point).T))])
 
 
 def tu_crossing_solution(
@@ -273,8 +274,11 @@ def tu_crossing_solution(
     of them lie on it; the returned payoff is the crossing itself, and the
     reported preimage is the witness profile nearest it (the players
     realize the optimal total there and transfer utility to reach the
-    agreed split).  ``tub`` comes from ``tu_boundary`` of a cloud or from
-    ``lattice_tu`` of a payoff map, which on a cube builds no cloud.
+    agreed split).  Equidistant witnesses tie as bargaining picks do
+    (``geometry._pick`` in ``tub``'s orientation): to the payoff better
+    for player 1, then by preimage.  ``tub`` comes from ``tu_boundary``
+    of a cloud or from ``lattice_tu`` of a payoff map, which on a cube
+    builds no cloud.
     """
     m = tub.optimal_sum
     sum_a = a.p1 + a.p2
@@ -382,14 +386,10 @@ def standard_win_win_solution(
             f"optimal collective payoff {m:.6g} does not improve on the "
             f"initial core supremum total {L.p1 + L.p2:.6g}"
         )
-    if game.orientation is Orientation.LOSS:
-        lo = max(end_lo.p1, m - L.p2)
-        hi = min(end_hi.p1, L.p1)
-        utopia = PayoffPoint(lo, m - hi)
-    else:
-        lo = max(end_lo.p1, L.p1)
-        hi = min(end_hi.p1, m - L.p2)
-        utopia = PayoffPoint(hi, m - lo)
+    # The portion weakly better than L lies between p1 = L.p1 and p1 =
+    # m - L.p2 on the TU line: the test above orders the two by orientation.
+    lo = max(end_lo.p1, min(L.p1, m - L.p2))
+    hi = min(end_hi.p1, max(L.p1, m - L.p2))
     if lo > hi:
         raise EmptyPortion("no TU boundary point is weakly better than the core supremum")
     if lo == hi:
@@ -403,4 +403,5 @@ def standard_win_win_solution(
             threat=L,
             utopia=PayoffPoint(*point),
         )
+    utopia = orientation_best(np.array([[lo, m - lo], [hi, m - hi]]), game.orientation)
     return tu_crossing_solution(tub, L, utopia, "standard-win-win")

@@ -315,13 +315,15 @@ class ParetoBoundary(_PointSet):
 
 @dataclass(frozen=True, eq=False)
 class TUBoundary:
-    """Optimal collective payoff and the sampled points achieving it."""
+    """Optimal collective payoff and the sampled points achieving it, read
+    in ``orientation``'s frame as a :class:`ParetoBoundary` is."""
 
     optimal_sum: float
     witness_payoffs: np.ndarray
     witness_preimages: np.ndarray
     segment_ends: tuple[PayoffPoint, PayoffPoint]
     tolerance: float
+    orientation: Orientation
 
 
 def _axis(grid_n: int) -> np.ndarray:
@@ -390,6 +392,19 @@ def _lex_order(payoffs: np.ndarray, preimages: np.ndarray, *leading: np.ndarray)
     keys = [preimages[:, k] for k in range(preimages.shape[1] - 1, -1, -1)]
     keys += [payoffs[:, 1], payoffs[:, 0], *reversed(leading)]
     return np.lexsort(tuple(keys))
+
+
+def _pick(
+    payoffs: np.ndarray, preimages: np.ndarray, orientation: Orientation, *leading: np.ndarray
+) -> int:
+    """Deterministic argmin over (the leading keys in turn, payoff, preimage).
+
+    Payoffs rank in the frame ``-s*p``, with ``s`` the orientation's sign,
+    so a tie goes to the payoff better for player 1: the smaller one under
+    LOSS, the larger under GAIN.  Negation is exact, so a game and its
+    negated twin pick the same row.
+    """
+    return int(_lex_order(-orientation.sign * payoffs, preimages, *leading)[0])
 
 
 def _rounding_slack(coeffs, tol: float = 0.0) -> float:
@@ -867,36 +882,37 @@ def _tu_witnesses(p1, p2, preimages_of, orientation: Orientation, tol: float) ->
     """The TU rule on payoff columns; ``preimages_of(sel)`` gives the rows' preimages."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    gain = orientation is Orientation.GAIN
-    best, pick = (np.max, np.maximum) if gain else (np.min, np.minimum)
-    # One pass, a block at a time, against the best sum so far.  A witness
-    # of the final optimum is within tol of that running best too: under
-    # GAIN its sum s is at most the running best r, which is at most the
-    # optimum, so 0 >= s - r >= s - opt, and rounding keeps the order.
-    # The candidates are filtered against the optimum at the end.
+    s = orientation.sign
+    # One pass, a block at a time, over the sums in the frame ``s*sum``,
+    # where the optimum is a maximum; negation is exact.  A witness of the
+    # final optimum is within tol of the running best too: its sum is at
+    # most the running best r, which is at most the optimum, so
+    # 0 >= sum - r >= sum - opt, and rounding keeps the order.  The
+    # candidates' sums are formed again by the same operations, so with
+    # the same bits, and filtered against the optimum at the end.
     run = None
-    rows_near, sums_near = [], []
+    rows_near = []
     for start in range(0, len(p1), _BLOCK):
-        sums = p1[start:start + _BLOCK] + p2[start:start + _BLOCK]
+        q = p1[start:start + _BLOCK] + p2[start:start + _BLOCK]
+        q *= s
         # The running best is NaN once any sum is, like a reduction of them all.
-        run = best(sums) if run is None else pick(run, best(sums))
-        gap = sums - run
-        near = np.flatnonzero(np.abs(gap, out=gap) <= tol)
-        rows_near.append(near + start)
-        sums_near.append(sums[near])
+        run = q.max() if run is None else np.maximum(run, q.max())
+        q -= run
+        rows_near.append(np.flatnonzero(np.abs(q, out=q) <= tol) + start)
     # A row of two -0.0 sums to -0.0; adding 0.0 reports a zero optimum
     # as 0.0 whatever the sign bits of the rows attaining it.
-    opt = float(run) + 0.0
+    opt = s * float(run) + 0.0
     if not np.isfinite(opt):
         raise ValueError("payoff sums must be finite")
-    sel = np.concatenate(rows_near)[np.abs(np.concatenate(sums_near) - opt) <= tol]
+    near = np.concatenate(rows_near)
+    sel = near[np.abs(s * (p1[near] + p2[near]) - run) <= tol]
     payoffs = np.stack([p1[sel], p2[sel]], axis=1)
     preimages = preimages_of(sel)
     order = _lex_order(payoffs, preimages)
     payoffs = payoffs[order]
     preimages = preimages[order]
     ends = (PayoffPoint(*payoffs[0]), PayoffPoint(*payoffs[-1]))
-    return TUBoundary(opt, payoffs, preimages, ends, tol)
+    return TUBoundary(opt, payoffs, preimages, ends, tol, orientation)
 
 
 def tu_boundary(

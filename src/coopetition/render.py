@@ -94,14 +94,14 @@ def _check_tag(tag: str) -> None:
         raise ValueError(f"scene tag must not contain ',', '\"', CR or LF, got {tag!r}")
 
 
-def _finite_scene(game: FiniteBimatrixGame) -> Scene:
+def _finite_scene(game: FiniteBimatrixGame, tu_tol: float) -> Scene:
     # One row per cell (row, col), in row-major order.
     cells = np.indices(game.payoff1.shape, dtype=float).reshape(2, -1).T
     payoffs = np.stack([game.payoff1.ravel(), game.payoff2.ravel()], axis=1)
     cloud = PointCloud(payoffs, cells, grid_step=1.0)
     boundary = pareto_filter(cloud, game.orientation, facing_flavor(game.orientation))
     nash = sorted(pure_nash_equilibria(game), key=lambda cell: (cell.row, cell.col))
-    tub = tu_boundary(cloud, game.orientation, 1e-9)
+    tub = tu_boundary(cloud, game.orientation, tu_tol)
     scene = Scene(f"finite {game.rows}x{game.cols} game ({game.orientation.value})",
                   game.orientation, 2)
     scene.add(cells, payoffs, "cloud")
@@ -139,7 +139,7 @@ def game_scene(ctx: GameContext) -> Scene:
     proper-coopetitive and (given ``initial_z``) win-win markers.
     """
     if ctx.spec.kind == "finite":
-        return _finite_scene(ctx.game)
+        return _finite_scene(ctx.game, ctx.tu_tol)
     scene = coopetitive_scene(ctx, f"coopetitive payoff space ({ctx.orientation.value})")
     # A refused concept gets no marker, as analyze prints it "unavailable".
     for name in ["proper-coopetitive"] + (["win-win"] if ctx.game.initial_z is not None else []):

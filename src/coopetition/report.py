@@ -102,7 +102,9 @@ class GameContext:
     flag) if given, else the file's ``analysis.tol``, else a default per
     concept: three grid steps for the Kalai-Smorodinsky concepts, whose
     answer is a sampled point near a segment, and 1e-6 for the TU ones,
-    whose witnesses lie within it of the optimal sum.
+    whose witnesses lie within it of the optimal sum.  ``tu_tol`` is the
+    one TU rule: every witness set a command prints, draws or picks from
+    is read at it (``tu``, the report's TU line, the finite scene).
     """
 
     def __init__(self, spec: GameSpec, grid_n: int, tol: float | None = None):
@@ -212,7 +214,7 @@ def _concept_lines(ctx: GameContext, name: str, label: str) -> tuple[SolutionPoi
 def _space_lines(ctx: GameContext) -> list[str]:
     """Extrema, boundary size and TU optimum of the sampled payoff space."""
     lo, hi = extrema(ctx.cloud)
-    tub = tu_boundary(ctx.cloud, ctx.orientation, 1e-9)
+    tub = ctx.tu
     return [
         f"image extrema: inf {fmt_point(lo)}, sup {fmt_point(hi)}",
         f"Pareto {facing_flavor(ctx.orientation)} boundary: {len(ctx.boundary)} points",

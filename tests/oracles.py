@@ -516,12 +516,13 @@ def cloud_standard_win_win(game: CoopetitiveGame, grid_n: int, tol: float = 1e-6
         raise EmptyPortion("no TU boundary point is weakly better than the core supremum")
     if lo == hi:
         # The single improving point is the solution, tagged with the
-        # nearest witness (ties to the smaller payoff, then preimage).
+        # nearest witness (ties to the payoff better for player 1 in the
+        # orientation's frame, -s*p, then to the smaller preimage).
         point = np.array([lo, m - lo])
         w, pre = tub.witness_payoffs, tub.witness_preimages
         best = min(
             range(len(w)),
-            key=lambda i: (float(np.hypot(*(w[i] - point))), w[i, 0], w[i, 1], tuple(pre[i])),
+            key=lambda i: (float(np.hypot(*(w[i] - point))), -s * w[i, 0], -s * w[i, 1], tuple(pre[i])),
         )
         nearest = tuple(float(v) for v in pre[best])
         return SolutionPoint(PayoffPoint(*point), nearest, "standard-win-win", 0.0, L, PayoffPoint(*point))

@@ -75,11 +75,10 @@ def _negated(p: PayoffPoint | None) -> PayoffPoint | None:
     return None if p is None else -p
 
 
-#: A LOSS file whose ``tu`` and ``win-win`` preimages are not dual.  The TU
-#: crossing (0.5, 0.5) is as near the witness (0, 1) as (1, 0), and
-#: ``coopetitive._nearest_witness`` breaks the tie by raw p1, as its
-#: ``TUBoundary`` carries no orientation, so the twin reports the mirror
-#: witness's preimage.  ``test_properties`` pins it as a strict xfail.
+#: A LOSS file whose ``tu`` and ``win-win`` answers sit at a nearest-witness
+#: tie: the TU crossing (0.5, 0.5) is as near the witness (0, 1) as (1, 0).
+#: The tie is ranked in the orientation's frame, so the twin reports the
+#: same witness's preimage.
 NEAREST_WITNESS_TIE = {
     "kind": "coopetitive",
     "orientation": "loss",
@@ -89,13 +88,12 @@ NEAREST_WITNESS_TIE = {
 }
 
 
-def check_twin_duality(game: dict, preimage_exempt: tuple[str, ...] = ()) -> None:
+def check_twin_duality(game: dict) -> None:
     """Each ``solve`` concept, on the LOSS file ``game`` and on its negated
     GAIN twin, refuses with the same class (so the same exit code) on both,
     or answers with negated payoffs, threat and utopia (a zero equals its
-    negation) and the same preimage, except for the concepts in
-    ``preimage_exempt``.  Residuals may differ in the last bit.  Files are
-    sampled on 17 points per axis."""
+    negation) and the same preimage.  Residuals may differ in the last
+    bit.  Files are sampled on 17 points per axis."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / f"{name}.json" for name in ("loss", "gain")]
         for path, data in zip(paths, (game, negated_file(game))):
@@ -109,7 +107,7 @@ def check_twin_duality(game: dict, preimage_exempt: tuple[str, ...] = ()) -> Non
             continue
         assert (b.method, b.payoff) == (a.method, -a.payoff), where
         assert (b.threat, b.utopia) == (_negated(a.threat), _negated(a.utopia)), where
-        assert b.preimage == a.preimage or name in preimage_exempt, where
+        assert b.preimage == a.preimage, where
 
 
 def check_orientation_duality(iterations: int, seed: int = 102) -> None:
@@ -123,7 +121,7 @@ def check_orientation_duality(iterations: int, seed: int = 102) -> None:
     draws = random.Random(seed)
     for i in range(iterations):
         game = _loss_file(draws, ("finite", "coopetitive")[i % 2])
-        check_twin_duality(game, preimage_exempt=("tu", "win-win") if game == NEAREST_WITNESS_TIE else ())
+        check_twin_duality(game)
 
 
 def check_pareto_idempotence(iterations: int, seed: int = 103) -> None:

@@ -469,6 +469,23 @@ def test_render_reads_analysis_tol(tmp_path):
     _check_one_answer_per_concept(tmp_path, str(path), [], "17")
 
 
+def test_analyze_tu_line_reads_tol(finite_path):
+    # analyze's TU line used to read its own 1e-9, and found 1 witness.
+    code, out, err = run("analyze", finite_path, "--tol", "0.01")
+    assert code == 0, err
+    assert "  TU optimal sum: 6 (3 witnesses, ends (3.9921875, 2.001953125) .. (4, 2))" in out.splitlines()
+
+
+def test_finite_render_reads_analysis_tol(tmp_path):
+    # The finite scene's TU witnesses used to be read at 1e-9: only cell (0, 0).
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps(dict(finite_game_dict(), analysis={"tol": 2.5})))
+    csv_path = tmp_path / "scene.csv"
+    assert run("render", str(path), "--out-csv", str(csv_path))[0] == 0
+    rows = [r for r in csv.DictReader(csv_path.read_text().splitlines()) if r["tag"] == "tu"]
+    assert [(r["x"], r["y"]) for r in rows] == [("1.0", "1.0"), ("0.0", "0.0")]
+
+
 @pytest.mark.parametrize("source", ["flag", "file"])
 @pytest.mark.parametrize("tol", ["0.001", "0.2"])
 @pytest.mark.parametrize("stem", list(golden_games()))

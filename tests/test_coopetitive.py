@@ -22,7 +22,7 @@ from coopetition.coopetitive import (
 )
 from coopetition.errors import EmptyPortion, MissingInitialZ, SameHalfPlane
 from coopetition.games import Orientation, PayoffPoint
-from coopetition.geometry import PayoffMap, extrema, lattice_tu, sample_image, tu_boundary
+from coopetition.geometry import PayoffMap, PointCloud, extrema, lattice_tu, sample_image, tu_boundary
 from coopetition.bargaining import SolutionPoint
 
 from oracles import (
@@ -433,6 +433,19 @@ class TestTUCompromise:
     def test_same_side_rejected(self, coop_tu):
         with pytest.raises(SameHalfPlane):
             tu_crossing_solution(coop_tu[33], PayoffPoint(0, 1), PayoffPoint(0, 0))
+
+    def test_nearest_witness_tie_in_the_orientations_frame(self):
+        # The crossing (0.5, 0.5) is as near the witness (0, 1) as (1, 0).
+        # The tie goes to the payoff better for player 1, (1, 0) under GAIN,
+        # whose preimage the raw p1 order would not pick; the LOSS twin
+        # picks the same witness, negated.
+        for s, orientation in ((1.0, Orientation.GAIN), (-1.0, Orientation.LOSS)):
+            cloud = PointCloud(s * np.array([[0.0, 1.0], [1.0, 0.0]]), [[0.0, 0.0], [1.0, 1.0]], 1.0)
+            tub = tu_boundary(cloud, orientation)
+            assert tub.orientation is orientation
+            sol = tu_crossing_solution(tub, PayoffPoint(0, 0), PayoffPoint(s, s))
+            assert sol.payoff == PayoffPoint(0.5 * s, 0.5 * s)
+            assert sol.preimage == (1.0, 1.0)
 
     def test_end_on_the_line_is_the_crossing(self, coop_tu):
         # The TU line is p1 + p2 = -4; an end on it is the answer itself.

@@ -797,6 +797,7 @@ def assert_lattice_matches_cloud(payoff_map, grid_n, orientation, tol=1e-9, clou
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
     assert got.tolerance == want.tolerance
+    assert got.orientation is want.orientation is orientation
     return got
 
 
@@ -1005,6 +1006,7 @@ def assert_pruned_paths_match(cloud, tols=(1e-9, 0.05)):
             ends = [[p.as_tuple() for p in tub.segment_ends] for tub in (got, want)]
             assert np.array_equal(*ends) and np.array_equal(*np.signbit(ends))
             assert got.tolerance == want.tolerance
+            assert got.orientation is want.orientation is orientation
 
 
 class TestBlockBounds:

@@ -10,7 +10,5 @@ def test_property_suite(name, suite):
     suite(50)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="coopetitive._nearest_witness breaks a distance tie by raw p1")
 def test_nearest_witness_tie_is_dual():
     propsuite.check_twin_duality(propsuite.NEAREST_WITNESS_TIE)
