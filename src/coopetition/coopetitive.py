@@ -31,6 +31,7 @@ from .bargaining import SolutionPoint, compromise_solution
 from .errors import EmptyPortion, MissingInitialZ, SameHalfPlane
 from .games import Orientation, PayoffPoint, strictly_better
 from .geometry import (
+    _BLOCK,
     PayoffMap,
     PointCloud,
     TUBoundary,
@@ -155,14 +156,27 @@ def family_roundtrip_check(game: CoopetitiveGame, grid_n: int = 17) -> bool:
     so their rounding) over the cube.
     """
     t = np.linspace(0.0, 1.0, grid_n)
-    x, y = np.meshgrid(t, t, indexing="ij")
-    tol = 1e-12 * max(1.0, np.abs(game.payoff.coeffs).sum(axis=1).max())
-    for z in game.c_grid:
-        sec = section_game(game, z)
-        s1, s2 = sec.map.eval_arrays(x, y)
-        f1, f2 = game.payoff.eval_arrays(x, y, np.full_like(x, z))
-        if np.abs(s1 - f1).max() > tol or np.abs(s2 - f2).max() > tol:
-            return False
+    x, y = t[:, None], t
+    coeffs = game.payoff.coeffs
+    tol = 1e-12 * max(1.0, np.abs(coeffs).sum(axis=1).max())
+    z = game.c_grid[:, None, None]
+    with np.errstate(over="ignore"):
+        rows = _fold_z(coeffs, z)
+    # ``PayoffMap.section`` refuses a section whose folded constant is not
+    # finite, once the sections below it have been compared.
+    folded = (np.isfinite(rows[0][0]) & np.isfinite(rows[1][0])).ravel()
+    end = len(folded) if folded.all() else int(np.argmin(folded))
+    # Sections a block of lattice points at a time, each compared on its own,
+    # so a NaN error hides nothing in another section.
+    step = max(1, _BLOCK // max(1, grid_n * grid_n))
+    for i in range(0, end, step):
+        block = slice(i, min(i + step, end))
+        for (c0, *rest), c in zip(rows, coeffs):
+            sec = _component((c0[block], *rest), x, y, 0.0)
+            if (np.abs(sec - _component(c, x, y, z[block])).max(axis=(1, 2)) > tol).any():
+                return False
+    if end < len(folded):
+        raise ValueError("coefficients must be finite")
     return True
 
 
@@ -184,13 +198,10 @@ def _nash_lattice(game: CoopetitiveGame, grid_n: int) -> tuple[np.ndarray, np.nd
     xs, ys = [], []
     for comp in _section_components(game):
         (xl, xh), (yl, yh) = comp.x_interval, comp.y_interval
-        gx, gy = np.meshgrid(
-            [xl] if xl == xh else np.linspace(xl, xh, grid_n),
-            [yl] if yl == yh else np.linspace(yl, yh, grid_n),
-            indexing="ij",
-        )
-        xs.append(gx.ravel())
-        ys.append(gy.ravel())
+        gx = [xl] if xl == xh else np.linspace(xl, xh, grid_n)
+        gy = [yl] if yl == yh else np.linspace(yl, yh, grid_n)
+        xs.append(np.repeat(gx, len(gy)))
+        ys.append(np.tile(gy, len(gx)))
     return np.concatenate(xs), np.concatenate(ys)
 
 
@@ -221,9 +232,13 @@ def induced_path(game: CoopetitiveGame, quantity: PathQuantity, grid_n: int) -> 
         v = _conservative_value(game.orientation.sign, _fold_z(game.payoff.coeffs, 0.0))
         values = (v.as_array() + game.payoff.coeffs[:, 3] * game.c_grid[:, None])[:, None]
     else:
-        x, y = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
-        corners = _section_payoffs(game, x, y)
-        values = (np.max if quantity == "supremum" else np.min)(corners, axis=1, keepdims=True)
+        # Each component at the four corners, one row of sections per corner,
+        # reduced row by row.  The corners are lattice points, whose zeros
+        # share one sign (see ``lattice_tu``), so the order decides no bit.
+        x, y = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])[:, :, None]
+        best = np.maximum if quantity == "supremum" else np.minimum
+        rows = _fold_z(game.payoff.coeffs, game.c_grid)
+        values = np.stack([best.reduce(_component(c, x, y, 0.0)) for c in rows], axis=1)[:, None]
     values.flags.writeable = False
     return SetValuedPath(tuple(zip(game.c_grid.tolist(), values)), quantity)
 
@@ -238,8 +253,10 @@ def nash_zone(game: CoopetitiveGame, grid_n: int) -> PointCloud:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     gx, gy = _nash_lattice(game, grid_n)
     nz, n = len(game.c_grid), len(gx)
-    # Component-major stacks, transposed: column-major clouds, as stored.
-    preimages = np.stack([np.tile(gx, nz), np.tile(gy, nz), np.repeat(game.c_grid, n)]).T
+    # Each column written through a (c_grid, lattice) view: column-major, as stored.
+    preimages = np.empty((nz * n, 3), order="F")
+    for k, column in enumerate((gx, gy, game.c_grid[:, None])):
+        preimages[:, k].reshape(nz, n)[...] = column
     payoffs = _section_payoffs(game, gx, gy, axis=0).reshape(2, nz * n).T
     return PointCloud(payoffs, preimages, grid_step=1.0 / (grid_n - 1))
 
@@ -318,29 +335,36 @@ def core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint:
     straight from its ``_fold_z`` coefficient rows, with no section map
     and no Pareto pass.
 
-    Work in the frame ``q = s*p``, with ``s`` the orientation's sign, where
-    greater is better under either orientation; negation is exact.  Let
-    ``S`` be the lattice rows with ``q >= s*v``, compared as
-    ``payoff_core`` compares.  Every row of ``S`` is weakly dominated by a
-    row of the facing boundary, which is then weakly better than ``v`` and
-    so in ``S`` too.  So the core is empty iff ``S`` is, and the core's two
-    end points are lexicographic extremes of ``S``: the greatest q1 among
-    the rows at ``S``'s greatest q2, and the greatest q2 among the rows at
-    its greatest q1.  The worst corner takes q1 from the first and q2 from
-    the second, times ``s``.  A component's zeros on a lattice share one
-    sign (see ``lattice_tu``), so each reduction gives the bits of the
-    core's worst corner.
+    Argue in the frame ``q = s*p``, with ``s`` the orientation's sign,
+    where greater is better under either orientation.  Let ``S`` be the
+    lattice rows with ``q >= s*v``, compared as ``payoff_core`` compares.
+    Every row of ``S`` is weakly dominated by a row of the facing boundary,
+    which is then weakly better than ``v`` and so in ``S`` too.  So the core
+    is empty iff ``S`` is, and the core's two end points are lexicographic
+    extremes of ``S``: the greatest q1 among the rows at ``S``'s greatest
+    q2, and the greatest q2 among the rows at its greatest q1.  The worst
+    corner takes q1 from the first and q2 from the second, times ``s``.
+
+    The frame is never built: the raw payoff columns are compared and
+    reduced with ``>=`` and ``max`` under GAIN, where the frame is the
+    payoffs, and with ``<=`` and ``min`` under LOSS.  Negation is exact, so
+    ``-a >= -b`` iff ``a <= b``, and the least payoff is the negated
+    greatest frame value.  Only the sign of a zero could tell the two
+    apart, and a component's zeros on a lattice share one sign (see
+    ``lattice_tu``), so each reduction gives the bits of the core's worst
+    corner.
     """
     rows = _fold_z(game.payoff.coeffs, _height(z))
     s = game.orientation.sign
     v = _conservative_value(s, rows)
-    q1, q2 = s * _sample(rows, grid_n, 2).T
-    mask = q1 >= s * v.p1
-    mask &= q2 >= s * v.p2
+    p1, p2 = _sample(rows, grid_n, 2).T
+    weakly_better, best = (np.greater_equal, np.max) if s > 0 else (np.less_equal, np.min)
+    mask = weakly_better(p1, v.p1)
+    mask &= weakly_better(p2, v.p2)
     if not mask.any():
         raise EmptyPortion(f"the payoff core of the section at z={z} is empty")
-    q1, q2 = q1[mask], q2[mask]
-    return PayoffPoint(s * q1[q2 == q2.max()].max(), s * q2[q1 == q1.max()].max())
+    p1, p2 = p1[mask], p2[mask]
+    return PayoffPoint(best(p1[p2 == best(p2)]), best(p2[p1 == best(p1)]))
 
 
 def win_win_report(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ctypes
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal
 
 import numpy as np
@@ -282,8 +282,7 @@ class _LatticeCloud(PointCloud):
         pre = np.empty((len(self), arity), order="F")
         # Each column is its broadcast axis, written through a lattice-shaped
         # view of the column.
-        axes = np.meshgrid(*([_axis(grid_n)] * arity), indexing="ij", sparse=True)
-        for k, axis in enumerate(axes):
+        for k, axis in enumerate(_sparse_axes(grid_n, arity)):
             pre[:, k].reshape((grid_n,) * arity)[...] = axis
         pre.flags.writeable = False
         return pre
@@ -326,11 +325,26 @@ class TUBoundary:
     orientation: Orientation
 
 
+@lru_cache(maxsize=32)
 def _axis(grid_n: int) -> np.ndarray:
-    """The uniform lattice axis: ``grid_n`` points from 0 to 1."""
+    """The uniform lattice axis: ``grid_n`` points from 0 to 1.
+
+    Built once per ``grid_n`` and shared by every caller, so it is
+    read-only.  A ``grid_n`` below 2 raises on every call, as an exception
+    is not cached."""
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    return np.linspace(0.0, 1.0, grid_n)
+    t = np.linspace(0.0, 1.0, grid_n)
+    t.flags.writeable = False
+    return t
+
+
+def _sparse_axes(grid_n: int, arity: int) -> list[np.ndarray]:
+    """The lattice's axes, x first, as views of ``_axis`` shaped to
+    broadcast against each other: the values of ``np.meshgrid(...,
+    indexing="ij", sparse=True)`` without building it."""
+    t = _axis(grid_n)
+    return [t.reshape((-1,) + (1,) * (arity - 1 - k)) for k in range(arity)]
 
 
 def _lattice_preimages(rows: np.ndarray, grid_n: int, arity: int) -> np.ndarray:
@@ -371,7 +385,7 @@ def _sample(coeffs, grid_n: int, arity: int) -> np.ndarray:
     # temporaries.  The map is evaluated a slab of x-planes at a time,
     # straight into the column-major output: the x axis varies slowest, so
     # each slab is a contiguous run of each payoff column.
-    axes = np.meshgrid(*([_axis(grid_n)] * arity), indexing="ij", sparse=True)
+    axes = _sparse_axes(grid_n, arity)
     y, z = axes[1], axes[2] if arity == 3 else 0.0
     plane = grid_n ** (arity - 1)
     payoffs = np.empty((grid_n * plane, 2), order="F")
@@ -954,9 +968,10 @@ def lattice_tu(
     work on, so both are read off its cloud, whose ``tu_boundary`` reads
     only the blocks that can hold a witness.  A cube's cloud is never
     built: the map is evaluated on the lattice's two z-faces, ``z = 0``
-    and ``z = 1``, and then in full only on the candidate ``(x, y)``
-    columns; preimages are formed for the witness rows only.  Two
-    arguments make this exact.
+    and ``z = 1``, with the cached axis broadcast as sparse x, y and z
+    views, and then in full only on the candidate ``(x, y)`` columns, whose
+    axis indices are the digits of their face row; preimages are formed for
+    the witness rows only.  Two arguments make this exact.
 
     *Extrema need no slack.*  ``eval_arrays`` computes a component as
     ``fl(fl(S + fl(c3*z)) + T)``, where ``S``, the rounded sum of the
@@ -988,23 +1003,23 @@ def lattice_tu(
         cloud = sample_image(payoff_map, grid_n)
         return (tu_boundary(cloud, orientation, tol), *extrema(cloud))
     t = _axis(grid_n)
-    # The (x, y) point of each column, in one row: heights lead, so each
-    # operation runs along a row of columns, not along a short column.  The
-    # operations are those of the whole lattice, so the bits are too.
-    xs = np.repeat(t, grid_n)[None, :]
-    ys = np.tile(t, grid_n)[None, :]
-    f1, f2 = payoff_map.eval_arrays(xs, ys, t[[0, -1], None])
+    # The two faces on sparse axes, heights leading, so each operation runs
+    # along a row of columns, not along a short column.  The operations are
+    # those of the whole lattice, so the bits are too.
+    f1, f2 = payoff_map.eval_arrays(t[:, None], t, t[[0, -1], None, None])
     ext = np.array([f1.min(), f2.min(), f1.max(), f2.max()])
     if not np.isfinite(ext).all():
         raise ValueError("payoffs must be finite")
     sums = orientation.sign * (f1 + f2)
     cand = np.flatnonzero(~_far_from_best(np.maximum(sums[0], sums[-1]), payoff_map.coeffs, tol))
-    p1, p2 = payoff_map.eval_arrays(xs[:, cand], ys[:, cand], t[:, None])
+    i, j = np.divmod(cand, grid_n)
+    p1, p2 = payoff_map.eval_arrays(t[i], t[j], t[:, None])
 
     def preimages_of(sel):
-        # Witness sel is at height k over column col, lattice row cand[col]·n + k.
+        # Witness sel is at height k over column col, the lattice point
+        # (i[col], j[col], k).
         k, col = divmod(sel, len(cand))
-        return _lattice_preimages(cand[col] * grid_n + k, grid_n, 3)
+        return np.stack([t[i[col]], t[j[col]], t[k]], axis=1)
 
     tub = _tu_witnesses(p1.ravel(), p2.ravel(), preimages_of, orientation, tol)
     return tub, PayoffPoint(*ext[:2]), PayoffPoint(*ext[2:])

@@ -34,10 +34,15 @@ from coopetition.mixed import (
     EquilibriumComponent,
     MixedBistrategy,
     _intersect,
+    _conservative_value,
     _maximin_lines,
     _solve_linear,
     bilinear_map,
 )
+
+
+#: Coefficients whose payoffs are all at most zero, -0.0 at the cube's origin.
+SIGNED_ZERO_COEFFS = [[-0.0, -1, -1, -1, -1], [-0.0, -2, -1, -1, -3]]
 
 
 def brute_pure_nash(game: FiniteBimatrixGame) -> set[StrategyCell]:
@@ -482,6 +487,44 @@ def cloud_core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffP
     if len(core) == 0:
         raise EmptyPortion(f"the payoff core of the section at z={z} is empty")
     return orientation_worst(core, game.orientation)
+
+
+def negated_frame_core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffPoint | None:
+    """``core_supremum``'s four masked reductions on the negated copy ``q =
+    s*p`` of the section's payoff columns, where greater is better under
+    either orientation; None for an empty core."""
+    rows = geometry._fold_z(game.payoff.coeffs, z)
+    s = game.orientation.sign
+    v = _conservative_value(s, rows)
+    q1, q2 = s * geometry._sample(rows, grid_n, 2).T
+    mask = (q1 >= s * v.p1) & (q2 >= s * v.p2)
+    if not mask.any():
+        return None
+    q1, q2 = q1[mask], q2[mask]
+    return PayoffPoint(s * q1[q2 == q2.max()].max(), s * q2[q1 == q1.max()].max())
+
+
+def stacked_extreme_path(game: CoopetitiveGame, quantity: str) -> np.ndarray:
+    """The supremum or infimum path as one (len(c_grid), 1, 2) array: every
+    section's four corner payoffs stacked, then reduced over the corners."""
+    rows = geometry._fold_z(game.payoff.coeffs, game.c_grid[:, None])
+    x, y = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+    corners = np.stack([geometry._component(c, x, y, 0.0) for c in rows], axis=-1)
+    return (np.max if quantity == "supremum" else np.min)(corners, axis=1, keepdims=True)
+
+
+def per_section_roundtrip(game: CoopetitiveGame, grid_n: int = 17) -> bool:
+    """``family_roundtrip_check`` one section at a time: each section map
+    against the full map on the full (x, y) meshgrid, in ``c_grid`` order."""
+    t = np.linspace(0.0, 1.0, grid_n)
+    x, y = np.meshgrid(t, t, indexing="ij")
+    tol = 1e-12 * max(1.0, np.abs(game.payoff.coeffs).sum(axis=1).max())
+    for z in game.c_grid:
+        s1, s2 = section_game(game, z).map.eval_arrays(x, y)
+        f1, f2 = game.payoff.eval_arrays(x, y, np.full_like(x, z))
+        if np.abs(s1 - f1).max() > tol or np.abs(s2 - f2).max() > tol:
+            return False
+    return True
 
 
 def cloud_standard_win_win(game: CoopetitiveGame, grid_n: int, tol: float = 1e-6) -> SolutionPoint:

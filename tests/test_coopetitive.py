@@ -26,14 +26,18 @@ from coopetition.geometry import PayoffMap, PointCloud, extrema, lattice_tu, sam
 from coopetition.bargaining import SolutionPoint
 
 from oracles import (
+    SIGNED_ZERO_COEFFS,
     cloud_core_supremum,
     cloud_standard_win_win,
     cloud_tu_compromise,
     corner_bivalue,
+    negated_frame_core_supremum,
     numpy_map_components,
     per_section_path,
+    per_section_roundtrip,
     per_section_zone,
     section_corners,
+    stacked_extreme_path,
 )
 
 TU_POINT = PayoffPoint(-25.0 / 7.0, -3.0 / 7.0)
@@ -118,30 +122,41 @@ class TestRoundtrip:
             )
             assert family_roundtrip_check(game) is True
 
-    def test_corrupted_section_detected(self, coop_game):
-        class Corrupted(CoopetitiveGame):
-            pass
+    def test_corrupted_section_detected(self, coop_game, monkeypatch):
+        # Shift one section's folded constant away from the true map, with
+        # the sections compared in one block, or in blocks of one or three.
+        fold = coopetitive._fold_z
+        shifted = coop_game.c_grid[3]
 
-        bad = Corrupted(coop_game.payoff, coop_game.orientation, coop_game.c_grid)
-        # Shift one section's constants away from the true map.
-        import coopetition.coopetitive as mod
+        def corrupt(coeffs, z):
+            (c0, *rest), row2 = fold(coeffs, z)
+            return [(c0 + 1e-6 * (z == shifted), *rest), row2]
 
-        original = mod.section_game
+        for block in (geometry._BLOCK, 17**2, 3 * 17**2):
+            monkeypatch.setattr(coopetitive, "_BLOCK", block)
+            monkeypatch.setattr(coopetitive, "_fold_z", fold)
+            assert family_roundtrip_check(coop_game) is True
+            monkeypatch.setattr(coopetitive, "_fold_z", corrupt)
+            assert family_roundtrip_check(coop_game) is False
 
-        def corrupt(game, z):
-            sec = original(game, z)
-            if game is bad and z == game.c_grid[3]:
-                c = sec.map.coeffs.copy()
-                c[0, 0] += 1e-6
-                return mod.SectionGame(sec.z, PayoffMap(c, arity=sec.map.arity))
-            return sec
+    @pytest.mark.parametrize("block", [geometry._BLOCK, 100])
+    def test_matches_the_per_section_loop(self, monkeypatch, block):
+        # Small blocks put a few sections, or one, in each block.
+        monkeypatch.setattr(coopetitive, "_BLOCK", block)
+        rng = np.random.default_rng(42)
+        for scale in (1.0, 1e5, 1e12, 1e300):
+            for _ in range(5):
+                game = make_coop(np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3) * scale, c_size=int(rng.integers(2, 40)))
+                for grid_n in (1, 2, 5, 17):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        assert family_roundtrip_check(game, grid_n) is per_section_roundtrip(game, grid_n)
 
-        mod_section = mod.section_game
-        mod.section_game = corrupt
-        try:
-            assert family_roundtrip_check(bad) is False
-        finally:
-            mod.section_game = mod_section
+    def test_non_finite_section_raises(self):
+        # The sections from z = 0.5 on fold c0 + c3*z past the float range.
+        game = make_coop([[1e308, 0, 0, 1.7e308, 0], [1.0, 0, 0, 0, 0]], c_size=9)
+        for check in (family_roundtrip_check, per_section_roundtrip):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="coefficients must be finite"):
+                check(game)
 
     def test_random_polynomial_games(self):
         rng = np.random.default_rng(41)
@@ -246,10 +261,6 @@ def assert_matches_per_section(game, grid_n, tol_for):
             assert np.abs(a - b).max() <= tol_for(quantity), quantity
 
 
-#: Coefficients whose payoffs are all at most zero, -0.0 at the cube's origin.
-SIGNED_ZERO_COEFFS = [[-0.0, -1, -1, -1, -1], [-0.0, -2, -1, -1, -3]]
-
-
 def one_formula_games():
     """Games with -0.0 and 0.0 coefficients, whose section payoffs often sum
     to zero, and generic three-decimal ones, each in both orientations."""
@@ -285,6 +296,59 @@ class TestOneSectionFormula:
                 value = coopetitive._conservative_value(game.orientation.sign, geometry._fold_z(game.payoff.coeffs, z))
                 want = corner_bivalue(section_corners(game, z), game.orientation)
                 assert np.array(value.as_tuple()).tobytes() == np.array(want.as_tuple()).tobytes()
+
+
+def reduction_games():
+    """Random three-decimal and half-integer games and the signed-zero
+    game, each in both orientations."""
+    rng = np.random.default_rng(58)
+    coeffs = [SIGNED_ZERO_COEFFS]
+    coeffs += [np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3) for _ in range(15)]
+    coeffs += [rng.integers(-8, 9, size=(2, 5)) / 2.0 for _ in range(15)]
+    for c in coeffs:
+        for orientation in Orientation:
+            yield make_coop(c, orientation, c_size=17)
+
+
+class TestRawFrameReductions:
+    """Section extremes and the core supremum reduce the raw payoff columns
+    with the bits of the reductions they replace, sign of zero included."""
+
+    def test_extreme_paths_match_the_stacked_reduction(self):
+        for game in reduction_games():
+            for quantity in ("supremum", "infimum"):
+                have = np.stack([v for _, v in induced_path(game, quantity, 5).samples])
+                assert have.tobytes() == stacked_extreme_path(game, quantity).tobytes()
+
+    def test_core_supremum_matches_the_negated_frame(self):
+        answered = 0
+        for game in reduction_games():
+            for z in game.c_grid[::4].tolist():
+                want = negated_frame_core_supremum(game, z, 17)
+                if want is None:
+                    with pytest.raises(EmptyPortion):
+                        core_supremum(game, z, 17)
+                    continue
+                have = core_supremum(game, z, 17)
+                assert np.array(have.as_tuple()).tobytes() == np.array(want.as_tuple()).tobytes()
+                answered += 1
+        assert answered >= 100
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_lattice_zeros_share_one_sign(self, arity):
+        # The fact the raw-frame reductions rest on: on a lattice, each
+        # payoff column's zeros are all 0.0 or all -0.0.
+        rng = np.random.default_rng([59, arity])
+        signs = set()
+        for _ in range(400):
+            c = rng.choice([-0.0, 0.0, -1.0, 1.0, 0.5, -0.25, -5e-324, 5e-324], size=(2, 5))
+            if arity == 2:
+                c[:, 3] = rng.choice([-0.0, 0.0], size=2)
+            for column in geometry._sample(c, int(rng.choice([2, 3, 9])), arity).T:
+                negative = np.signbit(column[column == 0.0])
+                assert negative.all() or not negative.any()
+                signs.update(negative.tolist())
+        assert signs == {False, True}
 
 
 class TestTranslatedSections:

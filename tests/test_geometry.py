@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from coopetition import geometry
+from coopetition.coopetitive import CoopetitiveGame, core_supremum
 from coopetition.demo import coopetitive_game_dict
 from coopetition.gamefile import load_game_file
 from coopetition.games import Orientation, PayoffPoint
@@ -26,6 +27,7 @@ from coopetition.geometry import (
 from coopetition.report import GameContext
 
 from oracles import (
+    SIGNED_ZERO_COEFFS,
     brute_hausdorff,
     brute_pareto_indices,
     drop_dominated,
@@ -106,6 +108,57 @@ class TestSampleImage:
     def test_grid_validation(self, f0):
         with pytest.raises(ValueError):
             sample_image(f0, 1)
+
+
+class TestLatticeAxis:
+    """The lattice axis is built once per size and shared, read-only."""
+
+    def test_one_read_only_axis_per_size(self):
+        t = geometry._axis(65)
+        assert geometry._axis(65) is t
+        assert t.tobytes() == np.linspace(0.0, 1.0, 65).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = 1.0
+
+    def test_small_grid_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="at least 2"):
+                geometry._axis(1)
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("grid_n", [2, 3, 17, 64, 65])
+    def test_sample_matches_a_per_call_meshgrid(self, arity, grid_n):
+        rng = np.random.default_rng([90, arity, grid_n])
+        coeffs = [np.array(SIGNED_ZERO_COEFFS)] + [np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3) for _ in range(4)]
+        for c in coeffs:
+            if arity == 2:
+                c[:, 3] = 0.0
+            # ``lattice_image`` builds its axis with np.linspace and its full
+            # coordinate arrays with np.meshgrid on every call.
+            want = lattice_image(PayoffMap(c, arity), grid_n)[0]
+            assert geometry._sample(c, grid_n, arity).tobytes() == want.tobytes()
+
+    def test_warm_calls_build_no_axis(self, monkeypatch, coop_game):
+        game = CoopetitiveGame.with_uniform_grid(coop_game.payoff, coop_game.orientation, 9)
+        section = coop_game.payoff.section(0.5)
+
+        def warm():
+            sample_image(section, 65)
+            sample_image(game.payoff, 17)
+            core_supremum(game, 0.5, 65)
+            for orientation in Orientation:
+                lattice_tu(game.payoff, 65, orientation, 1e-6)
+
+        warm()
+        calls = []
+        for name in ("linspace", "meshgrid", "repeat", "tile"):
+            fn = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        warm()
+        assert calls == []
+        # The counters see a call.
+        np.linspace(0.0, 1.0, 3)
+        assert calls == ["linspace"]
 
 
 class TestParetoFilter:
