@@ -17,7 +17,6 @@ from .bargaining import (
 )
 from .coopetitive import (
     CoopetitiveGame,
-    SectionGame,
     SetValuedPath,
     WinWinReport,
     core_supremum,

@@ -125,7 +125,14 @@ def nash_bargaining(
 
     Only boundary points weakly better than the disagreement point in both
     components are feasible; raises :class:`EmptyFeasibleSet` otherwise.
+    ``orientation`` ranks the gains and the boundary's orientation breaks
+    ties, so the two must agree: a mismatch raises ``ValueError``.
     """
+    if orientation is not boundary.orientation:
+        raise ValueError(
+            f"Nash bargaining under {orientation.value} needs a {orientation.value} "
+            f"boundary, got {boundary.orientation.value}"
+        )
     if len(boundary) == 0:
         raise EmptyFeasibleSet("empty boundary")
     s = orientation.sign

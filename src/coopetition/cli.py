@@ -13,9 +13,11 @@ coopetitive ones) can be overridden per file via the ``analysis`` block,
 or per run via ``--grid``, which wins.  Nothing else sets it: a command's
 output depends only on its game file and its flags.
 
-This module parses arguments and prints: ``analyze`` prints
-:func:`report.build_report`, and ``render`` writes the one scene that
-:func:`render.game_scene` builds for the file.
+This module parses arguments and prints: ``analyze`` prints the text of
+:func:`report.build_report`, ``solve`` offers the concepts of
+:data:`report.CONCEPTS` in its order and accepts only the ``--threat`` and
+``--utopia`` flags a concept reads there, and ``render`` writes the one
+scene that :func:`render.game_scene` builds for the file.
 
 Every command reads its solutions from one :class:`report.GameContext`,
 so a concept gives the same answer in ``analyze``, ``solve``, ``render``
@@ -40,30 +42,9 @@ from .errors import DemoCheckError, GameFileError, MissingInitialZ, SolverRefusa
 from .gamefile import MAX_PAYOFF, load_game_file, resolve_grid
 from .games import PayoffPoint
 from .render import game_scene, write_csv, write_svg
-from .report import GameContext, build_report, fmt_point, solution_lines
+from .report import CONCEPTS, GameContext, build_report, fmt_point, solution_lines
 
 __all__ = ["main"]
-
-SOLUTIONS = (
-    "ks",
-    "nash-bargaining",
-    "tu",
-    "proper-coopetitive",
-    "win-win",
-    "compromise:pareto",
-    "compromise:nash_pareto",
-    "compromise:conservative_pareto",
-)
-
-#: The point flags each concept reads; passing any other is a usage error.
-POINT_FLAGS = {
-    "ks": ("threat", "utopia"),
-    "nash-bargaining": ("threat",),
-    "tu": ("threat", "utopia"),
-    "compromise:nash_pareto": ("threat",),
-    "compromise:conservative_pareto": ("threat",),
-}
-
 
 def _point(text: str) -> PayoffPoint:
     """A ``--threat``/``--utopia`` value, bounded like a game file's payoffs."""
@@ -107,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one solution concept")
     solve.add_argument("path")
-    solve.add_argument("--solution", required=True, choices=SOLUTIONS)
+    solve.add_argument("--solution", required=True, choices=CONCEPTS)
     solve.add_argument("--threat", type=_point, default=None, help="threat point 'p1,p2'")
     solve.add_argument("--utopia", type=_point, default=None, help="utopia point 'p1,p2'")
     solve.add_argument("--grid", type=int, default=None)
@@ -133,7 +114,7 @@ def _context(args) -> GameContext:
 
 
 def _cmd_analyze(args) -> int:
-    sys.stdout.write(build_report(_context(args)).to_text())
+    sys.stdout.write(build_report(_context(args)))
     return 0
 
 
@@ -194,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_merge_point_flags(list(argv)))
     if args.command == "solve":
         for flag in ("threat", "utopia"):
-            if getattr(args, flag) is not None and flag not in POINT_FLAGS.get(args.solution, ()):
+            if getattr(args, flag) is not None and flag not in CONCEPTS[args.solution]:
                 parser.error(f"argument --{flag}: not read by --solution {args.solution}")
     try:
         return args.func(args)

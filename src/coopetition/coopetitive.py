@@ -2,7 +2,8 @@
 
 A coopetitive game is a payoff map on the unit cube: the players pick
 (x, y) competitively while z is chosen jointly.  Fixing z yields a
-normal-form section game, and the family of sections determines the game
+normal-form section game, whose payoff map on the unit square is
+``section_game(game, z)``, and the family of sections determines the game
 (and vice versa); ``family_roundtrip_check`` witnesses that on a lattice.
 The cooperative axis is discretized to ``c_grid``, so induced families
 (Nash payoffs, extrema, conservative bi-values) become sampled set-valued
@@ -49,7 +50,6 @@ from .mixed import EquilibriumComponent, _conservative_value, _equilibria
 
 __all__ = [
     "CoopetitiveGame",
-    "SectionGame",
     "SetValuedPath",
     "WinWinReport",
     "section_game",
@@ -107,14 +107,6 @@ class CoopetitiveGame:
 
 
 @dataclass(frozen=True, eq=False)
-class SectionGame:
-    """The normal-form game obtained by fixing the cooperative strategy."""
-
-    z: float
-    map: PayoffMap
-
-
-@dataclass(frozen=True, eq=False)
 class SetValuedPath:
     """Samples of a per-section quantity along the cooperative axis."""
 
@@ -124,10 +116,10 @@ class SetValuedPath:
 
 @dataclass(frozen=True)
 class WinWinReport:
-    """Whether a candidate strictly beats the initial game's core supremum."""
+    """Whether a candidate, which the caller holds, strictly beats the
+    initial game's core supremum ``core_sup``, and by what ``margin``."""
 
     core_sup: PayoffPoint
-    candidate: SolutionPoint
     is_win_win: bool
     margin: PayoffPoint
 
@@ -140,10 +132,10 @@ def _height(z: float) -> float:
     return z
 
 
-def section_game(game: CoopetitiveGame, z: float) -> SectionGame:
-    """The section at cooperative strategy ``z`` in [0, 1]."""
-    z = _height(z)
-    return SectionGame(z, game.payoff.section(z))
+def section_game(game: CoopetitiveGame, z: float) -> PayoffMap:
+    """The payoff map of the normal-form section game at cooperative
+    strategy ``z`` in [0, 1]."""
+    return game.payoff.section(_height(z))
 
 
 def family_roundtrip_check(game: CoopetitiveGame, grid_n: int = 17) -> bool:
@@ -208,7 +200,7 @@ def _nash_lattice(game: CoopetitiveGame, grid_n: int) -> tuple[np.ndarray, np.nd
 def _section_payoffs(game: CoopetitiveGame, x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
     """Payoffs at (x, y) in every section, the two components stacked along
     ``axis``: shape (len(c_grid), len(x), 2) by default.  Row k has the
-    bits of ``section_game(game, c_grid[k]).map.eval_arrays(x, y)``."""
+    bits of ``section_game(game, c_grid[k]).eval_arrays(x, y)``."""
     rows = _fold_z(game.payoff.coeffs, game.c_grid[:, None])
     return np.stack([_component(c, x, y, 0.0) for c in rows], axis=axis)
 
@@ -380,12 +372,7 @@ def win_win_report(
     L = core_supremum(game, game.initial_z, grid_n)
     s = game.orientation.sign
     margin = PayoffPoint(s * (candidate.payoff.p1 - L.p1), s * (candidate.payoff.p2 - L.p2))
-    return WinWinReport(
-        core_sup=L,
-        candidate=candidate,
-        is_win_win=strictly_better(candidate.payoff, L, game.orientation),
-        margin=margin,
-    )
+    return WinWinReport(L, strictly_better(candidate.payoff, L, game.orientation), margin)
 
 
 def standard_win_win_solution(

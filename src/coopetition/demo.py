@@ -12,7 +12,8 @@ spelled out next to it; the run writes a report, figure analogues (CSV and
 SVG), and the two game files, and fails loudly if any check drifts.  Each
 cloud, boundary, default point and solution is read from a
 :class:`report.GameContext`, the one ``analyze``, ``solve`` and ``render``
-read, so the coopetitive answers equal ``solve``'s on the emitted file.
+read, so the coopetitive answers equal ``solve``'s on the emitted file, and
+every figure starts from that context's :func:`render.space_scene`.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .games import (
     pure_nash_equilibria,
     translate,
 )
-from .geometry import PayoffMap, extrema, hausdorff_distance, lattice_tu, tu_line
+from .geometry import PayoffMap, extrema, hausdorff_distance, lattice_tu, orientation_best, tu_line
 from .mixed import bilinear_map
-from .render import Scene, coopetitive_scene, write_csv, write_svg
+from .render import Scene, coopetitive_scene, space_scene, write_csv, write_svg
 from .report import GameContext, fmt, fmt_point
 
 __all__ = [
@@ -240,7 +241,7 @@ def run_paper_demo(out_dir: str | Path) -> str:
 
     # Core of the pre-coopetitive game and its named corner points.
     core = payoff_core(mixed.boundary, conservative)
-    core_inf = PayoffPoint(*core.payoffs.min(axis=0))
+    core_inf = orientation_best(core, core.orientation)
     check(
         "core infimum",
         _close(core_inf, PayoffPoint(-1.0, 0.0), 1e-2),
@@ -346,40 +347,30 @@ def run_paper_demo(out_dir: str | Path) -> str:
 
 def _write_figures(out, ks_solutions, tu_solutions, lines) -> None:
     mixed = _context(normalized_loss_game(), FIGURE_GRID_2D)
-    cloud, boundary = mixed.cloud, mixed.boundary
     xs = np.linspace(0.0, 1.0, FIGURE_GRID_2D)
     nash_pre = np.stack([xs, np.zeros_like(xs)], axis=1)
     nash_pay = np.stack(list(mixed_loss_map().eval_arrays(xs, np.zeros_like(xs))), axis=1)
 
-    fig2 = Scene("expected-loss space of the pre-coopetitive game", Orientation.LOSS, 2)
-    fig2.add(cloud.preimages, cloud.payoffs, "cloud")
-    fig2.add(boundary.preimages, boundary.payoffs, "pareto")
+    fig2 = space_scene(mixed, "expected-loss space of the pre-coopetitive game")
     fig2.add(nash_pre, nash_pay, "nash")
     fig2.add_solution("A'", (0.0, 0.0), PayoffPoint(0.0, 0.0))
     fig2.add_solution("B'", (1.0, 0.0), PayoffPoint(0.0, 1.0))
     _emit(out, "payoff_space", fig2, lines)
 
-    fig3 = Scene("bargaining solutions on the expected-loss space", Orientation.LOSS, 2)
-    fig3.add(cloud.preimages, cloud.payoffs, "cloud")
-    fig3.add(boundary.preimages, boundary.payoffs, "pareto")
+    fig3 = space_scene(mixed, "bargaining solutions on the expected-loss space")
     for name, sol in ks_solutions.items():
         fig3.add_solution(name, sol.preimage, sol.payoff)
     _emit(out, "bargaining_solutions", fig3, lines)
 
-    fig4 = Scene("transferable-utility solutions", Orientation.LOSS, 2)
-    fig4.add(cloud.preimages, cloud.payoffs, "cloud")
-    fig4.add(boundary.preimages, boundary.payoffs, "pareto")
+    fig4 = space_scene(mixed, "transferable-utility solutions")
     fig4.add(mixed.tu.witness_preimages, mixed.tu.witness_payoffs, "tu")
-    fig4.tu_segment = tu_line(mixed.tu, *extrema(cloud))
+    fig4.tu_segment = tu_line(mixed.tu, *extrema(mixed.cloud))
     for name, sol in zip(("H", "K"), tu_solutions):
         fig4.add_solution(name, sol.preimage, sol.payoff)
     _emit(out, "tu_solutions", fig4, lines)
 
     coop = _context(coopetitive_entry_game(), FIGURE_GRID_3D)
-    fig5 = Scene("coopetitive payoff space", Orientation.LOSS, 3)
-    fig5.add(coop.cloud.preimages, coop.cloud.payoffs, "cloud")
-    fig5.add(coop.boundary.preimages, coop.boundary.payoffs, "pareto")
-    _emit(out, "coopetitive_space", fig5, lines)
+    _emit(out, "coopetitive_space", space_scene(coop, "coopetitive payoff space"), lines)
 
     # Kalai-Smorodinsky (H', H'') and TU (K', K'') toward the image
     # infimum, from B' and from the conservative path's infimum.

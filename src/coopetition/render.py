@@ -1,10 +1,12 @@
 """Payoff-space scenes of a game file, and their deterministic CSV and SVG
 emission.
 
-:func:`game_scene` builds the figure the ``render`` command draws for a
-game file, and :func:`coopetitive_scene` the coopetitive part that
-``paper-demo`` shares with it; both read their answers from a
-:class:`report.GameContext`.
+Every scene a command draws is built here from a
+:class:`report.GameContext`.  :func:`space_scene` holds a context's sampled
+cloud and facing Pareto boundary, where every coopetitive figure and each
+``paper-demo`` figure starts.  :func:`coopetitive_scene` adds a coopetitive
+game's Nash zone, TU witnesses and TU line, and :func:`game_scene` builds
+the figure the ``render`` command draws for a game file.
 
 CSV columns are exactly ``x,y[,z],p1,p2,tag``; floats are written with
 ``repr`` so they round-trip bit-exactly, and a tag may hold no character
@@ -30,7 +32,7 @@ from .games import FiniteBimatrixGame, Orientation, PayoffPoint, pure_nash_equil
 from .geometry import PointCloud, extrema, facing_flavor, pareto_filter, tu_boundary, tu_line
 from .report import GameContext
 
-__all__ = ["Scene", "coopetitive_scene", "game_scene", "write_csv", "write_svg"]
+__all__ = ["Scene", "coopetitive_scene", "game_scene", "space_scene", "write_csv", "write_svg"]
 
 #: Cloud points drawn into an SVG are thinned to at most this many.
 SVG_CLOUD_CAP = 4000
@@ -116,17 +118,25 @@ def _finite_scene(game: FiniteBimatrixGame, tu_tol: float) -> Scene:
     return scene
 
 
-def coopetitive_scene(ctx: GameContext, title: str) -> Scene:
-    """A coopetitive game's cloud, facing Pareto boundary, Nash zone and TU
-    witnesses, with the TU line; the caller adds its solution markers."""
-    cloud, tub = ctx.cloud, ctx.tu
-    zone = nash_zone(ctx.game, ctx.grid_n)
-    scene = Scene(title, ctx.orientation, 3)
+def space_scene(ctx: GameContext, title: str) -> Scene:
+    """The context's sampled cloud and its facing Pareto boundary; the
+    caller adds the rest of its figure."""
+    cloud = ctx.cloud
+    scene = Scene(title, ctx.orientation, cloud.arity)
     scene.add(cloud.preimages, cloud.payoffs, "cloud")
     scene.add(ctx.boundary.preimages, ctx.boundary.payoffs, "pareto")
+    return scene
+
+
+def coopetitive_scene(ctx: GameContext, title: str) -> Scene:
+    """A coopetitive game's :func:`space_scene` with its Nash zone and TU
+    witnesses, and the TU line; the caller adds its solution markers."""
+    tub = ctx.tu
+    zone = nash_zone(ctx.game, ctx.grid_n)
+    scene = space_scene(ctx, title)
     scene.add(zone.preimages, zone.payoffs, "nash")
     scene.add(tub.witness_preimages, tub.witness_payoffs, "tu")
-    scene.tu_segment = tu_line(tub, *extrema(cloud))
+    scene.tu_segment = tu_line(tub, *extrema(ctx.cloud))
     return scene
 
 

@@ -8,6 +8,10 @@ default threat, utopia and tolerance, so ``analyze``, ``solve``, ``render``
 and ``paper-demo`` give one answer per concept: the demo's coopetitive
 answers equal ``solve``'s on the game file it emits.
 
+:data:`CONCEPTS` names every concept :meth:`GameContext.solve` answers,
+with the points a caller may set; the ``solve`` command offers them in its
+order.  :func:`build_report` returns the ``analyze`` report as text.
+
 This module answers and writes analysis text only; it draws nothing and
 imports nothing from :mod:`render`, which builds the figures from a
 :class:`GameContext`.
@@ -15,7 +19,6 @@ imports nothing from :mod:`render`, which builds the figures from a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,7 +68,22 @@ from .mixed import (
     mixed_equilibrium_components,
 )
 
-__all__ = ["AnalysisReport", "GameContext", "build_report", "fmt", "fmt_point", "solution_lines"]
+__all__ = ["CONCEPTS", "GameContext", "build_report", "fmt", "fmt_point", "solution_lines"]
+
+#: Every solution concept :meth:`GameContext.solve` answers, in the order
+#: ``solve --solution`` lists them, with the points it reads: the
+#: ``threat`` and ``utopia`` a caller may pass in place of the defaults.
+CONCEPTS = {
+    "ks": ("threat", "utopia"),
+    "nash-bargaining": ("threat",),
+    "tu": ("threat", "utopia"),
+    "proper-coopetitive": (),
+    "win-win": (),
+    "compromise:pareto": (),
+    "compromise:nash_pareto": ("threat",),
+    "compromise:conservative_pareto": ("threat",),
+}
+
 
 def fmt(v: float) -> str:
     return f"{float(v):.10g}"
@@ -73,20 +91,6 @@ def fmt(v: float) -> str:
 
 def fmt_point(p: PayoffPoint) -> str:
     return f"({fmt(p.p1)}, {fmt(p.p2)})"
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Headed sections of report lines, renderable as stable text."""
-
-    sections: tuple[tuple[str, tuple[str, ...]], ...]
-
-    def to_text(self) -> str:
-        out = []
-        for heading, lines in self.sections:
-            out.append(heading)
-            out.extend(f"  {line}" for line in lines)
-        return "\n".join(out) + "\n"
 
 
 class GameContext:
@@ -161,12 +165,14 @@ class GameContext:
     def solve(
         self, name: str, threat: PayoffPoint | None = None, utopia: PayoffPoint | None = None
     ) -> SolutionPoint:
-        """Solution concept ``name`` (one of ``cli.SOLUTIONS``).
+        """Solution concept ``name``, one of :data:`CONCEPTS`.
 
         ``threat`` and ``utopia`` replace the defaults: the conservative
         value (the Nash extreme for ``compromise:nash_pareto``) and the
         orientation-best corner of the cloud.
         """
+        if name not in CONCEPTS:
+            raise ValueError(f"unknown solution concept {name!r}")
         if name in ("proper-coopetitive", "win-win"):
             if self.spec.kind != "coopetitive":
                 raise UnsupportedGameError(f"{name} solutions need a coopetitive game file")
@@ -184,9 +190,7 @@ class GameContext:
         utopia = utopia or orientation_best(self.cloud, self.orientation)
         if name == "ks":
             return ks_solution(BargainingProblem(self.boundary, threat, utopia), self.ks_tol)
-        if name == "tu":
-            return tu_crossing_solution(self.tu, threat, utopia)
-        raise ValueError(f"unknown solution concept {name!r}")
+        return tu_crossing_solution(self.tu, threat, utopia)
 
 
 def solution_lines(sol: SolutionPoint) -> list[str]:
@@ -230,9 +234,8 @@ def _strategy_set(game: FiniteBimatrixGame, player: int, ids: set[int]) -> str:
     return "{" + ", ".join(names) + "}"
 
 
-def build_finite_report(ctx: GameContext) -> AnalysisReport:
+def _finite_sections(ctx: GameContext) -> list[tuple[str, list[str]]]:
     spec, game = ctx.spec, ctx.game
-    sections: list[tuple[str, tuple[str, ...]]] = []
     summary = [
         f"kind: finite {game.rows}x{game.cols} ({game.orientation.value})",
         f"source: {spec.path}",
@@ -241,74 +244,67 @@ def build_finite_report(ctx: GameContext) -> AnalysisReport:
         summary.append(f"rows: {', '.join(game.row_labels)}")
     if game.col_labels:
         summary.append(f"cols: {', '.join(game.col_labels)}")
-    sections.append(("game", tuple(summary)))
+    sections = [("game", summary)]
 
     cells = sorted(pure_nash_equilibria(game), key=lambda c: (c.row, c.col))
-    sections.append(
-        ("pure Nash equilibria", tuple(game.label(c) for c in cells) or ("none",))
-    )
+    sections.append(("pure Nash equilibria", [game.label(c) for c in cells] or ["none"]))
     dom_lines = []
     for player in (1, 2):
         weak = _strategy_set(game, player, dominant_strategies(game, player, "weak"))
         strict = _strategy_set(game, player, dominant_strategies(game, player, "strict"))
         dom_lines.append(f"player {player}: weak {weak}, strict {strict}")
-    sections.append(("dominant strategies", tuple(dom_lines)))
-    sections.append(
-        ("conservative bi-value", (fmt_point(conservative_bivalue(game)),))
-    )
+    sections.append(("dominant strategies", dom_lines))
+    sections.append(("conservative bi-value", [fmt_point(conservative_bivalue(game))]))
 
     if (game.rows, game.cols) != (2, 2):
-        sections.append(
-            ("mixed extension", ("skipped (only available for 2x2 games)",))
-        )
-        return AnalysisReport(tuple(sections))
+        sections.append(("mixed extension", ["skipped (only available for 2x2 games)"]))
+        return sections
 
     comp_lines = []
     for comp in ctx.components:
         ext = ", ".join(f"({fmt(p.x)}, {fmt(p.y)})" for p in comp.extreme_points)
         pay = ", ".join(fmt_point(p) for p in comp.payoff_extremes)
         comp_lines.append(f"{comp.description}: extremes {ext}; payoffs {pay}")
-    sections.append(("mixed equilibrium components", tuple(comp_lines)))
+    sections.append(("mixed equilibrium components", comp_lines))
     sections.append(
         (
             f"mixed extension (grid {ctx.grid_n})",
-            (f"conservative bi-value: {fmt_point(ctx.conservative)}", *_space_lines(ctx)),
+            [f"conservative bi-value: {fmt_point(ctx.conservative)}", *_space_lines(ctx)],
         )
     )
     sol_lines: list[str] = []
     for name in ("compromise:pareto", "compromise:nash_pareto", "compromise:conservative_pareto"):
         sol_lines.extend(_concept_lines(ctx, name, name)[1])
-    sections.append(("solutions", tuple(sol_lines)))
-    return AnalysisReport(tuple(sections))
+    sections.append(("solutions", sol_lines))
+    return sections
 
 
-def build_coopetitive_report(ctx: GameContext) -> AnalysisReport:
+def _coopetitive_sections(ctx: GameContext) -> list[tuple[str, list[str]]]:
     spec, game = ctx.spec, ctx.game
-    sections: list[tuple[str, tuple[str, ...]]] = []
     z0 = "none" if game.initial_z is None else fmt(game.initial_z)
-    sections.append(
+    sections = [
         (
             "game",
-            (
+            [
                 f"kind: coopetitive ({game.orientation.value})",
                 f"source: {spec.path}",
                 f"c_grid: {len(game.c_grid)} points in [{fmt(game.c_grid[0])}, "
                 f"{fmt(game.c_grid[-1])}], initial_z: {z0}",
                 f"family roundtrip check: {family_roundtrip_check(game)}",
-            ),
+            ],
         )
-    )
+    ]
 
     first, last = ctx.conservative_path.samples[0], ctx.conservative_path.samples[-1]
     sections.append(
         (
             f"payoff space (grid {ctx.grid_n} per axis)",
-            (
+            [
                 *_space_lines(ctx),
                 f"conservative path: z={fmt(first[0])} -> ({fmt(first[1][0][0])}, "
                 f"{fmt(first[1][0][1])}); z={fmt(last[0])} -> ({fmt(last[1][0][0])}, "
                 f"{fmt(last[1][0][1])})",
-            ),
+            ],
         )
     )
 
@@ -322,11 +318,16 @@ def build_coopetitive_report(ctx: GameContext) -> AnalysisReport:
                 f"  core supremum L: {fmt_point(report.core_sup)}, "
                 f"margin {fmt_point(report.margin)}, win-win: {report.is_win_win}"
             )
-    sections.append(("solutions", tuple(sol_lines)))
-    return AnalysisReport(tuple(sections))
+    sections.append(("solutions", sol_lines))
+    return sections
 
 
-def build_report(ctx: GameContext) -> AnalysisReport:
-    if ctx.spec.kind == "finite":
-        return build_finite_report(ctx)
-    return build_coopetitive_report(ctx)
+def build_report(ctx: GameContext) -> str:
+    """The ``analyze`` report of the context's game: each section's heading,
+    then its lines indented under it."""
+    sections = _finite_sections(ctx) if ctx.spec.kind == "finite" else _coopetitive_sections(ctx)
+    out = []
+    for heading, lines in sections:
+        out.append(heading)
+        out.extend(f"  {line}" for line in lines)
+    return "\n".join(out) + "\n"

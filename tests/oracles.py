@@ -280,7 +280,7 @@ def section_corners(game: CoopetitiveGame, z: float) -> np.ndarray:
     """Each player's payoffs at the corners of the section at ``z``, shape
     (2, 2, 2) with ``[k, i, j]`` at x = i, y = j: one cell evaluation of the
     section map at a time."""
-    m = section_game(game, z).map
+    m = section_game(game, z)
     cells = [[m.eval(float(x), float(y)).as_tuple() for y in (0, 1)] for x in (0, 1)]
     return np.moveaxis(np.array(cells), 2, 0)
 
@@ -431,7 +431,7 @@ def numpy_map_components(m: geometry.PayoffMap, orientation: Orientation) -> lis
 
 def _section_nash(game: CoopetitiveGame, z: float, grid_n: int):
     """Payoffs and (x, y) lattice of every Nash component of one section."""
-    m = section_game(game, z).map
+    m = section_game(game, z)
     payoffs, lattice = [], []
     for comp in numpy_map_components(m, game.orientation):
         (xl, xh), (yl, yh) = comp.x_interval, comp.y_interval
@@ -481,7 +481,7 @@ def cloud_core_supremum(game: CoopetitiveGame, z: float, grid_n: int) -> PayoffP
     orientation-worst corner (its componentwise maximum under LOSS)."""
     sec = section_game(game, z)
     boundary = pareto_filter(
-        sample_image(sec.map, grid_n), game.orientation, facing_flavor(game.orientation)
+        sample_image(sec, grid_n), game.orientation, facing_flavor(game.orientation)
     )
     core = payoff_core(boundary, corner_bivalue(section_corners(game, z), game.orientation))
     if len(core) == 0:
@@ -520,7 +520,7 @@ def per_section_roundtrip(game: CoopetitiveGame, grid_n: int = 17) -> bool:
     x, y = np.meshgrid(t, t, indexing="ij")
     tol = 1e-12 * max(1.0, np.abs(game.payoff.coeffs).sum(axis=1).max())
     for z in game.c_grid:
-        s1, s2 = section_game(game, z).map.eval_arrays(x, y)
+        s1, s2 = section_game(game, z).eval_arrays(x, y)
         f1, f2 = game.payoff.eval_arrays(x, y, np.full_like(x, z))
         if np.abs(s1 - f1).max() > tol or np.abs(s2 - f2).max() > tol:
             return False

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from coopetition.bargaining import SolutionPoint
-from coopetition.cli import SOLUTIONS
 from coopetition.coopetitive import CoopetitiveGame, family_roundtrip_check
 from coopetition.errors import CoopetitionError
 from coopetition.gamefile import load_game_file
@@ -27,7 +26,7 @@ from coopetition.games import (
     translate,
 )
 from coopetition.geometry import PayoffMap, PointCloud, pareto_filter
-from coopetition.report import GameContext
+from coopetition.report import CONCEPTS, GameContext
 
 from oracles import brute_pareto_indices, random_cloud, random_game
 from test_golden import negated_file
@@ -63,7 +62,7 @@ def _answers(path: Path, grid_n: int) -> dict[str, SolutionPoint | str]:
     """Every ``solve`` concept's answer on the file, or its error's class name."""
     ctx = GameContext(load_game_file(path), grid_n)
     answers = {}
-    for name in SOLUTIONS:
+    for name in CONCEPTS:
         try:
             answers[name] = ctx.solve(name)
         except CoopetitionError as exc:
@@ -99,7 +98,7 @@ def check_twin_duality(game: dict) -> None:
         for path, data in zip(paths, (game, negated_file(game))):
             path.write_text(json.dumps(data), encoding="utf-8")
         loss, gain = (_answers(path, 17) for path in paths)
-    for name in SOLUTIONS:
+    for name in CONCEPTS:
         a, b = loss[name], gain[name]
         where = f"{name} on {game}"
         if isinstance(a, str) or isinstance(b, str):

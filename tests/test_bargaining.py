@@ -162,6 +162,16 @@ class TestNashBargaining:
         with pytest.raises(EmptyFeasibleSet):
             nash_bargaining(boundary, PayoffPoint(5, 5), Orientation.GAIN)
 
+    def test_orientation_other_than_the_boundarys_is_refused(self):
+        # Read as LOSS, (2, 0) and (0, 2) tie at product 3 from (3, 3), and
+        # the LOSS rule would pick (0, 2); the GAIN boundary ranks the tie
+        # the other way.  One call reads one orientation, so it refuses.
+        boundary = simple_boundary([[2.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="needs a loss boundary, got gain"):
+            nash_bargaining(boundary, PayoffPoint(3, 3), Orientation.LOSS)
+        loss = simple_boundary([[2.0, 0.0], [0.0, 2.0]], Orientation.LOSS, "minimal")
+        assert nash_bargaining(loss, PayoffPoint(3, 3), Orientation.LOSS).payoff == PayoffPoint(0, 2)
+
 
 class TestPayoffCore:
     def test_paper_core(self, f0_boundary_513, norm_loss_game):

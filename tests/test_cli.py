@@ -1,5 +1,6 @@
 """CLI subcommands: reports, solvers, rendering, exit codes, determinism."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -18,10 +19,10 @@ from coopetition import cli, demo, report
 from coopetition.cli import main
 from coopetition.demo import coopetitive_game_dict, finite_game_dict, run_paper_demo
 from coopetition.errors import DegenerateProblem, EmptyPortion, NoIntersection, SameHalfPlane
-from coopetition.gamefile import MAX_PAYOFF
+from coopetition.gamefile import MAX_PAYOFF, load_game_file
 from coopetition.games import FiniteBimatrixGame, Orientation
 from coopetition.geometry import PointCloud, pareto_filter
-from test_golden import GRID as GOLDEN_GRID, golden_games, negated_file
+from test_golden import CONCEPTS as GOLDEN_CONCEPTS, GRID as GOLDEN_GRID, golden_games, negated_file
 
 
 @pytest.fixture()
@@ -342,11 +343,28 @@ def test_bad_tol_exits_2(finite_path, command, tol):
     )
 
 
+def test_concepts_are_the_solve_choices_in_order():
+    # test_golden spells the concepts out, so the census can run its
+    # commands on older revisions; they must stay report's, in its order.
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    solution = next(a for a in sub.choices["solve"]._actions if a.dest == "solution")
+    assert GOLDEN_CONCEPTS == tuple(report.CONCEPTS) == tuple(solution.choices)
+
+
+@pytest.mark.parametrize("name", ["bogus", "compromise:bogus", "KS"])
+def test_context_refuses_a_name_outside_the_concepts(coop_path, name):
+    ctx = report.GameContext(load_game_file(coop_path), 9)
+    with pytest.raises(ValueError, match=f"unknown solution concept {name!r}"):
+        ctx.solve(name)
+    assert "cloud" not in vars(ctx)
+
+
 IGNORED_POINT_FLAGS = [
     (concept, flag)
-    for concept in cli.SOLUTIONS
+    for concept, flags in report.CONCEPTS.items()
     for flag in ("threat", "utopia")
-    if flag not in cli.POINT_FLAGS.get(concept, ())
+    if flag not in flags
 ]
 
 
@@ -369,7 +387,7 @@ def test_point_flag_the_concept_ignores_exits_2(coop_path, concept, flag):
     )
 
 
-READ_POINT_FLAGS = [(concept, flag) for concept, flags in cli.POINT_FLAGS.items() for flag in flags]
+READ_POINT_FLAGS = [(concept, flag) for concept, flags in report.CONCEPTS.items() for flag in flags]
 
 
 @pytest.mark.parametrize("concept, flag", READ_POINT_FLAGS)
@@ -514,7 +532,7 @@ def _at_the_bound(data: dict) -> dict:
 
 BOUND_COMMANDS = (
     [("analyze",), ("render",)]
-    + [("solve", name) for name in cli.SOLUTIONS]
+    + [("solve", name) for name in report.CONCEPTS]
 )
 
 

@@ -58,28 +58,28 @@ class TestSections:
         sec = section_game(coop_game, 0.0)
         t = np.linspace(0, 1, 9)
         x, y = np.meshgrid(t, t, indexing="ij")
-        a = sec.map.eval_arrays(x, y)
+        a = sec.eval_arrays(x, y)
         b = f0.eval_arrays(x, y)
         assert np.abs(a[0] - b[0]).max() == 0.0
         assert np.abs(a[1] - b[1]).max() == 0.0
 
     def test_section_at_one(self, coop_game):
         sec = section_game(coop_game, 1.0)
-        assert sec.map.eval(0.5, 0.5) == PayoffPoint(-2.0, 0.0)
-        assert sec.map.eval(1.0, 1.0) == PayoffPoint(-5.0, 1.0)
+        assert sec.eval(0.5, 0.5) == PayoffPoint(-2.0, 0.0)
+        assert sec.eval(1.0, 1.0) == PayoffPoint(-5.0, 1.0)
 
     def test_constant_in_z_sections_identical(self):
         g = make_coop([[1, 2, 0, 0, 0], [0, 0, 1, 0, 3]])
         a = section_game(g, 0.0)
         b = section_game(g, 0.7)
-        assert np.array_equal(a.map.coeffs, b.map.coeffs)
+        assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_section_consistency_exact(self, coop_game):
         t = np.linspace(0, 1, 9)
         x, y = np.meshgrid(t, t, indexing="ij")
         for z in coop_game.c_grid[::16]:
             sec = section_game(coop_game, z)
-            s1, s2 = sec.map.eval_arrays(x, y)
+            s1, s2 = sec.eval_arrays(x, y)
             f1, f2 = coop_game.payoff.eval_arrays(x, y, np.full_like(x, z))
             assert np.abs(s1 - f1).max() == 0.0
             assert np.abs(s2 - f2).max() == 0.0
@@ -92,9 +92,9 @@ class TestSections:
         # Section z equals section 0 shifted by -z in both components.
         t = np.linspace(0, 1, 17)
         x, y = np.meshgrid(t, t, indexing="ij")
-        base = section_game(coop_game, 0.0).map.eval_arrays(x, y)
+        base = section_game(coop_game, 0.0).eval_arrays(x, y)
         for z in (0.25, 0.5, 1.0):
-            sec = section_game(coop_game, z).map.eval_arrays(x, y)
+            sec = section_game(coop_game, z).eval_arrays(x, y)
             assert np.abs(sec[0] - (base[0] - z)).max() <= 1e-12
             assert np.abs(sec[1] - (base[1] - z)).max() <= 1e-12
 
@@ -284,7 +284,7 @@ class TestOneSectionFormula:
             path = induced_path(game, "nash_payoffs", 5).samples
             zone = nash_zone(game, 5).payoffs.reshape(len(game.c_grid), len(gx), 2)
             for (z, values), rows in zip(path, zone, strict=True):
-                want = np.stack(section_game(game, z).map.eval_arrays(gx, gy), axis=1)
+                want = np.stack(section_game(game, z).eval_arrays(gx, gy), axis=1)
                 assert values.tobytes() == want.tobytes()
                 assert rows.tobytes() == want.tobytes()
                 zeros += int((want == 0.0).sum())
@@ -393,7 +393,7 @@ class TestTranslatedSections:
             if rng.integers(2):
                 coeffs[1, [2, 4]] = 0.0
             game = make_coop(coeffs, Orientation.GAIN if i % 2 else Orientation.LOSS, c_size=9)
-            seen.update(c.description for c in numpy_map_components(section_game(game, 0.0).map, game.orientation))
+            seen.update(c.description for c in numpy_map_components(section_game(game, 0.0), game.orientation))
             scale = max(1.0, np.abs(coeffs).max())
             assert_matches_per_section(game, 5, self.half_integer_tol(scale))
         assert {"segment", "rectangle"} <= seen
@@ -524,7 +524,7 @@ class TestTUCompromise:
             sample_image(coop_game.payoff, 33), Orientation.LOSS, 1e-9
         ).optimal_sum
         for z in coop_game.c_grid[::16]:
-            sec_cloud = sample_image(section_game(coop_game, z).map, 33)
+            sec_cloud = sample_image(section_game(coop_game, z), 33)
             sec_sum = tu_boundary(sec_cloud, Orientation.LOSS, 1e-9).optimal_sum
             assert coop_sum <= sec_sum + 1e-12
 

@@ -22,9 +22,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
-from coopetition.cli import SOLUTIONS, main  # noqa: E402
+from coopetition.cli import main  # noqa: E402
 from coopetition.demo import coopetitive_game_dict  # noqa: E402
 from perfbench import inputs as I  # noqa: E402
+
+#: The ``solve`` concepts, in ``--solution``'s order.  Spelled out rather
+#: than read from ``report.CONCEPTS``, so that ``tests/census.py --parent
+#: REV`` also runs these commands on a revision that predates that name.
+CONCEPTS = (
+    "ks",
+    "nash-bargaining",
+    "tu",
+    "proper-coopetitive",
+    "win-win",
+    "compromise:pareto",
+    "compromise:nash_pareto",
+    "compromise:conservative_pareto",
+)
 
 #: Lattice points per axis: finite files are sampled on the square, coopetitive ones on the cube.
 GRID = {"finite": "129", "coopetitive": "33"}
@@ -57,7 +71,7 @@ def golden_games() -> dict[str, dict]:
 def commands(game: dict) -> dict[str, list[str]]:
     grid = ["--grid", GRID[game["kind"]]]
     cmds = {"analyze": ["analyze", "{game}"] + grid}
-    for name in SOLUTIONS:
+    for name in CONCEPTS:
         cmds[f"solve {name}"] = ["solve", "{game}", "--solution", name] + grid
     cmds["render"] = ["render", "{game}", "--out-csv", "{csv}", "--out-svg", "{svg}"] + grid
     return cmds

@@ -258,7 +258,7 @@ class TestScalarSectionAnalysis:
     @staticmethod
     def assert_same(coeffs: np.ndarray) -> set[str]:
         """Compare ``coeffs``' analysis with an independent one of
-        ``section_game(game, z).map`` at a few sections, in both
+        ``section_game(game, z)`` at a few sections, in both
         orientations: the components have that section's intervals, extreme
         points and shapes, and at z = 0 its payoffs too; the conservative
         bi-value of the ``_fold_z`` rows is that of the section map's
@@ -268,7 +268,7 @@ class TestScalarSectionAnalysis:
             game = CoopetitiveGame.with_uniform_grid(PayoffMap(coeffs, arity=3), orientation, 65)
             comps = _outcome(_section_components, game)
             for z in (0.0, *game.c_grid[[1, 31, 64]].tolist()):
-                m = section_game(game, z).map
+                m = section_game(game, z)
                 want = _outcome(lambda g: numpy_map_components(m, g.orientation), game)
                 assert [c[:3] for c in comps] == [c[:3] for c in want]
                 assert z != 0.0 or comps == want
