@@ -24,6 +24,7 @@ corners, on Python floats: the bits of the sampled lattice's corners.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -81,9 +82,10 @@ class CoopetitiveGame:
         grid = np.array(self.c_grid, dtype=float).ravel()
         if len(grid) == 0:
             raise ValueError("c_grid must be non-empty")
-        if (np.diff(grid) <= 0).any():
+        # Negated tests, so that a NaN, which compares false, fails them.
+        if not (np.diff(grid) > 0).all():
             raise ValueError("c_grid must be strictly increasing")
-        if grid[0] < 0.0 or grid[-1] > 1.0:
+        if not ((grid >= 0.0) & (grid <= 1.0)).all():
             raise ValueError("c_grid values must lie in [0, 1]")
         grid.flags.writeable = False
         object.__setattr__(self, "c_grid", grid)
@@ -108,10 +110,22 @@ class CoopetitiveGame:
 
 @dataclass(frozen=True, eq=False)
 class SetValuedPath:
-    """Samples of a per-section quantity along the cooperative axis."""
+    """A per-section quantity sampled along the cooperative axis.
 
-    samples: tuple[tuple[float, np.ndarray], ...]
+    ``values`` is one read-only array of shape (len(c_grid), k, 2): row i
+    holds the k payoff pairs of the section at ``c_grid[i]``.  ``c_grid``
+    is the game's own read-only grid, not a copy.
+    """
+
+    c_grid: np.ndarray
+    values: np.ndarray
     quantity: PathQuantity
+
+    @cached_property
+    def samples(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """``(z, payoffs)`` per section: ``z`` a Python float, ``payoffs`` a
+        read-only (k, 2) view of ``values``.  Built on first read only."""
+        return tuple(zip(self.c_grid.tolist(), self.values))
 
 
 @dataclass(frozen=True)
@@ -197,12 +211,14 @@ def _nash_lattice(game: CoopetitiveGame, grid_n: int) -> tuple[np.ndarray, np.nd
     return np.concatenate(xs), np.concatenate(ys)
 
 
-def _section_payoffs(game: CoopetitiveGame, x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Payoffs at (x, y) in every section, the two components stacked along
-    ``axis``: shape (len(c_grid), len(x), 2) by default.  Row k has the
-    bits of ``section_game(game, c_grid[k]).eval_arrays(x, y)``."""
-    rows = _fold_z(game.payoff.coeffs, game.c_grid[:, None])
-    return np.stack([_component(c, x, y, 0.0) for c in rows], axis=axis)
+def _section_payoffs(
+    game: CoopetitiveGame, x: np.ndarray, y: np.ndarray, out: tuple[np.ndarray, np.ndarray]
+) -> None:
+    """Write the payoffs at (x, y) in every section into ``out``, one
+    (len(c_grid), len(x)) view per component.  Row k of each has the bits
+    of ``section_game(game, c_grid[k]).eval_arrays(x, y)``."""
+    for c, o in zip(_fold_z(game.payoff.coeffs, game.c_grid[:, None]), out):
+        _component(c, x, y, 0.0, out=o)
 
 
 def induced_path(game: CoopetitiveGame, quantity: PathQuantity, grid_n: int) -> SetValuedPath:
@@ -213,13 +229,16 @@ def induced_path(game: CoopetitiveGame, quantity: PathQuantity, grid_n: int) -> 
     corners of the unit square) and conservative bi-values are exact.  Every
     section has the components of the z = 0 section, and its conservative
     bi-value is that section's shifted by c_z * z, so one analysis serves all.
+    The path holds the one array these give; ``samples`` splits it on demand.
     """
     if quantity not in ("nash_payoffs", "supremum", "infimum", "conservative"):
         raise ValueError(f"unsupported path quantity {quantity!r}")
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     if quantity == "nash_payoffs":
-        values = _section_payoffs(game, *_nash_lattice(game, grid_n))
+        gx, gy = _nash_lattice(game, grid_n)
+        values = np.empty((len(game.c_grid), len(gx), 2))
+        _section_payoffs(game, gx, gy, (values[..., 0], values[..., 1]))
     elif quantity == "conservative":
         v = _conservative_value(game.orientation.sign, _fold_z(game.payoff.coeffs, 0.0))
         values = (v.as_array() + game.payoff.coeffs[:, 3] * game.c_grid[:, None])[:, None]
@@ -232,7 +251,7 @@ def induced_path(game: CoopetitiveGame, quantity: PathQuantity, grid_n: int) -> 
         rows = _fold_z(game.payoff.coeffs, game.c_grid)
         values = np.stack([best.reduce(_component(c, x, y, 0.0)) for c in rows], axis=1)[:, None]
     values.flags.writeable = False
-    return SetValuedPath(tuple(zip(game.c_grid.tolist(), values)), quantity)
+    return SetValuedPath(game.c_grid, values, quantity)
 
 
 def nash_zone(game: CoopetitiveGame, grid_n: int) -> PointCloud:
@@ -249,7 +268,8 @@ def nash_zone(game: CoopetitiveGame, grid_n: int) -> PointCloud:
     preimages = np.empty((nz * n, 3), order="F")
     for k, column in enumerate((gx, gy, game.c_grid[:, None])):
         preimages[:, k].reshape(nz, n)[...] = column
-    payoffs = _section_payoffs(game, gx, gy, axis=0).reshape(2, nz * n).T
+    payoffs = np.empty((nz * n, 2), order="F")
+    _section_payoffs(game, gx, gy, (payoffs[:, 0].reshape(nz, n), payoffs[:, 1].reshape(nz, n)))
     return PointCloud(payoffs, preimages, grid_step=1.0 / (grid_n - 1))
 
 

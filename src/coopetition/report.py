@@ -150,8 +150,7 @@ class GameContext:
         """Conservative bi-value, or the orientation-worst corner of the conservative path."""
         if self.spec.kind == "finite":
             return conservative_bivalue_mixed(self.game)
-        pts = np.concatenate([pts for _, pts in self.conservative_path.samples], axis=0)
-        return orientation_worst(pts, self.orientation)
+        return orientation_worst(self.conservative_path.values.reshape(-1, 2), self.orientation)
 
     @cached_property
     def nash_extreme(self) -> PayoffPoint:
@@ -295,15 +294,15 @@ def _coopetitive_sections(ctx: GameContext) -> list[tuple[str, list[str]]]:
         )
     ]
 
-    first, last = ctx.conservative_path.samples[0], ctx.conservative_path.samples[-1]
+    path = ctx.conservative_path
+    (z0, z1), (v0, v1) = path.c_grid[[0, -1]], path.values[[0, -1], 0]
     sections.append(
         (
             f"payoff space (grid {ctx.grid_n} per axis)",
             [
                 *_space_lines(ctx),
-                f"conservative path: z={fmt(first[0])} -> ({fmt(first[1][0][0])}, "
-                f"{fmt(first[1][0][1])}); z={fmt(last[0])} -> ({fmt(last[1][0][0])}, "
-                f"{fmt(last[1][0][1])})",
+                f"conservative path: z={fmt(z0)} -> ({fmt(v0[0])}, {fmt(v0[1])}); "
+                f"z={fmt(z1)} -> ({fmt(v1[0])}, {fmt(v1[1])})",
             ],
         )
     )

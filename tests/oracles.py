@@ -513,6 +513,16 @@ def stacked_extreme_path(game: CoopetitiveGame, quantity: str) -> np.ndarray:
     return (np.max if quantity == "supremum" else np.min)(corners, axis=1, keepdims=True)
 
 
+def stacked_section_payoffs(
+    game: CoopetitiveGame, x: np.ndarray, y: np.ndarray, axis: int = -1
+) -> np.ndarray:
+    """Payoffs at (x, y) in every section as one new array, the two
+    components stacked along ``axis``: shape (len(c_grid), len(x), 2) by
+    default, (2, len(c_grid), len(x)) with ``axis=0``."""
+    rows = geometry._fold_z(game.payoff.coeffs, game.c_grid[:, None])
+    return np.stack([geometry._component(c, x, y, 0.0) for c in rows], axis=axis)
+
+
 def per_section_roundtrip(game: CoopetitiveGame, grid_n: int = 17) -> bool:
     """``family_roundtrip_check`` one section at a time: each section map
     against the full map on the full (x, y) meshgrid, in ``c_grid`` order."""

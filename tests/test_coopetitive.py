@@ -38,6 +38,7 @@ from oracles import (
     per_section_zone,
     section_corners,
     stacked_extreme_path,
+    stacked_section_payoffs,
 )
 
 TU_POINT = PayoffPoint(-25.0 / 7.0, -3.0 / 7.0)
@@ -290,6 +291,16 @@ class TestOneSectionFormula:
                 zeros += int((want == 0.0).sum())
         assert zeros > 100
 
+    def test_in_place_payoffs_match_the_stack(self):
+        # Both layouts: the path's row-major (c_grid, lattice, 2) array and
+        # the zone's column-major (c_grid * lattice, 2) payoffs.
+        for game in one_formula_games():
+            gx, gy = coopetitive._nash_lattice(game, 5)
+            path = induced_path(game, "nash_payoffs", 5).values
+            zone = nash_zone(game, 5).payoffs
+            assert path.tobytes() == stacked_section_payoffs(game, gx, gy).tobytes()
+            assert zone.tobytes(order="F") == stacked_section_payoffs(game, gx, gy, axis=0).tobytes()
+
     def test_conservative_value_is_the_section_maps_at_the_corners(self):
         for game in one_formula_games():
             for z in game.c_grid.tolist():
@@ -308,6 +319,31 @@ def reduction_games():
     for c in coeffs:
         for orientation in Orientation:
             yield make_coop(c, orientation, c_size=17)
+
+
+class TestArrayPath:
+    """A path is one read-only array on the game's grid; ``samples`` splits
+    it into per-section views on first read, and only then."""
+
+    def test_values_and_samples(self):
+        for game in reduction_games():
+            k = {"nash_payoffs": len(coopetitive._nash_lattice(game, 5)[0])}
+            for quantity in QUANTITIES:
+                path = induced_path(game, quantity, 5)
+                assert "samples" not in vars(path)
+                assert path.c_grid is game.c_grid and path.quantity == quantity
+                values = path.values
+                assert values.shape == (len(game.c_grid), k.get(quantity, 1), 2)
+                assert not values.flags.writeable
+                samples = path.samples
+                assert path.samples is samples and type(samples) is tuple
+                want = tuple(zip(game.c_grid.tolist(), values))
+                assert len(samples) == len(want)
+                for (z, v), (wz, wv) in zip(samples, want):
+                    assert type(z) is float and np.float64(z).tobytes() == np.float64(wz).tobytes()
+                    assert type(v) is np.ndarray and v.shape == wv.shape
+                    assert v.tobytes() == wv.tobytes()
+                    assert not v.flags.writeable and np.shares_memory(v, values)
 
 
 class TestRawFrameReductions:
@@ -698,6 +734,19 @@ class TestValidation:
                 Orientation.LOSS,
                 np.array([0.5, 0.25]),
             )
+
+    @pytest.mark.parametrize(
+        "c_grid, message",
+        [
+            ([0.0, math.nan, 1.0], "strictly increasing"),
+            ([0.0, 0.5, math.nan], "strictly increasing"),
+            ([math.nan], r"lie in \[0, 1\]"),
+        ],
+        ids=["interior", "trailing", "alone"],
+    )
+    def test_c_grid_nan_refused(self, c_grid, message):
+        with pytest.raises(ValueError, match=message):
+            CoopetitiveGame(PayoffMap(np.zeros((2, 5)), arity=3), Orientation.GAIN, np.array(c_grid))
 
     def test_initial_z_must_be_on_grid(self):
         with pytest.raises(ValueError):

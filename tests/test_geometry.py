@@ -529,8 +529,7 @@ class TestColumnMajorLayout:
 
         zone = coopetitive.nash_zone(coop_game, 17)
         self.assert_column_major(zone)
-        gx, gy = coopetitive._nash_lattice(coop_game, 17)
-        rows = coopetitive._section_payoffs(coop_game, gx, gy).reshape(-1, 2)
+        rows = coopetitive.induced_path(coop_game, "nash_payoffs", 17).values.reshape(-1, 2)
         assert zone.payoffs.tobytes() == rows.tobytes()
         self.assert_column_major(pareto_filter(zone, coop_game.orientation, "minimal"))
 
