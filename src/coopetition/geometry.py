@@ -379,7 +379,8 @@ def sample_image(payoff_map: PayoffMap, grid_n: int) -> PointCloud:
 
 def _sample(coeffs, grid_n: int, arity: int) -> np.ndarray:
     """The (n, 2) column-major payoffs of the coefficient rows ``coeffs``
-    on the lattice of ``sample_image``, checked finite."""
+    on the lattice of ``sample_image``, all finite: they are checked unless
+    ``_cannot_overflow`` proves them so."""
     # Sparse axes broadcast in the same operation order as full coordinate
     # arrays, so the payoffs are identical without the full-size coordinate
     # temporaries.  The map is evaluated a slab of x-planes at a time,
@@ -396,7 +397,8 @@ def _sample(coeffs, grid_n: int, arity: int) -> np.ndarray:
         for k in range(2):
             out = payoffs[rows, k].reshape((len(x),) + (grid_n,) * (arity - 1))
             _component(coeffs[k], x, y, z, out=out)
-    _PointSet._check_finite(payoffs)
+    if not _cannot_overflow(coeffs):
+        _PointSet._check_finite(payoffs)
     return payoffs
 
 
@@ -463,6 +465,31 @@ def _rounding_slack(coeffs, tol: float = 0.0) -> float:
         return 128.0 * np.finfo(float).eps * (np.abs(coeffs).sum() + tol) + np.finfo(float).tiny
 
 
+def _cannot_overflow(coeffs) -> bool:
+    """Whether every lattice payoff of the coefficient rows ``coeffs`` is
+    finite by proof: the sum of the ``|c|`` of each row, added left to
+    right in float arithmetic, is finite.
+
+    ``_component`` computes ``fl(fl(fl(fl(c0 + t1) + t2) + t3) + t4)``,
+    with ``t1 = fl(c1*x)``, ``t2 = fl(c2*y)``, ``t3 = fl(c3*z)`` and ``t4 =
+    fl(fl(c4*x)*y)``, and every monomial is in [0, 1].  Rounding is
+    monotone and symmetric about zero, so ``|fl(a*m)| <= |a|`` for a float
+    ``a`` and ``|m| <= 1``, and ``|fl(a + b)| = fl(|a + b|) <=
+    fl(alpha + beta)`` whenever ``|a| <= alpha`` and ``|b| <= beta``.  By
+    induction along the formula's own order of additions, each partial sum
+    of a payoff is at most the same partial sum of ``|c0|, ..., |c4|`` in
+    magnitude.  If the bound's last sum is finite, so is every partial sum
+    of every payoff, and no NaN can arise, as it needs an infinite or NaN
+    operand.  An infinite or NaN coefficient, as a section's folded
+    constant can be, makes the bound infinite or NaN, and the payoffs are
+    then checked.  The sums are taken on Python floats, which round as
+    float64 and do not warn on overflow.
+    """
+    if isinstance(coeffs, np.ndarray):
+        coeffs = coeffs.tolist()
+    return all(abs(c0) + abs(c1) + abs(c2) + abs(c3) + abs(c4) < np.inf for c0, c1, c2, c3, c4 in coeffs)
+
+
 def _over_blocks(ufunc, corners: np.ndarray) -> np.ndarray:
     """``ufunc`` of each block's corner values, from the corner grid: along
     each axis, of every two neighbouring corners."""
@@ -519,8 +546,11 @@ def _block_rows(cloud: PointCloud, dropped, *args) -> np.ndarray | None:
     Measured on the benchmark's ``dense-geometry`` maps (2-core Xeon,
     Python 3.11, numpy 2.4): TU keeps at most 1.4% of the blocks of any
     of them, and Pareto a median 1.5% (cubes) and 3% (squares) of a generic
-    map's, but 100% of a duplicate-heavy square's with opposed slopes and
-    a median 18% of such a cube's.  Gathering whatever dropped took 144 to
+    map's, but 100% of a duplicate-heavy square's with opposed slopes.  A
+    cube reaches the Pareto bound only when its z slopes are opposed in
+    the frame (*Faces* in ``pareto_filter``), and such a duplicate-heavy
+    cube with opposed slopes keeps a median 39% (50 calls, the first 96
+    maps of seeds 1 to 4).  Gathering whatever dropped took 144 to
     161 ops/s against 181 to 184 with the threshold, on seeds 2, 5 and 6,
     and raised peak RSS from 142 to 179, 177 to 225 and 208 to 257 MB.  The
     rows are returned block by block, not in ascending order.
@@ -618,7 +648,13 @@ def _prefilter(payoffs: np.ndarray, sign: float):
 
 
 def _drop_corner_dominated(
-    payoffs: np.ndarray, rows: np.ndarray, bucket: np.ndarray, front: np.ndarray, sign: float
+    payoffs: np.ndarray,
+    rows: np.ndarray,
+    bucket: np.ndarray,
+    front: np.ndarray,
+    sign: float,
+    lattice: bool = False,
+    kept: np.ndarray | None = None,
 ) -> np.ndarray:
     """The corner step of ``pareto_filter`` on ``_prefilter``'s output.
 
@@ -632,10 +668,16 @@ def _drop_corner_dominated(
     folded in as by ``_prefilter``.  The passes read a block of survivors
     at a time into buffers allocated once, so the cost is that of the
     survivors, and the kept rows are gathered at the front of ``rows``
-    itself.  Returns them, ascending; without buckets, ``rows`` as given.
+    itself.  The rows of ``payoffs`` are the cloud's rows ``kept``, or all
+    of them, and the kept rows are returned as cloud rows: ascending, or
+    without buckets ``rows`` as given, when ``kept`` is None.
+
+    On a ``lattice`` cloud only the least cloud row among a bucket's copies
+    of its corner is kept (*Copies* in ``pareto_filter``), and those rows
+    follow the other kept rows.
     """
     if bucket is None:
-        return rows
+        return rows if kept is None else kept[rows]
     minimal = sign > 0
     best, beats, worst = (np.minimum, np.less, np.inf) if minimal else (np.maximum, np.greater, -np.inf)
     p1, p2 = payoffs[:, 0], payoffs[:, 1]
@@ -659,6 +701,8 @@ def _drop_corner_dominated(
     # Kept rows are moved to the front of ``rows``, which the prefilter
     # allocated; a block's kept rows never outrun its start.
     end = 0
+    none = np.iinfo(np.intp).max
+    least = np.full(len(front), none) if lattice else None
     for blk in blocks:
         r = rows[blk]
         bb, x, c, kk, eq = b[:len(r)], v[:len(r)], w[:len(r)], keep[:len(r)], at[:len(r)]
@@ -666,13 +710,22 @@ def _drop_corner_dominated(
         np.take(p1, r, out=x, mode="clip")
         np.take(corner, bb, out=c, mode="clip")
         beats(x, c, out=kk)
-        # A row at the corner's p1 is kept iff it is at its p2 too.
+        # A row at the corner's p1 is a copy of the corner iff it is at its
+        # p2 too: kept, or on a lattice ranked by its cloud row.
         sel = np.flatnonzero(np.equal(x, c, out=eq))
-        kk[sel] = p2.take(r[sel], mode="clip") == front.take(bb[sel], mode="clip")
-        kept = np.compress(kk, r)
-        rows[end:end + len(kept)] = kept
-        end += len(kept)
-    return rows[:end].copy()
+        copy = p2.take(r[sel], mode="clip") == front.take(bb[sel], mode="clip")
+        if least is None:
+            kk[sel] = copy
+        else:
+            sel = sel[copy]
+            np.minimum.at(least, bb[sel], r[sel] if kept is None else kept.take(r[sel], mode="clip"))
+        survivors = np.compress(kk, r)
+        rows[end:end + len(survivors)] = survivors
+        end += len(survivors)
+    if least is None:
+        return rows[:end].copy()
+    rows = rows[:end] if kept is None else kept.take(rows[:end], mode="clip")
+    return np.concatenate((rows, least[least != none]))
 
 
 def _first_of_runs(keys: np.ndarray) -> np.ndarray:
@@ -732,12 +785,51 @@ def _pareto_sweep(payoffs: np.ndarray, preimages_at, rows: np.ndarray, sign: flo
     return rows[sel[first]]
 
 
-def _undominated(payoffs: np.ndarray, sign: float) -> np.ndarray:
-    """The rows that the prefilter and corner step keep, or every row of a
-    cloud below ``_PREFILTER_MIN_ROWS``."""
+def _undominated(
+    payoffs: np.ndarray, sign: float, lattice: bool = False, kept: np.ndarray | None = None
+) -> np.ndarray:
+    """The cloud rows that the prefilter and corner step keep, or every row
+    of a cloud below ``_PREFILTER_MIN_ROWS``; ``payoffs`` are the cloud's
+    rows ``kept``, or all of them.  On a ``lattice`` cloud each bucket
+    keeps one copy of its corner (``_drop_corner_dominated``)."""
     if len(payoffs) < _PREFILTER_MIN_ROWS:
-        return np.arange(len(payoffs))
-    return _drop_corner_dominated(payoffs, *_prefilter(payoffs, sign), sign)
+        return np.arange(len(payoffs)) if kept is None else kept
+    return _drop_corner_dominated(payoffs, *_prefilter(payoffs, sign), sign, lattice, kept)
+
+
+def _better_face(cloud: _LatticeCloud, sign: float) -> int | None:
+    """The z index of the cube face whose rows weakly dominate their
+    columns in the minimal frame ``sign * payoffs``: 0 when ``sign * c3``
+    is non-negative in both components, ``grid_n - 1`` when it is
+    non-positive in both, else None, as for a square (*Faces* in
+    ``pareto_filter``).  A zero counts as either sign."""
+    grid_n, arity = cloud._lattice
+    if arity != 3:
+        return None
+    c3 = [sign * c for c in cloud._coeffs[:, 3].tolist()]
+    if min(c3) >= 0.0:
+        return 0
+    if max(c3) <= 0.0:
+        return grid_n - 1
+    return None
+
+
+def _first_copies(payoffs: np.ndarray, rows: np.ndarray, grid_n: int) -> np.ndarray:
+    """For each row of ``rows``, the first row of its lattice column (the
+    ``grid_n`` rows that share its x and y) equal to it in both payoffs.
+    The columns are read a block of them at a time, so no temporary holds
+    more than ``_BLOCK`` rows, or one column."""
+    first = np.empty_like(rows)
+    height = np.arange(grid_n)
+    step = max(1, _BLOCK // grid_n)
+    for s in range(0, len(rows), step):
+        r = rows[s:s + step]
+        base = r - r % grid_n
+        column = base[:, None] + height
+        same = payoffs[:, 0].take(column) == payoffs[:, 0].take(r)[:, None]
+        same &= payoffs[:, 1].take(column) == payoffs[:, 1].take(r)[:, None]
+        first[s:s + step] = base + same.argmax(axis=1)
+    return first
 
 
 def pareto_filter(
@@ -825,8 +917,42 @@ def pareto_filter(
     map keeps a few percent of its blocks, a duplicate-heavy map with
     opposed slopes, whose rows are nearly all boundary copies, most.
 
-    The cost is O(n) plus O(m log m) for one key, and a pruned lattice
-    cloud's O(n) is that of its kept blocks and block corners.  The preimages read
+    *Faces.*  In a cube of ``sample_image``, z enters a payoff once, as
+    ``fl(fl(S + fl(c3*z)) + T)`` with ``S`` and ``T`` free of z, so each
+    computed component is monotone in z along a lattice column, the rows
+    that share x and y (``lattice_tu``'s argument): non-decreasing in the
+    frame where ``sign * c3`` is positive or zero, non-increasing where it
+    is negative or zero.  When that holds for both components in one
+    direction, one z-face, z = 0 or z = 1 (``_better_face``), holds in
+    each column a row no greater in the frame than any row of the column
+    in both payoffs.  A row of the column that differs from its face row
+    is strictly dominated, so it is neither on the boundary nor a copy of
+    a boundary pair.  The cube's boundary pairs are then the face's, as a
+    face row strictly dominated by a cube row would be by that row's face
+    row, and the passes above run on the face's ``n**2`` rows alone, with
+    no block bounds.  Rows are numbered ``(i*n + j)*n + k``, with ``k``
+    the z index, so the least row holding a boundary pair lies in the
+    least column whose face row holds it, the face row that the sweep
+    keeps, and is the first row of that column equal to the pair.  On the
+    z = 0 face that is the face row itself; on the z = 1 face each
+    boundary row's column is scanned, a block of columns at a time
+    (``_first_copies``).  A cube whose z slopes are opposed in the frame
+    reads the whole cloud or its kept blocks.
+
+    *Copies.*  Of the copies of a boundary pair, the sweep keeps the least
+    row of a lattice cloud.  All copies of a pair share a bucket and every
+    decision, so the copies of a bucket's corner that reach the corner
+    step are all the copies of the corner's pair among the rows read.  On
+    a lattice cloud the corner step keeps only the least cloud row among
+    them, the row the sweep would keep, and the sweep is exact on any
+    superset of the rows it keeps.  On a duplicate-heavy map with opposed
+    slopes nearly every row is a copy of its bucket's corner, so about one
+    row per bucket is left to sort, instead of nearly the whole cloud.
+
+    The cost is O(n) plus O(m log m) for one key.  A pruned lattice
+    cloud's O(n) is that of its kept blocks and block corners, and a cube
+    with a better face reads its ``n**2`` face rows and ``n`` rows per
+    boundary row on the z = 1 face.  The preimages read
     are those of the rows ranked among copies and of the boundary, through
     ``preimages_at``, so a lattice cloud's are never built.  A lattice
     cloud's rows are in preimage order, so its copies are ranked by row
@@ -839,16 +965,25 @@ def pareto_filter(
         raise ValueError("cannot filter an empty cloud")
     sign = 1.0 if flavor == "minimal" else -1.0
     payoffs = cloud.payoffs
-    kept = _block_rows(cloud, _dominated_blocks, sign)
+    lattice = isinstance(cloud, _LatticeCloud)
+    face = _better_face(cloud, sign) if lattice else None
+    if face is None:
+        kept = _block_rows(cloud, _dominated_blocks, sign)
+    else:
+        grid_n = cloud._lattice[0]
+        kept = np.arange(face, len(cloud), grid_n)
     if kept is None:
-        rows = _undominated(payoffs, sign)
+        rows = _undominated(payoffs, sign, lattice)
     else:
         sub = np.empty((len(kept), 2), order="F")
         for k in range(2):
             np.take(payoffs[:, k], kept, out=sub[:, k], mode="clip")
-        rows = kept[_undominated(sub, sign)]
-    lattice = isinstance(cloud, _LatticeCloud)
+        rows = _undominated(sub, sign, lattice, kept)
+        del sub
     rows = _pareto_sweep(payoffs, None if lattice else cloud.preimages_at, rows, sign)
+    if face:
+        # A row of the z = 1 face is the last of its column, not the first.
+        rows = _first_copies(payoffs, rows, grid_n)
     if flavor == "maximal":
         rows = rows[::-1]
     return ParetoBoundary(

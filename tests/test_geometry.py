@@ -644,6 +644,26 @@ class TestMemoryBound:
         _, peak = self.traced_peak(lambda: pareto_filter(cloud, Orientation.GAIN, flavor))
         assert peak <= 2.46 * cloud.payoffs.nbytes
 
+    @pytest.mark.parametrize("flavor", ["maximal", "minimal"])
+    def test_pareto_filter_on_a_z_aligned_cube(self, flavor):
+        # The opposed cube with its z slopes of one sign: the passes read
+        # the better z-face, 16 bytes a face row.  1.2 to 1.3 MB measured;
+        # with opposed z slopes, the passes over the whole cloud hold 84 MB.
+        c = np.array(self.OPPOSED_CUBE)
+        c[:, 3] = np.abs(c[:, 3])
+        cloud = sample_image(PayoffMap(c, 3), 129)
+        _, peak = self.traced_peak(lambda: pareto_filter(cloud, Orientation.GAIN, flavor))
+        assert peak <= 16 * 129**2 + self.SLACK
+
+    def test_pareto_filter_on_a_face_of_boundary_rows(self):
+        # Every row of the z = 1 face is a boundary row, and its column is
+        # scanned for its first copy, a block of columns at a time: 1.66 MB
+        # measured, where one index per row of those columns takes 17 MB.
+        cloud = sample_image(PayoffMap([[0, 1, 1 / 256, -0.5, 0], [0, -1, -1 / 256, -0.5, 0]], 3), 129)
+        boundary, peak = self.traced_peak(lambda: pareto_filter(cloud, Orientation.GAIN, "minimal"))
+        assert len(boundary) == 129**2 and (boundary.preimages[:, 2] == 1.0).all()
+        assert peak <= 16 * 129**2 + self.SLACK
+
     def test_hausdorff_distance(self):
         # Scattered sets give every point a wide p1 band, so the pairwise
         # tables, at most 64 x 1024 floats each, are all that can grow.
@@ -1096,7 +1116,18 @@ class TestBlockBounds:
 
     @pytest.mark.parametrize("arity, grid_n", [(2, 1000), (3, 50)])
     def test_edge_not_dividing_a_large_grid(self, block_rows, arity, grid_n):
-        cloud = sample_image(dense_shaped_map(np.random.default_rng([92, arity]), arity, "generic"), grid_n)
+        payoff_map = dense_shaped_map(np.random.default_rng([92, arity]), arity, "generic")
+        if arity == 3:
+            # The map's z slopes have one sign, so Pareto reads a z-face
+            # and never the block bounds; opposed, it reads the bounds.
+            assert payoff_map.coeffs[0, 3] * payoff_map.coeffs[1, 3] > 0
+            assert_pruned_paths_match(sample_image(payoff_map, grid_n))
+            assert block_rows == [True, True] * 2
+            block_rows.clear()
+            c = payoff_map.coeffs.copy()
+            c[0, 3] = -c[0, 3]
+            payoff_map = PayoffMap(c, arity)
+        cloud = sample_image(payoff_map, grid_n)
         assert (grid_n - 1) % geometry._BOUND_EDGE[arity] != 0
         assert_pruned_paths_match(cloud)
         # A generic map drops at least 7 blocks in 8 for every TU answer.
@@ -1139,6 +1170,243 @@ class TestBlockBounds:
         for orientation in Orientation:
             with pytest.raises(ValueError, match="tol must be positive"):
                 tu_boundary(cloud, orientation, tol)
+
+
+def z_variants(payoff_map):
+    """The cube map as drawn, with its z coefficient zeroed (either sign of
+    zero) in one component or both, and with its z slopes made nonzero and
+    of one sign, positive or negative, or of opposed signs."""
+    c = payoff_map.coeffs
+    out = [c]
+    for k, zero in ((0, 0.0), (1, -0.0), (slice(None), -0.0), (slice(None), 0.0)):
+        z = c.copy()
+        z[k, 3] = zero
+        out.append(z)
+    for signs in ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)):
+        z = c.copy()
+        z[:, 3] = (np.abs(z[:, 3]) + 0.25) * signs
+        out.append(z)
+    return [PayoffMap(z, 3) for z in out]
+
+
+@pytest.fixture
+def faces(monkeypatch):
+    """The face each ``pareto_filter`` call read, per ``geometry._better_face``."""
+    taken = []
+    better_face = geometry._better_face
+
+    def recording(cloud, sign):
+        face = better_face(cloud, sign)
+        taken.append(None if face is None else face // (cloud._lattice[0] - 1))
+        return face
+
+    monkeypatch.setattr(geometry, "_better_face", recording)
+    return taken
+
+
+class TestFacesAndCopies:
+    """A cube whose z slopes share a sign in the frame is filtered on its
+    better z-face, and a lattice cloud's corner step keeps one copy of each
+    corner; every boundary keeps its bits."""
+
+    @pytest.mark.parametrize("grid_n", [17, 41])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_map_families(self, faces, family, grid_n):
+        # A face of 289 rows is below _PREFILTER_MIN_ROWS, one of 1,681
+        # above it.
+        assert (grid_n**2 >= geometry._PREFILTER_MIN_ROWS) is (grid_n == 41)
+        rng = np.random.default_rng([96, FAMILIES.index(family), grid_n])
+        for payoff_map in z_variants(family_map(family, rng, 3)):
+            for orientation in Orientation:
+                assert_matches_sort(sample_image(payoff_map, grid_n), orientation)
+        # The drawn map's faces vary; the variants read both faces and none.
+        assert {0, 1, None} <= set(faces)
+
+    def test_a_zero_z_slope_counts_as_either_sign(self):
+        # The face per flavor, minimal then maximal, by z coefficients.
+        want = {(0.0, 1.0): (0, 1), (-0.0, -1.0): (1, 0), (0.0, -0.0): (0, 0), (1.0, -1.0): (None, None)}
+        for c3, faces in want.items():
+            c = np.array(TestMemoryBound.OPPOSED_CUBE)
+            c[:, 3] = c3
+            cloud = sample_image(PayoffMap(c, 3), 5)
+            got = [geometry._better_face(cloud, sign) for sign in (1.0, -1.0)]
+            assert got == [None if f is None else 4 * f for f in faces]
+
+    def test_signed_zero_maps(self, faces):
+        rng = np.random.default_rng(97)
+        for _ in range(40):
+            c = rng.choice([-0.0, 0.0, -1.0, 1.0, 0.5, -0.25], size=(2, 5))
+            for orientation in Orientation:
+                assert_matches_sort(sample_image(PayoffMap(c, 3), int(rng.choice([2, 5, 17]))), orientation)
+        assert {0, 1, None} <= set(faces)
+
+    @pytest.mark.parametrize("tiny", [1e-17, -1e-17, 5e-324, -5e-324])
+    def test_copies_along_whole_columns(self, faces, tiny):
+        # A z coefficient far below the rounding unit of the other terms is
+        # absorbed, so most columns hold one payoff pair from z = 0 to
+        # z = 1, and the z = 1 face's boundary rows are their columns' last
+        # copies.
+        rng = np.random.default_rng([98, int(tiny > 0)])
+        for _ in range(3):
+            c = np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3)
+            c[:, 3] = tiny
+            cloud = sample_image(PayoffMap(c, 3), 17)
+            p = cloud.payoffs.reshape(17, 17, 17, 2)
+            assert (p == p[:, :, :1]).all(axis=(2, 3)).mean() > 0.9
+            for orientation in Orientation:
+                assert_matches_sort(cloud, orientation)
+        assert set(faces) == {0, 1}
+
+    @pytest.mark.parametrize("grid_n", [17, 41])
+    @pytest.mark.parametrize("shape", ["opposed", "aligned"])
+    def test_copies_across_columns(self, faces, shape, grid_n):
+        # Payoffs of x + y and z only: every pair of a face has copies in
+        # many columns, and on the z = 1 face each column is scanned.
+        rng = np.random.default_rng([99, len(shape), grid_n])
+        for _ in range(3):
+            for payoff_map in z_variants(dense_shaped_map(rng, 3, shape))[-3:]:
+                for orientation in Orientation:
+                    assert_matches_sort(sample_image(payoff_map, grid_n), orientation)
+        assert set(faces) == {0, 1, None}
+
+    def test_a_face_reads_only_its_rows(self, monkeypatch, block_rows):
+        read = []
+        undominated = geometry._undominated
+
+        def recording(payoffs, *args):
+            read.append(len(payoffs))
+            return undominated(payoffs, *args)
+
+        monkeypatch.setattr(geometry, "_undominated", recording)
+        for c3 in ([0.163, 0.339], [-0.163, -0.339]):
+            # The benchmark's opposed cube with its z slopes made aligned.
+            c = np.array(TestMemoryBound.OPPOSED_CUBE)
+            c[:, 3] = c3
+            cloud = sample_image(PayoffMap(c, 3), 65)
+            for flavor in ("maximal", "minimal"):
+                pareto_filter(cloud, Orientation.GAIN, flavor)
+        assert read == [65**2] * 4 and block_rows == []
+
+    @pytest.mark.parametrize("arity, grid_n", [(2, 65), (3, 17)])
+    @pytest.mark.parametrize("shape", ["generic", "opposed", "aligned"])
+    def test_block_bounded_copies(self, monkeypatch, block_rows, shape, arity, grid_n):
+        # With no share of dropped blocks required, a square or a z-opposed
+        # cube gathers its kept blocks, block by block, and the corner step
+        # ranks their copies by cloud row.
+        monkeypatch.setattr(geometry, "_BOUND_MIN_DROPPED", 0.0)
+        rng = np.random.default_rng([100, arity, len(shape)])
+        for _ in range(3):
+            payoff_map = dense_shaped_map(rng, arity, shape)
+            if arity == 3:
+                payoff_map = z_variants(payoff_map)[-1]
+            cloud = sample_image(payoff_map, grid_n)
+            block_rows.clear()
+            for orientation in Orientation:
+                assert_matches_sort(cloud, orientation)
+            assert len(block_rows) == 4 and all(block_rows)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_corner_step_keeps_the_least_copy(self, shuffled):
+        # Each dropped corner copy has a kept copy of a lower cloud row.
+        cloud = sample_image(dense_shaped_map(np.random.default_rng(101), 2, "opposed"), 129)
+        kept = np.random.default_rng(102).permutation(len(cloud)) if shuffled else None
+        payoffs = cloud.payoffs if kept is None else np.asfortranarray(cloud.payoffs[kept])
+        cloud_row = np.arange(len(cloud)) if kept is None else kept
+        for sign in (1.0, -1.0):
+            every = cloud_row[corner_survivors(payoffs, sign)]
+            least = geometry._drop_corner_dominated(payoffs, *geometry._prefilter(payoffs, sign), sign, True, kept)
+            assert np.isin(least, every).all() and len(np.unique(least)) == len(least)
+            assert len(least) < len(every) / 2
+            pairs = {}
+            for r in least.tolist():
+                pairs.setdefault(tuple(cloud.payoffs[r].tolist()), []).append(r)
+            for r in np.setdiff1d(every, least).tolist():
+                assert min(pairs[tuple(cloud.payoffs[r].tolist())]) < r
+
+    def test_opposed_square_sweeps_one_copy_per_corner(self, monkeypatch):
+        # Payoffs of x + y with opposed slopes: every row is a copy of a
+        # boundary pair.
+        cloud = sample_image(PayoffMap([[0.3, 0.7, 0.7, 0.0, 0.0], [0.1, -1.1, -1.1, 0.0, 0.0]], 2), 257)
+        swept = []
+        sweep = geometry._pareto_sweep
+        monkeypatch.setattr(geometry, "_pareto_sweep", lambda p, pre, rows, sign: swept.append(len(rows)) or sweep(p, pre, rows, sign))
+        for flavor, sign in (("maximal", -1.0), ("minimal", 1.0)):
+            assert len(pareto_filter(cloud, Orientation.GAIN, flavor)) > 257
+            # Keeping every copy of each corner would sweep a fifth of the cloud.
+            every = corner_survivors(cloud.payoffs, sign)
+            assert len(every) > len(cloud) / 5
+            assert swept[-1] < len(every) / 10
+        assert_matches_sort(cloud)
+
+
+class TestFinitenessProof:
+    """``_sample`` scans its payoffs for overflow only when the sum of the
+    ``|c|`` of a coefficient row does not prove every payoff finite."""
+
+    F = np.finfo(float).max
+    #: Five magnitudes that sum, left to right and exactly, to the largest float.
+    UNDER = [0.5, 0.25, 0.125, 0.0625, 0.0625]
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        check = geometry._PointSet._check_finite
+        monkeypatch.setattr(geometry._PointSet, "_check_finite", staticmethod(lambda p: calls.append(len(p)) or check(p)))
+        return calls
+
+    def rows(self, signs, past=False):
+        c = np.array(self.UNDER) * self.F
+        if past:
+            # Half an ulp of the largest float more: the sum rounds to inf.
+            c[4] += 2.0**970
+        a = [abs(v) for v in c.tolist()]
+        assert (a[0] + a[1] + a[2] + a[3] + a[4] < np.inf) is not past
+        return [c * signs, [1.0, 0.0, 0.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_bounded_maps_are_not_scanned(self, scans, arity):
+        rng = np.random.default_rng([104, arity])
+        for _ in range(5):
+            signs = rng.choice([-1.0, 1.0], size=5)
+            if arity == 2:
+                signs[3] = 0.0
+            payoff_map = PayoffMap(self.rows(signs), arity)
+            cloud = sample_image(payoff_map, 9)
+            assert np.isfinite(cloud.payoffs).all()
+            assert geometry._cannot_overflow(payoff_map.coeffs)
+        three_decimal = dense_shaped_map(rng, arity, "generic")
+        sample_image(three_decimal, 65)
+        assert scans == []
+
+    def test_maps_past_the_bound_are_scanned(self, scans):
+        # Mixed signs keep every payoff finite, but the bound cannot tell.
+        signs = np.array([1.0, 1.0, -1.0, -1.0, 1.0])
+        cloud = sample_image(PayoffMap(self.rows(signs, past=True), 3), 9)
+        assert np.isfinite(cloud.payoffs).all()
+        assert scans == [9**3]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_maps_raise(self, scans, sign):
+        payoff_map = PayoffMap(self.rows(sign * np.ones(5), past=True), 3)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="payoffs must be finite"):
+            sample_image(payoff_map, 9)
+        assert scans == [9**3]
+
+    def test_core_supremum(self, scans):
+        # The section at z = 1 folds c3 into the constant and is sampled as
+        # a square.  Under the orientation whose conservative value stays
+        # finite, an overflow is found by the scan; a bounded game is not
+        # scanned.
+        for sign, orientation in ((1.0, Orientation.LOSS), (-1.0, Orientation.GAIN)):
+            game = CoopetitiveGame.with_uniform_grid(PayoffMap(self.rows(sign * np.ones(5), past=True), 3), orientation, 9)
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="payoffs must be finite"):
+                core_supremum(game, 1.0, 17)
+        assert scans == [17**2] * 2
+        scans.clear()
+        for orientation in Orientation:
+            game = CoopetitiveGame.with_uniform_grid(PayoffMap(self.rows(np.ones(5)), 3), orientation, 9)
+            core_supremum(game, 1.0, 17)
+        assert scans == []
 
 
 class TestBlocks:
