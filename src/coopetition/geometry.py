@@ -83,9 +83,10 @@ def _fix_mmap_threshold() -> None:
 
 _fix_mmap_threshold()
 
-#: Clouds with fewer rows go straight to the Pareto sweep: the prefilter's
-#: fixed cost outweighs what it saves below about 1,600 rows.  Lattice
-#: clouds below it skip the block bounds too.
+#: Fewer rows to read, of a cloud, its kept blocks or a cube's face, go
+#: straight to the Pareto sweep unread (``_undominated``): the bucket
+#: passes' fixed cost outweighs what they save below about 1,600 rows.
+#: Lattice clouds below it skip the block bounds too.
 _PREFILTER_MIN_ROWS = 1600
 #: Lattice points per block edge of the block bounds (``_block_rows``), by
 #: arity: a block is 16 x 16 points of a square or 8 x 8 x 8 of a cube.
@@ -574,36 +575,59 @@ def _block_rows(cloud: PointCloud, dropped, *args) -> np.ndarray | None:
     return rows[np.broadcast_to(inside, rows.shape)]
 
 
-def _prefilter(payoffs: np.ndarray, sign: float):
-    """The O(n) prefilter of ``pareto_filter``, in the minimal frame.
+def _undominated(payoffs: np.ndarray, sign: float, lattice: bool, kept: np.ndarray | None) -> np.ndarray:
+    """The rows ``kept`` of a cloud, or all of them when ``kept`` is None,
+    that ``pareto_filter``'s prefilter and corner step keep in the minimal
+    frame ``sign * payoffs``; ``payoffs`` are the cloud's.
 
-    The frame is ``sign * payoffs``.  The p1 range is cut into ``k`` equal
-    buckets, and a row is dropped when its p2 is no smaller than the least
-    p2 of any earlier bucket.  Returns the indices of the surviving rows,
-    ascending, each row's bucket and each bucket's least frame p2, stored
-    as the raw p2; the last two are None when the range is not cut.
+    Fewer than ``_PREFILTER_MIN_ROWS`` rows are returned unread, and rows
+    whose p1 range has no usable bucket width are returned whole.
+    Otherwise the rows ``kept`` are gathered column-major, the p1 range is
+    cut into ``k`` equal buckets, and four passes read the rows, then the
+    survivors, a block at a time into one set of buffers:
 
-    The frame is never built: the passes read the raw payoff columns, a
-    block of rows at a time into preallocated buffers, and fold the sign
-    in exactly, since negation is exact.  With ``m`` and ``M`` the least
-    and greatest p1, the frame's p1 range is ``[m, M]`` or ``[-M, -m]``,
-    of span ``fl(M - m)`` either way.  A row's offset into it is ``fl(p1 -
-    m)`` in the minimal frame and ``fl(-p1 + M) = fl(M - p1)`` in the
-    maximal one, as ``a - b`` is ``a + (-b)`` and addition commutes
-    exactly.  In the maximal frame a bucket's least frame p2 is the
-    negated greatest raw p2, and ``-p2 < -e`` iff ``p2 > e``, so
-    ``np.maximum.at`` and ``>`` on the raw column take the decisions of
-    ``np.minimum.at`` and ``<`` on the negated one.  A -0.0 and a 0.0
-    compare equal, so which of them a reduction keeps decides nothing.
-    The survivors are those of the frame, index for index.
+    - each row's bucket, and each bucket's least p2 ``f``;
+    - the prefilter: a row survives iff its p2 is below the ``f`` of every
+      earlier bucket;
+    - each bucket's corner p1 ``c``, the least p1 among its survivors at
+      ``f``; a bucket's rows at ``f`` survive whenever any of its rows
+      does, so the corner is a survivor;
+    - the corner step: a survivor is kept iff its p1 is below ``c`` or it
+      is a copy of the corner, ``p1 == c and p2 == f``.  As no row of the
+      bucket has a p2 below ``f``, that is the negation of the drop rule
+      argued in ``pareto_filter``.  On a ``lattice`` cloud only the least
+      cloud row among a bucket's copies of its corner is kept (*Copies* in
+      ``pareto_filter``).
+
+    The kept rows are returned as cloud rows, in the order of ``kept`` or
+    ascending, and a lattice cloud's corner copies follow the others.
+
+    The frame is never built: the passes read the raw payoff columns and
+    fold the sign in exactly, since negation is exact.  With ``m`` and
+    ``M`` the least and greatest p1, the frame's p1 range is ``[m, M]`` or
+    ``[-M, -m]``, of span ``fl(M - m)`` either way.  A row's offset into it
+    is ``fl(p1 - m)`` in the minimal frame and ``fl(-p1 + M) = fl(M - p1)``
+    in the maximal one, as ``a - b`` is ``a + (-b)`` and addition commutes
+    exactly.  In the maximal frame a least frame value is the negated
+    greatest raw one, and ``-a < -b`` iff ``a > b``, so ``np.maximum`` and
+    ``>`` on the raw columns take the decisions of ``np.minimum`` and ``<``
+    on the negated ones.  A -0.0 and a 0.0 compare equal, so which of them
+    a reduction keeps decides nothing.  The decisions are those of the
+    frame, row for row.
     """
-    n = len(payoffs)
-    # Tying k to the size keeps the buckets' fixed cost negligible on small
-    # clouds (a Nash zone has a few thousand points).
-    k = min(4096, n // 16)
-    if k < 2:
-        return np.arange(n), None, None
+    n = len(payoffs) if kept is None else len(kept)
+    if n < _PREFILTER_MIN_ROWS:
+        return np.arange(n) if kept is None else kept
+    if kept is not None:
+        gathered = np.empty((n, 2), order="F")
+        for j in range(2):
+            np.take(payoffs[:, j], kept, out=gathered[:, j], mode="clip")
+        payoffs = gathered
     p1, p2 = payoffs[:, 0], payoffs[:, 1]
+    # Tying k to the size keeps the buckets' fixed cost negligible on small
+    # clouds (a Nash zone has a few thousand points); the size gate makes
+    # it at least 100.
+    k = min(4096, n // 16)
     lo, hi = p1.min(), p1.max()
     # A constant p1 divides by zero, a span beyond the float range
     # overflows the subtraction and a subnormal span the division; none
@@ -611,100 +635,60 @@ def _prefilter(payoffs: np.ndarray, sign: float):
     with np.errstate(over="ignore", divide="ignore"):
         scale = k / (hi - lo)
     if not (np.isfinite(scale) and scale > 0):
-        return np.arange(n), None, None
+        return np.arange(n) if kept is None else kept
     minimal = sign > 0
     best, beats, worst = (np.minimum, np.less, np.inf) if minimal else (np.maximum, np.greater, -np.inf)
-    blocks = [slice(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
-    # Block buffers, shared by both passes.
-    offset = np.empty(blocks[0].stop)
-    index = np.empty(blocks[0].stop, dtype=np.intp)
+    # Block buffers, shared by the four passes.  Every index taken is in
+    # range; "clip" only skips the bounds check.
+    size = min(n, _BLOCK)
+    b = np.empty(size, dtype=np.intp)
+    v, w = np.empty(size), np.empty(size)
+    at, keep = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     # k <= 4096, so a bucket index fits in 16 bits.
     bucket = np.empty(n, dtype=np.int16)
     front = np.full(k, worst)
-    for rows in blocks:
-        t, i = offset[:rows.stop - rows.start], index[:rows.stop - rows.start]
+    for s in range(0, n, _BLOCK):
+        x = p1[s:s + _BLOCK]
+        t, i = v[:len(x)], b[:len(x)]
         if minimal:
-            np.subtract(p1[rows], lo, out=t)
+            np.subtract(x, lo, out=t)
         else:
-            np.subtract(hi, p1[rows], out=t)
+            np.subtract(hi, x, out=t)
         np.multiply(t, scale, out=t)
         # Truncates toward zero, as astype does.
         np.copyto(i, t, casting="unsafe")
         np.minimum(i, k - 1, out=i)
-        best.at(front, i, p2[rows])
-        bucket[rows] = i
+        best.at(front, i, p2[s:s + _BLOCK])
+        bucket[s:s + _BLOCK] = i
     earlier = np.empty(k)
     earlier[0] = worst
     best.accumulate(front[:-1], out=earlier[1:])
-    keep = np.empty(n, dtype=bool)
-    for rows in blocks:
-        t, i = offset[:rows.stop - rows.start], index[:rows.stop - rows.start]
-        np.copyto(i, bucket[rows])
-        # Every index is in range; "clip" only skips the bounds check.
+    survives = np.empty(n, dtype=bool)
+    for s in range(0, n, _BLOCK):
+        y = p2[s:s + _BLOCK]
+        t, i = v[:len(y)], b[:len(y)]
+        np.copyto(i, bucket[s:s + _BLOCK])
         np.take(earlier, i, out=t, mode="clip")
-        beats(p2[rows], t, out=keep[rows])
+        beats(y, t, out=survives[s:s + _BLOCK])
     # Gathering by index is an order of magnitude faster than by mask.
-    return np.flatnonzero(keep), bucket, front
-
-
-def _drop_corner_dominated(
-    payoffs: np.ndarray,
-    rows: np.ndarray,
-    bucket: np.ndarray,
-    front: np.ndarray,
-    sign: float,
-    lattice: bool = False,
-    kept: np.ndarray | None = None,
-) -> np.ndarray:
-    """The corner step of ``pareto_filter`` on ``_prefilter``'s output.
-
-    In the minimal frame a bucket's corner has the bucket's least p2,
-    ``f``, and the least p1, ``c``, among its rows at ``f``.  A survivor
-    is kept iff its p1 is below ``c`` or it is a copy of the corner,
-    ``p1 == c and p2 == f``; as no row of the bucket has a p2 below ``f``,
-    that is the negation of the drop rule argued in ``pareto_filter``.  A
-    bucket's rows at ``f`` survive whenever any of its rows does, so
-    ``front`` holds ``f`` and the corner is a survivor.  The sign is
-    folded in as by ``_prefilter``.  The passes read a block of survivors
-    at a time into buffers allocated once, so the cost is that of the
-    survivors, and the kept rows are gathered at the front of ``rows``
-    itself.  The rows of ``payoffs`` are the cloud's rows ``kept``, or all
-    of them, and the kept rows are returned as cloud rows: ascending, or
-    without buckets ``rows`` as given, when ``kept`` is None.
-
-    On a ``lattice`` cloud only the least cloud row among a bucket's copies
-    of its corner is kept (*Copies* in ``pareto_filter``), and those rows
-    follow the other kept rows.
-    """
-    if bucket is None:
-        return rows if kept is None else kept[rows]
-    minimal = sign > 0
-    best, beats, worst = (np.minimum, np.less, np.inf) if minimal else (np.maximum, np.greater, -np.inf)
-    p1, p2 = payoffs[:, 0], payoffs[:, 1]
-    m = len(rows)
-    blocks = [slice(s, min(s + _BLOCK, m)) for s in range(0, m, _BLOCK)]
-    # Block buffers, shared by both passes.  Every index taken is in range;
-    # "clip" only skips the bounds check.
-    size = blocks[0].stop
-    b = np.empty(size, dtype=np.intp)
-    v, w = np.empty(size), np.empty(size)
-    at, keep = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-    corner = np.full(len(front), worst)
-    for blk in blocks:
-        r = rows[blk]
+    rows = np.flatnonzero(survives)
+    del survives
+    corner = np.full(k, worst)
+    for s in range(0, len(rows), _BLOCK):
+        r = rows[s:s + _BLOCK]
         bb, y, f, aa = b[:len(r)], v[:len(r)], w[:len(r)], at[:len(r)]
         np.copyto(bb, bucket[r])
         np.take(p2, r, out=y, mode="clip")
         np.take(front, bb, out=f, mode="clip")
         sel = np.flatnonzero(np.equal(y, f, out=aa))
         best.at(corner, bb[sel], p1.take(r[sel], mode="clip"))
-    # Kept rows are moved to the front of ``rows``, which the prefilter
-    # allocated; a block's kept rows never outrun its start.
+    # Kept rows are moved to the front of ``rows``; a block's kept rows
+    # never outrun its start.
     end = 0
     none = np.iinfo(np.intp).max
-    least = np.full(len(front), none) if lattice else None
-    for blk in blocks:
-        r = rows[blk]
+    least = np.full(k, none) if lattice else None
+    for s in range(0, len(rows), _BLOCK):
+        r = rows[s:s + _BLOCK]
         bb, x, c, kk, eq = b[:len(r)], v[:len(r)], w[:len(r)], keep[:len(r)], at[:len(r)]
         np.copyto(bb, bucket[r])
         np.take(p1, r, out=x, mode="clip")
@@ -722,10 +706,9 @@ def _drop_corner_dominated(
         survivors = np.compress(kk, r)
         rows[end:end + len(survivors)] = survivors
         end += len(survivors)
-    if least is None:
-        return rows[:end].copy()
     rows = rows[:end] if kept is None else kept.take(rows[:end], mode="clip")
-    return np.concatenate((rows, least[least != none]))
+    # A copy, so that no view holds the survivors' buffer.
+    return rows.copy() if least is None else np.concatenate((rows, least[least != none]))
 
 
 def _first_of_runs(keys: np.ndarray) -> np.ndarray:
@@ -785,18 +768,6 @@ def _pareto_sweep(payoffs: np.ndarray, preimages_at, rows: np.ndarray, sign: flo
     return rows[sel[first]]
 
 
-def _undominated(
-    payoffs: np.ndarray, sign: float, lattice: bool = False, kept: np.ndarray | None = None
-) -> np.ndarray:
-    """The cloud rows that the prefilter and corner step keep, or every row
-    of a cloud below ``_PREFILTER_MIN_ROWS``; ``payoffs`` are the cloud's
-    rows ``kept``, or all of them.  On a ``lattice`` cloud each bucket
-    keeps one copy of its corner (``_drop_corner_dominated``)."""
-    if len(payoffs) < _PREFILTER_MIN_ROWS:
-        return np.arange(len(payoffs)) if kept is None else kept
-    return _drop_corner_dominated(payoffs, *_prefilter(payoffs, sign), sign, lattice, kept)
-
-
 def _better_face(cloud: _LatticeCloud, sign: float) -> int | None:
     """The z index of the cube face whose rows weakly dominate their
     columns in the minimal frame ``sign * payoffs``: 0 when ``sign * c3``
@@ -854,13 +825,13 @@ def pareto_filter(
     Preparata's maxima algorithm).  Two cheaper passes give its output bit
     for bit.
 
-    *The prefilter.*  One O(n) pass cuts the p1 range into equal buckets
-    and drops every row whose p2 is no smaller than that of a row in an
-    earlier bucket.  The bucket index is monotone in p1, so that earlier
-    row has a strictly smaller p1 and the dropped row is strictly
-    dominated.  Equal payoff pairs share a bucket and so a decision.
-    Removing dominated rows removes no non-dominated one and no copy of
-    one, and keeps the survivors in input order.
+    *The prefilter.*  One O(n) pass (``_undominated``) cuts the p1 range
+    into equal buckets and drops every row whose p2 is no smaller than
+    that of a row in an earlier bucket.  The bucket index is monotone in
+    p1, so that earlier row has a strictly smaller p1 and the dropped row
+    is strictly dominated.  Equal payoff pairs share a bucket and so a
+    decision.  Removing dominated rows removes no non-dominated one and
+    no copy of one, and keeps the survivors in input order.
 
     *The corner step.*  The prefilter never compares rows of one bucket,
     so on a map with many copies of each payoff pair most survive it.  In
@@ -874,7 +845,8 @@ def pareto_filter(
     because its pass has already found each bucket's ``f``, and a bucket
     with a survivor keeps all its rows at ``f``.  What is kept is the
     rows of p1 below ``c`` and the copies of the corner, in input order,
-    at a cost linear in the survivors.
+    at a cost linear in the survivors: ``_undominated`` runs both steps,
+    on the raw payoff columns with the frame folded in.
 
     *The sweep, one key sorted.*  The m survivors are sorted stably by p1
     alone, and ``!=`` cuts them into runs of equal p1; like the sort's
@@ -893,9 +865,10 @@ def pareto_filter(
     The boundary's p1 is strictly monotone, so the maximal boundary is
     the sweep's output reversed, which is the reference's final sort.
 
-    *Small clouds.*  Below ``_PREFILTER_MIN_ROWS`` (1,600) rows the
-    prefilter and corner step are skipped and every row is swept: the sweep
-    is exact on any superset of the boundary, so the output is the same.
+    *Small clouds.*  Below ``_PREFILTER_MIN_ROWS`` (1,600) rows to read,
+    of a cloud, its kept blocks or a face, ``_undominated`` returns them
+    unread, and every one is swept: the sweep is exact on any superset of
+    the boundary, so the output is the same.
     The cut-off is measured (2-core Xeon, Python 3.11, numpy 2.4): a
     257-row Nash zone filters in about 70 us without the two passes
     against 180 us with them, and on generic 2D section clouds the two
@@ -943,7 +916,7 @@ def pareto_filter(
     row of a lattice cloud.  All copies of a pair share a bucket and every
     decision, so the copies of a bucket's corner that reach the corner
     step are all the copies of the corner's pair among the rows read.  On
-    a lattice cloud the corner step keeps only the least cloud row among
+    a lattice cloud ``_undominated`` keeps only the least cloud row among
     them, the row the sweep would keep, and the sweep is exact on any
     superset of the rows it keeps.  On a duplicate-heavy map with opposed
     slopes nearly every row is a copy of its bucket's corner, so about one
@@ -972,14 +945,7 @@ def pareto_filter(
     else:
         grid_n = cloud._lattice[0]
         kept = np.arange(face, len(cloud), grid_n)
-    if kept is None:
-        rows = _undominated(payoffs, sign, lattice)
-    else:
-        sub = np.empty((len(kept), 2), order="F")
-        for k in range(2):
-            np.take(payoffs[:, k], kept, out=sub[:, k], mode="clip")
-        rows = _undominated(sub, sign, lattice, kept)
-        del sub
+    rows = _undominated(payoffs, sign, lattice, kept)
     rows = _pareto_sweep(payoffs, None if lattice else cloud.preimages_at, rows, sign)
     if face:
         # A row of the z = 1 face is the last of its column, not the first.

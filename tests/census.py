@@ -13,6 +13,14 @@ placeholder, and the SHA-256 of each file it wrote.
     python tests/census.py                      # one digest line per command
     python tests/census.py --parent REV         # commands that differ from REV
     python tests/census.py --golden --parent REV  # the same on test_golden's files
+    python tests/census.py --geometry --seed 1 --parent REV  # geometry outputs
+
+With ``--geometry`` the corpus is instead the benchmark's dense maps
+(``perfbench.inputs.dense_maps``), and each map's records are the bytes,
+sign bits included, of its lattice cloud's ``pareto_filter`` in both
+flavours, ``tu_boundary`` in both orientations at ``1e-9``, ``extrema``
+and, for a cube, ``lattice_tu`` in both orientations: one line per array
+or float, its shape and SHA-256.
 
 With ``--parent``, the source tree of ``REV`` is exported with
 ``git archive`` into a temporary directory, and each side runs the same
@@ -95,6 +103,42 @@ def records(games: dict[str, dict]) -> dict[str, dict]:
     return out
 
 
+def geometry_records(maps: list[dict]) -> dict[str, dict]:
+    """Each geometry output's record by "map output", computed in this process."""
+    import numpy as np
+    from coopetition import Orientation, PayoffMap, extrema, lattice_tu, pareto_filter, sample_image, tu_boundary
+
+    def text(*parts) -> str:
+        lines = []
+        for part in parts:
+            a = np.asarray([(p.p1, p.p2) for p in part] if isinstance(part, tuple) else part, dtype=float)
+            lines.append(f"{a.shape} {hashlib.sha256(a.tobytes()).hexdigest()}")
+        return "\n".join(lines)
+
+    def tu_parts(tub) -> tuple:
+        return tub.optimal_sum, tub.witness_payoffs, tub.witness_preimages, tub.segment_ends
+
+    out = {}
+    for i, spec in enumerate(maps):
+        arity, grid_n = spec["arity"], spec["grid_n"]
+        pmap = PayoffMap(np.array(spec["coeffs"]), arity=arity)
+        stem = f"{i:03d}-{arity}d-{spec['slopes'] or 'generic'}"
+        cloud = sample_image(pmap, grid_n)
+        outputs = {"extrema": text(extrema(cloud))}
+        for flavor in ("maximal", "minimal"):
+            b = pareto_filter(cloud, Orientation(spec["orientation"]), flavor)
+            outputs[f"pareto_filter {flavor}"] = text(b.payoffs, b.preimages)
+        for orientation in Orientation:
+            tub = tu_boundary(cloud, orientation, 1e-9)
+            outputs[f"tu_boundary {orientation.value}"] = text(*tu_parts(tub))
+            if arity == 3:
+                tub, inf, sup = lattice_tu(pmap, grid_n, orientation, 1e-9)
+                outputs[f"lattice_tu {orientation.value}"] = text(*tu_parts(tub), (inf, sup))
+        for name, record in outputs.items():
+            out[f"{stem} {name}"] = {"text": record, "files": {}}
+    return out
+
+
 def differences(base: dict[str, dict], head: dict[str, dict]) -> dict[str, list[str]]:
     """Per command name, one line for each stem whose record differs: the
     first differing line of the text, the output files that differ, or the
@@ -119,10 +163,10 @@ def differences(base: dict[str, dict], head: dict[str, dict]) -> dict[str, list[
     return dict(found)
 
 
-def _side(src: Path, corpus_file: Path, out_file: Path) -> dict[str, dict]:
+def _side(src: Path, corpus_file: Path, out_file: Path, geometry: bool) -> dict[str, dict]:
     """The records of the package under ``src``, from a process of its own."""
     argv = [sys.executable, str(Path(__file__).resolve()), "--records-of", str(src),
-            "--corpus", str(corpus_file), "--out", str(out_file)]
+            "--corpus", str(corpus_file), "--out", str(out_file)] + ["--geometry"] * geometry
     subprocess.run(argv, check=True)
     return json.loads(out_file.read_text(encoding="utf-8"))
 
@@ -139,12 +183,15 @@ def _export(rev: str, dest: Path) -> Path:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=26, help="seed of the drawn corpus")
-    parser.add_argument("--golden", action="store_true", help="run test_golden's files instead of a drawn corpus")
+    corpora = parser.add_mutually_exclusive_group()
+    corpora.add_argument("--golden", action="store_true", help="run test_golden's files instead of a drawn corpus")
+    corpora.add_argument("--geometry", action="store_true", help="compare geometry outputs on the dense maps")
     parser.add_argument("--parent", default=None, help="git revision to compare the working tree with")
     parser.add_argument("--records-of", default=None, help=argparse.SUPPRESS)
     parser.add_argument("--corpus", default=None, help=argparse.SUPPRESS)
     parser.add_argument("--out", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    run = geometry_records if args.geometry else records
     if args.records_of is not None:
         # One side of a comparison: the package under --records-of runs the corpus.
         sys.path.insert(0, args.records_of)
@@ -153,17 +200,19 @@ def main(argv: list[str] | None = None) -> int:
         if not Path(coopetition.__file__).resolve().is_relative_to(Path(args.records_of).resolve()):
             raise ImportError(f"coopetition was imported from {coopetition.__file__}, not {args.records_of}")
         games = json.loads(Path(args.corpus).read_text(encoding="utf-8"))
-        Path(args.out).write_text(json.dumps(records(games)), encoding="utf-8")
+        Path(args.out).write_text(json.dumps(run(games)), encoding="utf-8")
         return 0
     sys.path.insert(0, str(ROOT / "src"))
     if args.golden:
         from test_golden import golden_games
 
         games = golden_games()
+    elif args.geometry:
+        games = I.dense_maps(args.seed)
     else:
         games = corpus(args.seed)
     if args.parent is None:
-        for key, rec in records(games).items():
+        for key, rec in run(games).items():
             h = hashlib.sha256(rec["text"].encode("utf-8"))
             for ext in sorted(rec["files"]):
                 h.update(rec["files"][ext].encode("ascii"))
@@ -173,13 +222,18 @@ def main(argv: list[str] | None = None) -> int:
         tmp = Path(tmp)
         corpus_file = tmp / "corpus.json"
         corpus_file.write_text(json.dumps(games), encoding="utf-8")
-        base = _side(_export(args.parent, tmp), corpus_file, tmp / "base.json")
-        head = _side(ROOT / "src", corpus_file, tmp / "head.json")
+        base = _side(_export(args.parent, tmp), corpus_file, tmp / "base.json", args.geometry)
+        head = _side(ROOT / "src", corpus_file, tmp / "head.json", args.geometry)
     found = differences(base, head)
     total = sum(map(len, found.values()))
     source = "test_golden's files" if args.golden else f"seed {args.seed}"
-    print(f"census: {source}, {len(games)} files, {len(base)} commands; "
-          f"{total} differ from {args.parent}")
+    if args.geometry:
+        moved = {line.split(":", 1)[0] for lines in found.values() for line in lines}
+        print(f"census: dense maps of seed {args.seed}, {len(games)} maps, {len(base)} outputs; "
+              f"{total} outputs of {len(moved)} maps differ from {args.parent}")
+    else:
+        print(f"census: {source}, {len(games)} files, {len(base)} commands; "
+              f"{total} differ from {args.parent}")
     for name in sorted(found):
         print(f"{name}: {len(found[name])} differ")
         for line in found[name]:

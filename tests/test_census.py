@@ -12,6 +12,18 @@ def test_two_runs_of_the_working_tree_agree():
     assert census.differences(first, second) == {}
 
 
+def test_geometry_records_agree_with_themselves():
+    # A duplicate-heavy square and a generic cube of the benchmark's maps.
+    maps = census.I.dense_maps(1)[:2]
+    first, second = census.geometry_records(maps), census.geometry_records(maps)
+    assert sorted({key.split(" ", 1)[1] for key in first}) == [
+        "extrema", "lattice_tu gain", "lattice_tu loss", "pareto_filter maximal",
+        "pareto_filter minimal", "tu_boundary gain", "tu_boundary loss",
+    ]
+    assert len(first) == 5 + 7
+    assert census.differences(first, second) == {}
+
+
 def test_differences_name_the_first_differing_line():
     base = {
         "a solve ks": {"text": "0\nx\ny\n", "files": {}},

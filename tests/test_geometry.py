@@ -241,7 +241,7 @@ def dense_shaped_map(rng, arity, shape):
     players' slopes along it opposed or aligned."""
     c = np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3)
     if shape != "generic":
-        if (c[0, 1] > 0) == (c[1, 1] > 0) != (shape == "aligned"):
+        if ((c[0, 1] > 0) == (c[1, 1] > 0)) != (shape == "aligned"):
             c[1, 1] = -c[1, 1]
         c[:, 2] = c[:, 1]
         c[:, 4] = 0.0
@@ -423,41 +423,61 @@ class TestParetoSweep:
                 assert got.preimages.tobytes() == want.preimages.tobytes()
                 on_boundary = (cloud.payoffs[:, None, :] == got.payoffs[None, :, :]).all(axis=2)
                 copies += on_boundary.sum() - len(got)
-        # Boundary payoff pairs had copies in the cloud to rank.
-        assert copies > 0
+        # An opposed map's boundary pairs had copies in the cloud to rank; an
+        # aligned map's boundary is one corner, which has none.
+        if shape == "opposed":
+            assert copies > 0
 
     @pytest.mark.parametrize("arity", [2, 3])
     def test_small_clouds_skip_the_prefilter(self, monkeypatch, arity):
-        calls = []
-        prefilter = geometry._prefilter
+        # Below the cut every row is swept; from it on, the bucket passes
+        # drop rows of both flavours.
+        kept = []
+        undominated = geometry._undominated
 
-        def recording(payoffs, sign):
-            calls.append(len(payoffs))
-            return prefilter(payoffs, sign)
+        def recording(payoffs, *args):
+            rows = undominated(payoffs, *args)
+            kept.append(np.array_equal(rows, np.arange(len(payoffs))))
+            return rows
 
-        monkeypatch.setattr(geometry, "_prefilter", recording)
+        monkeypatch.setattr(geometry, "_undominated", recording)
         rng = np.random.default_rng([76, arity])
         cut = geometry._PREFILTER_MIN_ROWS
         for n in (1, 17, cut - 1, cut, cut + 1):
-            calls.clear()
+            kept.clear()
             payoffs = rng.integers(-40, 41, size=(n, 2)) / 4.0
             preimages = rng.integers(0, 5, size=(n, arity)) / 4.0
             assert_matches_lexsort_path(payoffs, preimages)
-            assert calls == ([] if n < cut else [n, n])
+            assert kept == [n < cut] * 2
+
+    def test_few_kept_rows_come_back_unread(self):
+        # Payoffs that cannot be read: rows below the cut are not gathered.
+        kept = np.arange(geometry._PREFILTER_MIN_ROWS - 1) * 3
+        for lattice in (False, True):
+            for sign in (1.0, -1.0):
+                assert geometry._undominated(None, sign, lattice, kept) is kept
+
+
+def undominated(payoffs, sign, lattice=False, kept=None):
+    return geometry._undominated(payoffs, sign, lattice, kept)
 
 
 def assert_prefilter_matches_frame(payoffs):
-    """The column prefilter keeps the frame prefilter's rows, index for index,
-    in both flavours and on row- and column-major input."""
+    """The bucket passes on raw payoff columns keep the rows that they keep
+    on the negated frame itself, index for index, in both flavours and on
+    row- and column-major input, and those rows survive the frame
+    prefilter."""
     payoffs = np.asarray(payoffs, dtype=float)
+    assert len(payoffs) >= geometry._PREFILTER_MIN_ROWS
     for sign in (1.0, -1.0):
-        want = drop_dominated(np.ascontiguousarray(payoffs), sign)
+        want = undominated(np.asfortranarray(sign * payoffs), 1.0)
+        assert np.isin(want, drop_dominated(np.ascontiguousarray(payoffs), sign)).all()
         for layout in (np.ascontiguousarray, np.asfortranarray):
-            assert np.array_equal(geometry._prefilter(layout(payoffs), sign)[0], want)
+            assert np.array_equal(undominated(layout(payoffs), sign), want)
 
 
 class TestColumnPrefilter:
-    """``_prefilter``'s survivors on raw payoff columns against the frame it folds in."""
+    """``_undominated`` on raw payoff columns against the frame it folds in."""
 
     @pytest.mark.parametrize("arity, grid_n", [(2, 65), (3, 17)])
     @pytest.mark.parametrize("shape", ["generic", "opposed", "aligned"])
@@ -478,9 +498,11 @@ class TestColumnPrefilter:
         p2 = rng.integers(-50, 51, size=3000) / 8.0
         assert_prefilter_matches_frame(np.column_stack([p1, p2]))
 
-    @pytest.mark.parametrize("n", [1, 2, 15, 16, 31, 32, 33])
-    def test_small_clouds(self, n):
-        rng = np.random.default_rng([82, n])
+    @pytest.mark.parametrize("extra", [1, 2, 15, 16, 31, 32, 33])
+    def test_small_clouds(self, extra):
+        # The fewest rows that are bucketed, in 100 to 102 buckets.
+        n = geometry._PREFILTER_MIN_ROWS + extra
+        rng = np.random.default_rng([82, extra])
         for _ in range(20):
             assert_prefilter_matches_frame(rng.integers(-4, 5, size=(n, 2)) / 2.0)
 
@@ -497,7 +519,7 @@ class TestColumnPrefilter:
     def test_signed_zero_payoffs(self):
         rng = np.random.default_rng(84)
         for _ in range(30):
-            n = int(rng.integers(32, 3000))
+            n = int(rng.integers(geometry._PREFILTER_MIN_ROWS, 3000))
             assert_prefilter_matches_frame(rng.choice([-0.0, 0.0, -1.0, 1.0, 0.5], size=(n, 2)))
             assert_prefilter_matches_frame(rng.choice([-0.0, 0.0], size=(n, 2)))
 
@@ -673,10 +695,6 @@ class TestMemoryBound:
         assert peak <= 4 * (a.nbytes + b.nbytes) + self.SLACK
 
 
-def corner_survivors(payoffs, sign):
-    return geometry._drop_corner_dominated(payoffs, *geometry._prefilter(payoffs, sign), sign)
-
-
 def strictly_dominated(frame):
     """``[i, j]``: row j of the minimal frame strictly dominates row i."""
     le = (frame[None, :, :] <= frame[:, None, :]).all(axis=2)
@@ -691,8 +709,8 @@ class TestCornerStep:
     def assert_keeps_every_nondominated_row(payoffs):
         payoffs = np.asfortranarray(payoffs, dtype=float)
         for sign in (1.0, -1.0):
-            before = geometry._prefilter(payoffs, sign)[0]
-            after = corner_survivors(payoffs, sign)
+            before = drop_dominated(payoffs, sign)
+            after = undominated(payoffs, sign)
             assert np.array_equal(after, np.unique(after))
             assert np.isin(after, before).all()
             dominated = strictly_dominated(sign * payoffs)
@@ -704,8 +722,8 @@ class TestCornerStep:
 
     def test_tie_heavy_signed_zero_clouds(self):
         rng = np.random.default_rng(75)
-        for _ in range(30):
-            n = int(rng.integers(32, 1200))
+        for _ in range(8):
+            n = int(rng.integers(geometry._PREFILTER_MIN_ROWS, 2400))
             self.assert_keeps_every_nondominated_row(rng.choice([-0.0, 0.0, -1.0, 1.0, 0.5], size=(n, 2)))
             self.assert_keeps_every_nondominated_row(rng.choice([-0.0, 0.0], size=(n, 2)))
             p1 = rng.integers(-3, 4, size=n).astype(float)
@@ -716,17 +734,20 @@ class TestCornerStep:
     @pytest.mark.parametrize("arity, grid_n", [(2, 33), (3, 9)])
     @pytest.mark.parametrize("shape", ["generic", "opposed", "aligned"])
     def test_lattice_clouds(self, arity, grid_n, shape):
+        # The lattice images of maps drawn alike, enough of them to bucket.
         rng = np.random.default_rng([76, arity, len(shape)])
+        maps = -(-geometry._PREFILTER_MIN_ROWS // grid_n**arity)
         for _ in range(3):
-            cloud = sample_image(dense_shaped_map(rng, arity, shape), grid_n)
-            self.assert_keeps_every_nondominated_row(cloud.payoffs)
-            self.assert_keeps_every_nondominated_row(-cloud.payoffs)
+            draws = [sample_image(dense_shaped_map(rng, arity, shape), grid_n) for _ in range(maps)]
+            payoffs = np.concatenate([cloud.payoffs for cloud in draws])
+            self.assert_keeps_every_nondominated_row(payoffs)
+            self.assert_keeps_every_nondominated_row(-payoffs)
 
     def test_prunes_a_duplicate_heavy_cloud(self):
         cloud = sample_image(dense_shaped_map(np.random.default_rng(77), 2, "opposed"), 257)
         for sign in (1.0, -1.0):
-            before = geometry._prefilter(cloud.payoffs, sign)[0]
-            assert len(corner_survivors(cloud.payoffs, sign)) < 0.5 * len(before)
+            before = drop_dominated(cloud.payoffs, sign)
+            assert len(undominated(cloud.payoffs, sign)) < 0.5 * len(before)
 
 
 class TestLatticePreimages:
@@ -1150,14 +1171,16 @@ class TestBlockBounds:
         sizes = []
         witnesses, undominated = geometry._tu_witnesses, geometry._undominated
 
-        def recording(inner):
-            def call(*args):
-                sizes.append(len(args[0]))
-                return inner(*args)
-            return call
+        def recording_witnesses(p1, *args):
+            sizes.append(len(p1))
+            return witnesses(p1, *args)
 
-        monkeypatch.setattr(geometry, "_tu_witnesses", recording(witnesses))
-        monkeypatch.setattr(geometry, "_undominated", recording(undominated))
+        def recording_undominated(payoffs, sign, lattice, kept):
+            sizes.append(len(payoffs if kept is None else kept))
+            return undominated(payoffs, sign, lattice, kept)
+
+        monkeypatch.setattr(geometry, "_tu_witnesses", recording_witnesses)
+        monkeypatch.setattr(geometry, "_undominated", recording_undominated)
         for orientation in Orientation:
             tu_boundary(cloud, orientation)
             pareto_filter(cloud, orientation, facing_flavor(orientation))
@@ -1273,9 +1296,9 @@ class TestFacesAndCopies:
         read = []
         undominated = geometry._undominated
 
-        def recording(payoffs, *args):
-            read.append(len(payoffs))
-            return undominated(payoffs, *args)
+        def recording(payoffs, sign, lattice, kept):
+            read.append(len(payoffs if kept is None else kept))
+            return undominated(payoffs, sign, lattice, kept)
 
         monkeypatch.setattr(geometry, "_undominated", recording)
         for c3 in ([0.163, 0.339], [-0.163, -0.339]):
@@ -1310,11 +1333,9 @@ class TestFacesAndCopies:
         # Each dropped corner copy has a kept copy of a lower cloud row.
         cloud = sample_image(dense_shaped_map(np.random.default_rng(101), 2, "opposed"), 129)
         kept = np.random.default_rng(102).permutation(len(cloud)) if shuffled else None
-        payoffs = cloud.payoffs if kept is None else np.asfortranarray(cloud.payoffs[kept])
-        cloud_row = np.arange(len(cloud)) if kept is None else kept
         for sign in (1.0, -1.0):
-            every = cloud_row[corner_survivors(payoffs, sign)]
-            least = geometry._drop_corner_dominated(payoffs, *geometry._prefilter(payoffs, sign), sign, True, kept)
+            every = undominated(cloud.payoffs, sign, False, kept)
+            least = undominated(cloud.payoffs, sign, True, kept)
             assert np.isin(least, every).all() and len(np.unique(least)) == len(least)
             assert len(least) < len(every) / 2
             pairs = {}
@@ -1333,7 +1354,7 @@ class TestFacesAndCopies:
         for flavor, sign in (("maximal", -1.0), ("minimal", 1.0)):
             assert len(pareto_filter(cloud, Orientation.GAIN, flavor)) > 257
             # Keeping every copy of each corner would sweep a fifth of the cloud.
-            every = corner_survivors(cloud.payoffs, sign)
+            every = undominated(cloud.payoffs, sign)
             assert len(every) > len(cloud) / 5
             assert swept[-1] < len(every) / 10
         assert_matches_sort(cloud)
