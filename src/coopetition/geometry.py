@@ -47,8 +47,8 @@ __all__ = [
 BASIS_NAMES = ("1", "x", "y", "z", "xy")
 
 #: Rows per block of the passes over a whole cloud (sampling, the Pareto
-#: prefilter, the TU optimum), so that their temporaries stay below the
-#: mmap threshold; sampling takes at least one x-plane per block.
+#: prefilter, the TU witness pass), so that their temporaries stay below
+#: the mmap threshold; sampling takes at least one x-plane per block.
 _BLOCK = 1 << 16
 
 #: ``mallopt`` parameters from glibc's <malloc.h>, and the size from which
@@ -263,14 +263,15 @@ class _LatticeCloud(PointCloud):
     ``PointCloud`` would store.
     """
 
-    def __init__(self, payoffs: np.ndarray, grid_n: int, arity: int, coeffs: np.ndarray):
+    def __init__(self, payoffs: np.ndarray, grid_n: int, payoff_map: PayoffMap):
         payoffs.flags.writeable = False
         object.__setattr__(self, "payoffs", payoffs)
         object.__setattr__(self, "grid_step", 1.0 / (grid_n - 1))
-        object.__setattr__(self, "_lattice", (grid_n, arity))
-        # The map's coefficient rows, which bound the payoffs of a block of
-        # the lattice (see ``_block_rows``).
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_lattice", (grid_n, payoff_map.arity))
+        # The map, whose coefficients bound the payoffs of a block of the
+        # lattice (``_block_rows``) and whose columns the TU pass evaluates
+        # (``_column_witnesses``).
+        object.__setattr__(self, "_map", payoff_map)
 
     @property
     def arity(self) -> int:
@@ -375,7 +376,7 @@ def sample_image(payoff_map: PayoffMap, grid_n: int) -> PointCloud:
     its index (see ``_LatticeCloud``).
     """
     payoffs = _sample(payoff_map.coeffs, grid_n, payoff_map.arity)
-    return _LatticeCloud(payoffs, grid_n, payoff_map.arity, payoff_map.coeffs)
+    return _LatticeCloud(payoffs, grid_n, payoff_map)
 
 
 def _sample(coeffs, grid_n: int, arity: int) -> np.ndarray:
@@ -432,24 +433,27 @@ def _rounding_slack(coeffs, tol: float = 0.0) -> float:
 
     ``coeffs`` is one coefficient row for a payoff component, as for the
     Pareto box of ``_dominated_blocks``, or both rows for the payoff sum, as
-    for the TU tests of ``_far_from_best``.  Let ``u = eps/2`` be the unit
-    roundoff.  Every monomial lies in [0, 1], and each term of a component
-    passes through at most five roundings, the sum of the two components
-    one more.  So a computed value is within ``E = 6u/(1 - 6u) * A +
-    2**-1071 <= 4*eps*A + 2**-1071`` of the exact value ``sigma`` at the
-    same lattice point, the second term bounding underflow in the
+    for the column test of ``_column_witnesses``.  Let ``u = eps/2`` be the
+    unit roundoff.  Every monomial lies in [0, 1], and each term of a
+    component passes through at most five roundings, the sum of the two
+    components one more.  So a computed value is within ``E = 6u/(1 - 6u)
+    * A + 2**-1071 <= 4*eps*A + 2**-1071`` of the exact value ``sigma`` at
+    the same lattice point, the second term bounding underflow in the
     products.  ``sigma`` is multilinear in the strategies, so over a box of
-    the lattice (a block, or a z column) it is a convex combination of its
-    values at the box's corners, and the computed values in the box lie
-    within ``2E`` of the range of the computed corner values.
+    the lattice (a block, or a column along the last axis) it is a convex
+    combination of its values at the box's corners, and the computed
+    values in the box lie within ``2E`` of the range of the computed corner
+    values.
 
     *A Pareto box.*  With ``m`` the least computed corner value of a
     component, ``|m| <= A + E``, so the computed ``fl(m - slack)`` errs by at
     most ``u*(A + E + slack)`` and is still below ``m - 2E``: no row of the
     box is below it.
 
-    *The TU test.*  Read the optimum as a maximum of ``s*sum``, with ``s``
-    the orientation's sign, as negation is exact.  Let ``F`` be the best
+    *The TU test.*  The boxes are the lattice's columns along its last
+    axis, whose corners are their two ends, and they cover the lattice.
+    Read the optimum as a maximum of ``s*sum``, with ``s`` the
+    orientation's sign, as negation is exact.  Let ``F`` be the best
     computed corner sum of a box, and ``M`` the best over all boxes; ``M`` is
     a lattice sum, so the optimum is at least ``M``.  A witness passes
     ``|fl(s(p) - opt)| <= tol``, and a subtraction errs by a factor ``1 +
@@ -491,12 +495,12 @@ def _cannot_overflow(coeffs) -> bool:
     return all(abs(c0) + abs(c1) + abs(c2) + abs(c3) + abs(c4) < np.inf for c0, c1, c2, c3, c4 in coeffs)
 
 
-def _over_blocks(ufunc, corners: np.ndarray) -> np.ndarray:
-    """``ufunc`` of each block's corner values, from the corner grid: along
-    each axis, of every two neighbouring corners."""
+def _over_blocks(corners: np.ndarray) -> np.ndarray:
+    """Each block's least corner value, from the corner grid: along each
+    axis, the lesser of every two neighbouring corners."""
     for a in range(corners.ndim):
         head = (slice(None),) * a
-        corners = ufunc(corners[head + (slice(None, -1),)], corners[head + (slice(1, None),)])
+        corners = np.minimum(corners[head + (slice(None, -1),)], corners[head + (slice(1, None),)])
     return corners
 
 
@@ -505,56 +509,42 @@ def _dominated_blocks(coeffs, c1: np.ndarray, c2: np.ndarray, sign: float) -> np
     the minimal frame ``sign * payoffs``: a corner is below the block's
     Pareto box (``_rounding_slack``) in both components."""
     c1, c2 = sign * c1, sign * c2
-    box1 = _over_blocks(np.minimum, c1) - _rounding_slack(coeffs[0])
-    box2 = _over_blocks(np.minimum, c2) - _rounding_slack(coeffs[1])
+    box1 = _over_blocks(c1) - _rounding_slack(coeffs[0])
+    box2 = _over_blocks(c2) - _rounding_slack(coeffs[1])
     order = np.argsort(c1, axis=None)
     # ``least[j]`` is the least p2 among the corners of the j least p1.
     least = np.minimum.accumulate(np.append(np.inf, c2.ravel()[order]))
     return least[np.searchsorted(c1.ravel()[order], box1)] < box2
 
 
-def _tu_blocks(coeffs, c1: np.ndarray, c2: np.ndarray, sign: float, tol: float) -> np.ndarray:
-    """The blocks that cannot hold a TU witness: their best corner sum
-    ``sign * (p1 + p2)`` is too far below the best (``_far_from_best``)."""
-    return _far_from_best(_over_blocks(np.maximum, sign * (c1 + c2)), coeffs, tol)
-
-
-def _far_from_best(best: np.ndarray, coeffs, tol: float) -> np.ndarray:
-    """The boxes whose best computed sum ``best`` (read as a maximum) is
-    too far below the best of all for a box to hold a TU witness (see
-    ``_rounding_slack``).  A NaN gap, from an overflowing sum or a NaN tol,
-    keeps its box, so the witness pass fails as it does on the cloud."""
-    return best.max() - best > tol + _rounding_slack(coeffs, tol)
-
-
-def _block_rows(cloud: PointCloud, dropped, *args) -> np.ndarray | None:
-    """The rows of a lattice cloud's blocks that ``dropped`` keeps, or None.
+def _block_rows(cloud: PointCloud, sign: float) -> np.ndarray | None:
+    """The rows of a lattice cloud's blocks that can hold a point of its
+    Pareto boundary in the minimal frame ``sign * payoffs``, or None.
 
     The lattice is cut into blocks of ``_BOUND_EDGE`` points per axis (the
     last block of an axis may be shorter), and a block's corners are the
     lattice points at its own first index and the next block's along each
-    axis, the last index closing the last block.  ``dropped(coeffs, c1,
-    c2, *args)`` reads the corner grids of the two payoffs and returns the
-    mask of blocks no row of which can be in the answer; it is evaluated
-    with overflow and invalid operations quiet, as infinities and NaN
-    only keep blocks.  Its bound rests on the map being multilinear (see
-    ``_rounding_slack``), so only a cloud of ``sample_image`` of at least
-    ``_PREFILTER_MIN_ROWS`` rows is cut.
+    axis, the last index closing the last block.  ``_dominated_blocks``
+    reads the corner grids of the two payoffs and drops the blocks no row
+    of which can be on the boundary; it is evaluated with overflow and
+    invalid operations quiet, as infinities and NaN only keep blocks.  Its
+    bound rests on the map being multilinear (see ``_rounding_slack``), so
+    only a cloud of ``sample_image`` of at least ``_PREFILTER_MIN_ROWS``
+    rows is cut.
 
     Returns None, so that the caller reads the whole cloud, unless at
     least ``_BOUND_MIN_DROPPED`` (7 in 8) of the blocks drop: gathering the
     rows of more blocks costs more than it saves, and holds a copy of them.
     Measured on the benchmark's ``dense-geometry`` maps (2-core Xeon,
-    Python 3.11, numpy 2.4): TU keeps at most 1.4% of the blocks of any
-    of them, and Pareto a median 1.5% (cubes) and 3% (squares) of a generic
-    map's, but 100% of a duplicate-heavy square's with opposed slopes.  A
-    cube reaches the Pareto bound only when its z slopes are opposed in
-    the frame (*Faces* in ``pareto_filter``), and such a duplicate-heavy
-    cube with opposed slopes keeps a median 39% (50 calls, the first 96
-    maps of seeds 1 to 4).  Gathering whatever dropped took 144 to
-    161 ops/s against 181 to 184 with the threshold, on seeds 2, 5 and 6,
-    and raised peak RSS from 142 to 179, 177 to 225 and 208 to 257 MB.  The
-    rows are returned block by block, not in ascending order.
+    Python 3.11, numpy 2.4): a median 1.5% (cubes) and 3% (squares) of a
+    generic map's blocks are kept, but 100% of a duplicate-heavy square's
+    with opposed slopes.  A cube reaches the bound only when its z slopes
+    are opposed in the frame (*Faces* in ``pareto_filter``), and such a
+    duplicate-heavy cube with opposed slopes keeps a median 39% (50 calls,
+    the first 96 maps of seeds 1 to 4).  Gathering whatever dropped took
+    144 to 161 ops/s against 181 to 184 with the threshold, on seeds 2, 5
+    and 6, and raised peak RSS from 142 to 179, 177 to 225 and 208 to 257
+    MB.  The rows are returned block by block, not in ascending order.
     """
     if not isinstance(cloud, _LatticeCloud) or len(cloud) < _PREFILTER_MIN_ROWS:
         return None
@@ -563,7 +553,7 @@ def _block_rows(cloud: PointCloud, dropped, *args) -> np.ndarray | None:
     at = np.ix_(*[np.append(np.arange(0, n, edge), n - 1)] * arity)
     corners = [cloud.payoffs[:, k].reshape((n,) * arity)[at] for k in range(2)]
     with np.errstate(over="ignore", invalid="ignore"):
-        drop = dropped(cloud._coeffs, *corners, *args)
+        drop = _dominated_blocks(cloud._map.coeffs, *corners, sign)
     if np.count_nonzero(drop) < _BOUND_MIN_DROPPED * drop.size:
         return None
     # The row (i*n + j)*n + k of each point (i, j, k) of a kept block,
@@ -777,7 +767,7 @@ def _better_face(cloud: _LatticeCloud, sign: float) -> int | None:
     grid_n, arity = cloud._lattice
     if arity != 3:
         return None
-    c3 = [sign * c for c in cloud._coeffs[:, 3].tolist()]
+    c3 = [sign * c for c in cloud._map.coeffs[:, 3].tolist()]
     if min(c3) >= 0.0:
         return 0
     if max(c3) <= 0.0:
@@ -941,7 +931,7 @@ def pareto_filter(
     lattice = isinstance(cloud, _LatticeCloud)
     face = _better_face(cloud, sign) if lattice else None
     if face is None:
-        kept = _block_rows(cloud, _dominated_blocks, sign)
+        kept = _block_rows(cloud, sign)
     else:
         grid_n = cloud._lattice[0]
         kept = np.arange(face, len(cloud), grid_n)
@@ -1030,9 +1020,54 @@ def _tu_witnesses(p1, p2, preimages_of, orientation: Orientation, tol: float) ->
     return TUBoundary(opt, payoffs, preimages, ends, tol, orientation)
 
 
-def tu_boundary(
-    cloud: PointCloud, orientation: Orientation, tol: float = 1e-9
-) -> TUBoundary:
+def _column_witnesses(payoff_map: PayoffMap, grid_n: int, orientation: Orientation, tol: float, faces=None):
+    """``tu_boundary`` of ``sample_image(payoff_map, grid_n)``, read off the
+    map by the lattice's columns along its last axis: the ``grid_n`` rows
+    that share every index but the last, y on a square and z on a cube.
+
+    ``faces`` are the map's two components on the lattice's two end faces,
+    last index 0 and ``grid_n - 1``, heights leading, as ``lattice_tu``
+    evaluates them; they are evaluated here when None, and overwritten.
+    The operations are those of the whole lattice on sparse axes, so the
+    bits are the cloud's.  The map is affine along a column, so a column
+    is a box of the lattice whose corners are its two ends, and a column
+    whose best end sum is too far below the best of all cannot hold a
+    witness, with the slack that ``_rounding_slack`` proves (*The TU
+    test*); an infinite slack keeps every column, and so does a NaN gap,
+    from an overflowing sum or a NaN tol, so that the witness pass fails
+    as it does on the cloud.  The optimum is itself a witness, so the
+    kept columns, evaluated in full, have the lattice's optimum and
+    exactly its witnesses.  ``_tu_witnesses`` orders them by payoff and
+    then by preimage, which is unique per lattice point, so the row order
+    does not matter.  The preimages are formed for the witness rows only.
+
+    A generic map keeps one column or a few; a constant-sum map, or one
+    whose optimum runs along an edge across the columns, keeps them all,
+    which costs the full lattice plus its two faces.
+    """
+    t = _axis(grid_n)
+    if faces is None:
+        arity = payoff_map.arity
+        faces = payoff_map.eval_arrays(*_sparse_axes(grid_n, arity - 1), t[[0, -1]].reshape((2,) + (1,) * (arity - 1)))
+    # The end sums in the frame, where the optimum is a maximum, and each
+    # column's best of them, formed in place in the first component.
+    sums = np.add(*faces, out=faces[0])
+    sums *= orientation.sign
+    best = np.maximum(sums[0], sums[1], out=sums[0])
+    cand = np.flatnonzero(~(best.max() - best > tol + _rounding_slack(payoff_map.coeffs, tol)))
+    # The axis indices of each candidate column, x first.
+    at = np.unravel_index(cand, best.shape)
+    p1, p2 = payoff_map.eval_arrays(*[t[i] for i in at], t[:, None])
+
+    def preimages_of(sel):
+        # Witness sel is at height k over candidate column col.
+        k, col = divmod(sel, len(cand))
+        return np.stack([*[t[i[col]] for i in at], t[k]], axis=1)
+
+    return _tu_witnesses(p1.ravel(), p2.ravel(), preimages_of, orientation, tol)
+
+
+def tu_boundary(cloud: PointCloud, orientation: Orientation, tol: float = 1e-9) -> TUBoundary:
     """Best collective payoff p1+p2 over the cloud and its witnesses.
 
     The optimum is the max of the coordinate sum under GAIN and the min
@@ -1041,22 +1076,17 @@ def tu_boundary(
     For a payoff map on the cube, :func:`lattice_tu` reads the same
     witnesses on the lattice without building the cloud.
 
-    A cloud of ``sample_image`` is read a block of its lattice at a time:
-    the map is multilinear, so a block's computed sums lie within twice
-    the rounding error of its corner sums' range (``_rounding_slack``).
-    A block whose best corner sum is too far below the best corner sum of
-    all to hold a witness (``_far_from_best``, the test ``lattice_tu``
-    makes per column) is skipped, and the witness pass reads the rest,
-    which hold the optimum and every witness.  Witnesses are ordered by
-    payoff and preimage, so which rows were read changes no bit.  Unless
-    at least 7 blocks in 8 drop, as on a constant-sum map, the whole cloud
-    is read (``_block_rows``).
+    A cloud of ``sample_image`` is read off its map, not its rows
+    (``_column_witnesses``): only the lattice columns along the last axis
+    whose two ends can hold a witness are evaluated, with the bits of the
+    cloud's rows.  Any other point set is read whole, a block of rows at
+    a time.
     """
-    p1, p2 = cloud.payoffs[:, 0], cloud.payoffs[:, 1]
-    kept = _block_rows(cloud, _tu_blocks, orientation.sign, tol)
-    if kept is None:
-        return _tu_witnesses(p1, p2, cloud.preimages_at, orientation, tol)
-    return _tu_witnesses(p1[kept], p2[kept], lambda sel: cloud.preimages_at(kept[sel]), orientation, tol)
+    if len(cloud) == 0:
+        raise ValueError("cannot take the TU optimum of an empty point set")
+    if isinstance(cloud, _LatticeCloud):
+        return _column_witnesses(cloud._map, cloud._lattice[0], orientation, tol)
+    return _tu_witnesses(cloud.payoffs[:, 0], cloud.payoffs[:, 1], cloud.preimages_at, orientation, tol)
 
 
 def lattice_tu(
@@ -1065,14 +1095,15 @@ def lattice_tu(
     """``tu_boundary`` and ``extrema`` of ``sample_image(payoff_map, grid_n)``.
 
     Returns the TU boundary and the componentwise (infimum, supremum), bit
-    for bit those of the cloud.  An arity-2 map has no z faces to save
-    work on, so both are read off its cloud, whose ``tu_boundary`` reads
-    only the blocks that can hold a witness.  A cube's cloud is never
-    built: the map is evaluated on the lattice's two z-faces, ``z = 0``
-    and ``z = 1``, with the cached axis broadcast as sparse x, y and z
-    views, and then in full only on the candidate ``(x, y)`` columns, whose
-    axis indices are the digits of their face row; preimages are formed for
-    the witness rows only.  Two arguments make this exact.
+    for bit those of the cloud.  An arity-2 map has no z faces to read its
+    extrema off, so a square still samples its cloud, for exact extrema,
+    and its ``tu_boundary`` reads the cloud's y columns off the map.  A
+    cube's cloud is never built: the map is evaluated on the lattice's two
+    z-faces, ``z = 0`` and ``z = 1``, with the cached axis broadcast as
+    sparse x, y and z views, which give the extrema, and the TU pass
+    (``_column_witnesses``) reads the same faces and then evaluates in
+    full only the candidate ``(x, y)`` columns.  Two arguments make this
+    exact.
 
     *Extrema need no slack.*  ``eval_arrays`` computes a component as
     ``fl(fl(S + fl(c3*z)) + T)``, where ``S``, the rounded sum of the
@@ -1088,41 +1119,23 @@ def lattice_tu(
     reductions give a zero extremum the sign that ``extrema``'s reductions
     of the cloud give it.
 
-    *The TU sum needs a slack.*  A column is a box of the lattice whose
-    corners are its two face points, so ``_far_from_best`` keeps every
-    column whose best face sum is close enough to the best of all to hold a
-    witness, with the slack that ``_rounding_slack`` proves; an infinite
-    slack keeps every column.  The optimum is itself a witness, so the
-    candidate rows have the lattice's optimum and exactly its witnesses.
-    ``_tu_witnesses`` orders them by payoff and then by preimage, which is
-    unique per lattice point, so the row order does not matter.
-
-    A generic map keeps one column or a few; a constant-sum map keeps them
-    all, which costs the full lattice plus its two faces.
+    *The TU sum needs a slack.*  The exact sum is affine along any column
+    of the last axis, so a column is a box of the lattice whose corners
+    are its two ends, and ``_column_witnesses`` keeps every column whose
+    best end sum is close enough to the best of all to hold a witness,
+    with the slack that ``_rounding_slack`` proves.
     """
     if payoff_map.arity == 2:
         cloud = sample_image(payoff_map, grid_n)
         return (tu_boundary(cloud, orientation, tol), *extrema(cloud))
     t = _axis(grid_n)
     # The two faces on sparse axes, heights leading, so each operation runs
-    # along a row of columns, not along a short column.  The operations are
-    # those of the whole lattice, so the bits are too.
-    f1, f2 = payoff_map.eval_arrays(t[:, None], t, t[[0, -1], None, None])
+    # along a row of columns, not along a short column.
+    f1, f2 = faces = payoff_map.eval_arrays(t[:, None], t, t[[0, -1], None, None])
     ext = np.array([f1.min(), f2.min(), f1.max(), f2.max()])
     if not np.isfinite(ext).all():
         raise ValueError("payoffs must be finite")
-    sums = orientation.sign * (f1 + f2)
-    cand = np.flatnonzero(~_far_from_best(np.maximum(sums[0], sums[-1]), payoff_map.coeffs, tol))
-    i, j = np.divmod(cand, grid_n)
-    p1, p2 = payoff_map.eval_arrays(t[i], t[j], t[:, None])
-
-    def preimages_of(sel):
-        # Witness sel is at height k over column col, the lattice point
-        # (i[col], j[col], k).
-        k, col = divmod(sel, len(cand))
-        return np.stack([t[i[col]], t[j[col]], t[k]], axis=1)
-
-    tub = _tu_witnesses(p1.ravel(), p2.ravel(), preimages_of, orientation, tol)
+    tub = _column_witnesses(payoff_map, grid_n, orientation, tol, faces)
     return tub, PayoffPoint(*ext[:2]), PayoffPoint(*ext[2:])
 
 

@@ -18,9 +18,10 @@ placeholder, and the SHA-256 of each file it wrote.
 With ``--geometry`` the corpus is instead the benchmark's dense maps
 (``perfbench.inputs.dense_maps``), and each map's records are the bytes,
 sign bits included, of its lattice cloud's ``pareto_filter`` in both
-flavours, ``tu_boundary`` in both orientations at ``1e-9``, ``extrema``
-and, for a cube, ``lattice_tu`` in both orientations: one line per array
-or float, its shape and SHA-256.
+flavours, ``extrema``, and ``tu_boundary`` and, for a cube,
+``lattice_tu``, each in both orientations at ``1e-9`` and at ``1e-6``,
+the default ``GameContext.tu_tol`` that every command reads: one line
+per array or float, its shape and SHA-256.
 
 With ``--parent``, the source tree of ``REV`` is exported with
 ``git archive`` into a temporary directory, and each side runs the same
@@ -129,11 +130,12 @@ def geometry_records(maps: list[dict]) -> dict[str, dict]:
             b = pareto_filter(cloud, Orientation(spec["orientation"]), flavor)
             outputs[f"pareto_filter {flavor}"] = text(b.payoffs, b.preimages)
         for orientation in Orientation:
-            tub = tu_boundary(cloud, orientation, 1e-9)
-            outputs[f"tu_boundary {orientation.value}"] = text(*tu_parts(tub))
-            if arity == 3:
-                tub, inf, sup = lattice_tu(pmap, grid_n, orientation, 1e-9)
-                outputs[f"lattice_tu {orientation.value}"] = text(*tu_parts(tub), (inf, sup))
+            for tol, tag in ((1e-9, ""), (1e-6, " 1e-6")):
+                tub = tu_boundary(cloud, orientation, tol)
+                outputs[f"tu_boundary {orientation.value}{tag}"] = text(*tu_parts(tub))
+                if arity == 3:
+                    tub, inf, sup = lattice_tu(pmap, grid_n, orientation, tol)
+                    outputs[f"lattice_tu {orientation.value}{tag}"] = text(*tu_parts(tub), (inf, sup))
         for name, record in outputs.items():
             out[f"{stem} {name}"] = {"text": record, "files": {}}
     return out

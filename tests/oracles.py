@@ -21,6 +21,7 @@ from coopetition.coopetitive import (
 from coopetition.errors import EmptyPortion, MissingInitialZ
 from coopetition.games import FiniteBimatrixGame, Orientation, PayoffPoint, StrategyCell
 from coopetition.geometry import (
+    PointCloud,
     extrema,
     facing_flavor,
     orientation_worst,
@@ -468,9 +469,16 @@ def per_section_zone(game: CoopetitiveGame, grid_n: int) -> tuple[np.ndarray, np
     return np.concatenate(payoffs), np.concatenate(preimages)
 
 
+def whole_row_tu(cloud, orientation: Orientation, tol: float):
+    """``tu_boundary`` read off every row of ``cloud``: on a plain
+    ``PointCloud`` copy, as a ``sample_image`` cloud is read off its map by
+    the column pass that ``lattice_tu`` runs too."""
+    return tu_boundary(PointCloud(cloud.payoffs, cloud.preimages, cloud.grid_step), orientation, tol)
+
+
 def cloud_tu_compromise(game: CoopetitiveGame, a, b, grid_n: int, tol: float = 1e-6):
-    """The TU compromise with its TU pass on the full sampled cloud of the game."""
-    tub = tu_boundary(sample_image(game.payoff, grid_n), game.orientation, tol)
+    """The TU compromise with its TU pass on every row of the game's sampled cloud."""
+    tub = whole_row_tu(sample_image(game.payoff, grid_n), game.orientation, tol)
     return tu_crossing_solution(tub, a, b)
 
 
@@ -541,14 +549,14 @@ def cloud_standard_win_win(game: CoopetitiveGame, grid_n: int, tol: float = 1e-6
     """``standard_win_win_solution`` from the public cloud functions.
 
     The core supremum comes from ``cloud_core_supremum``, and the TU data
-    from ``tu_boundary`` and ``extrema`` of ``sample_image`` of the whole
+    from ``whole_row_tu`` and ``extrema`` of ``sample_image`` of the whole
     cube, not from ``lattice_tu``.
     """
     if game.initial_z is None:
         raise MissingInitialZ("the standard win-win solution needs initial_z set")
     L = cloud_core_supremum(game, game.initial_z, grid_n)
     cloud = sample_image(game.payoff, grid_n)
-    tub = tu_boundary(cloud, game.orientation, tol)
+    tub = whole_row_tu(cloud, game.orientation, tol)
     end_lo, end_hi = tu_line(tub, *extrema(cloud))
     m = tub.optimal_sum
     s = game.orientation.sign

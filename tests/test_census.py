@@ -17,10 +17,11 @@ def test_geometry_records_agree_with_themselves():
     maps = census.I.dense_maps(1)[:2]
     first, second = census.geometry_records(maps), census.geometry_records(maps)
     assert sorted({key.split(" ", 1)[1] for key in first}) == [
-        "extrema", "lattice_tu gain", "lattice_tu loss", "pareto_filter maximal",
-        "pareto_filter minimal", "tu_boundary gain", "tu_boundary loss",
+        "extrema", "lattice_tu gain", "lattice_tu gain 1e-6", "lattice_tu loss", "lattice_tu loss 1e-6",
+        "pareto_filter maximal", "pareto_filter minimal", "tu_boundary gain", "tu_boundary gain 1e-6",
+        "tu_boundary loss", "tu_boundary loss 1e-6",
     ]
-    assert len(first) == 5 + 7
+    assert len(first) == 7 + 11
     assert census.differences(first, second) == {}
 
 

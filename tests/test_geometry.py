@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from coopetition import geometry
+from coopetition.bargaining import payoff_core
 from coopetition.coopetitive import CoopetitiveGame, core_supremum
 from coopetition.demo import coopetitive_game_dict
 from coopetition.gamefile import load_game_file
@@ -35,6 +36,7 @@ from oracles import (
     prefilter_sort_pareto,
     random_cloud,
     sort_pareto,
+    whole_row_tu,
 )
 
 
@@ -646,8 +648,18 @@ class TestMemoryBound:
         assert peak <= len(cloud) + self.SLACK
 
     @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_tu_boundary_on_a_generic_square(self, orientation):
+        # The two end rows of the y columns and the candidate columns:
+        # 0.06 MiB measured.
+        cloud = sample_image(dense_shaped_map(np.random.default_rng([87, 2]), 2, "generic"), 1025)
+        _, peak = self.traced_peak(lambda: tu_boundary(cloud, orientation))
+        assert peak <= self.SLACK // 2
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
     def test_tu_boundary_on_a_generic_cube(self, orientation):
-        # 0.25 MiB measured; the pass over the whole cloud holds 1.5 MiB.
+        # The two z-faces and their sums, formed in place, and the candidate
+        # columns: 0.76 MiB measured; the pass over the whole cloud holds
+        # 1.5 MiB.
         cloud = sample_image(dense_shaped_map(np.random.default_rng([87, 3]), 3, "generic"), 129)
         _, peak = self.traced_peak(lambda: tu_boundary(cloud, orientation))
         assert peak <= self.SLACK // 2
@@ -872,25 +884,28 @@ class TestTUBoundary:
             assert abs(p1 + p2 - tub.optimal_sum) <= 1e-9
 
 
-def assert_lattice_matches_cloud(payoff_map, grid_n, orientation, tol=1e-9, cloud=None):
-    """``lattice_tu`` is ``tu_boundary`` and ``extrema`` of the cloud, bit for bit."""
-    if cloud is None:
-        cloud = sample_image(payoff_map, grid_n)
-    want = tu_boundary(cloud, orientation, tol)
-    got, lo, hi = lattice_tu(payoff_map, grid_n, orientation, tol)
+def assert_same_tu(got, want):
+    """Two TU boundaries agree bit for bit and sign bit for sign bit."""
     assert repr(got.optimal_sum) == repr(want.optimal_sum)
     for a, b in ((got.witness_payoffs, want.witness_payoffs), (got.witness_preimages, want.witness_preimages)):
-        assert a.shape == b.shape and a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
-    pairs = [
-        ([p.as_tuple() for p in got.segment_ends], [p.as_tuple() for p in want.segment_ends]),
-        ([lo.as_tuple(), hi.as_tuple()], [p.as_tuple() for p in extrema(cloud)]),
-    ]
-    for a, b in pairs:
-        assert np.array_equal(a, b)
-        assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    ends = [[p.as_tuple() for p in tub.segment_ends] for tub in (got, want)]
+    assert np.array_equal(*ends) and np.array_equal(*np.signbit(ends))
     assert got.tolerance == want.tolerance
-    assert got.orientation is want.orientation is orientation
+    assert got.orientation is want.orientation
+
+
+def assert_lattice_matches_cloud(payoff_map, grid_n, orientation, tol=1e-9, cloud=None):
+    """``lattice_tu`` is the whole-row TU pass and ``extrema`` of the cloud,
+    bit for bit; ``tu_boundary`` of the lattice cloud runs the column pass
+    that ``lattice_tu`` runs, so it is no reference."""
+    if cloud is None:
+        cloud = sample_image(payoff_map, grid_n)
+    got, lo, hi = lattice_tu(payoff_map, grid_n, orientation, tol)
+    assert_same_tu(got, whole_row_tu(cloud, orientation, tol))
+    assert got.orientation is orientation
+    box = [[lo.as_tuple(), hi.as_tuple()], [p.as_tuple() for p in extrema(cloud)]]
+    assert np.array_equal(*box) and np.array_equal(*np.signbit(box))
     return got
 
 
@@ -1037,15 +1052,11 @@ class TestLatticeTU:
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="payoffs must be finite"):
                 build()
 
-    def test_overflowing_sums_raise(self, monkeypatch):
+    def test_overflowing_sums_raise(self, witness_rows):
         # Both payoffs finite, their sum not: no witness could be selected.
         m = PayoffMap(np.array([[1e308, 0, 0, 0, 0], [1e308, 0, 0, 0, 0]]), arity=3)
-        far = []
-        far_from_best = geometry._far_from_best
-        monkeypatch.setattr(geometry, "_far_from_best", lambda *args: far.append(far_from_best(*args)) or far[-1])
-        # The cloud of 17³ points is large enough for block bounds, 5³ not.
         for grid_n in (5, 17):
-            far.clear()
+            witness_rows.clear()
             for build in (
                 lambda: tu_boundary(sample_image(m, grid_n), Orientation.GAIN),
                 lambda: lattice_tu(m, grid_n, Orientation.GAIN),
@@ -1055,10 +1066,8 @@ class TestLatticeTU:
                 ):
                     build()
             # A sum overflows only where the sum of the |c| does, and so the
-            # rounding slack: ``lattice_tu`` keeps every column and, on the
-            # larger cloud, ``tu_boundary`` every block.
-            assert len(far) == (1 if grid_n**3 < geometry._PREFILTER_MIN_ROWS else 2)
-            assert not any(mask.any() for mask in far)
+            # rounding slack: the column mask of each pass keeps every column.
+            assert witness_rows == [grid_n**3] * 2
 
     def test_argument_checks(self, f0):
         with pytest.raises(ValueError, match="grid_n"):
@@ -1066,6 +1075,15 @@ class TestLatticeTU:
         for tol in (0.0, float("nan")):
             with pytest.raises(ValueError, match="tol"):
                 lattice_tu(f0, 17, Orientation.LOSS, tol)
+
+
+@pytest.fixture
+def witness_rows(monkeypatch):
+    """The number of rows each call of ``geometry._tu_witnesses`` was handed."""
+    rows = []
+    witnesses = geometry._tu_witnesses
+    monkeypatch.setattr(geometry, "_tu_witnesses", lambda p1, *args: rows.append(len(p1)) or witnesses(p1, *args))
+    return rows
 
 
 @pytest.fixture
@@ -1092,30 +1110,26 @@ def assert_pruned_paths_match(cloud, tols=(1e-9, 0.05)):
         assert_matches_sort(cloud, orientation)
         for tol in tols:
             want = geometry._tu_witnesses(p1, p2, cloud.preimages_at, orientation, tol)
-            got = tu_boundary(cloud, orientation, tol)
-            assert repr(got.optimal_sum) == repr(want.optimal_sum)
-            for a, b in ((got.witness_payoffs, want.witness_payoffs), (got.witness_preimages, want.witness_preimages)):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            ends = [[p.as_tuple() for p in tub.segment_ends] for tub in (got, want)]
-            assert np.array_equal(*ends) and np.array_equal(*np.signbit(ends))
-            assert got.tolerance == want.tolerance
-            assert got.orientation is want.orientation is orientation
+            assert_same_tu(tu_boundary(cloud, orientation, tol), want)
 
 
 class TestBlockBounds:
-    """Lattice clouds skip the blocks their corners prove out of the answer,
-    and every output keeps its bits."""
+    """Lattice clouds skip the Pareto blocks their corners prove out of the
+    answer and the TU columns their ends prove out, and every output keeps
+    its bits."""
 
     @staticmethod
     def assert_both_paths_match(monkeypatch, cloud, block_rows):
         # Once at the default share of dropped blocks, and once with none
-        # required, so the pruned path runs whatever drops.
+        # required, so the pruned path runs whatever drops: in every Pareto
+        # call that reads no z-face, two per flavour.
         assert_pruned_paths_match(cloud)
         with monkeypatch.context() as m:
             m.setattr(geometry, "_BOUND_MIN_DROPPED", 0.0)
             block_rows.clear()
             assert_pruned_paths_match(cloud)
-            assert block_rows and all(block_rows)
+            faceless = sum(geometry._better_face(cloud, sign) is None for sign in (1.0, -1.0))
+            assert block_rows == [True] * 2 * faceless
 
     @pytest.mark.parametrize("arity, grids", [(2, (65, 150)), (3, (17, 26))])
     @pytest.mark.parametrize("family", FAMILIES)
@@ -1143,19 +1157,16 @@ class TestBlockBounds:
             # and never the block bounds; opposed, it reads the bounds.
             assert payoff_map.coeffs[0, 3] * payoff_map.coeffs[1, 3] > 0
             assert_pruned_paths_match(sample_image(payoff_map, grid_n))
-            assert block_rows == [True, True] * 2
-            block_rows.clear()
+            assert block_rows == []
             c = payoff_map.coeffs.copy()
             c[0, 3] = -c[0, 3]
             payoff_map = PayoffMap(c, arity)
         cloud = sample_image(payoff_map, grid_n)
         assert (grid_n - 1) % geometry._BOUND_EDGE[arity] != 0
         assert_pruned_paths_match(cloud)
-        # A generic map drops at least 7 blocks in 8 for every TU answer.
-        # The Pareto boxes need many blocks per axis to drop as many, which
+        # The Pareto boxes need many blocks per axis to drop 7 in 8, which
         # 1000² has (63) and 50³ (7) has not.
-        pareto, tu = [True, True, False, False] * 2, [False, False, True, True] * 2
-        assert block_rows == [t or (p and arity == 2) for p, t in zip(pareto, tu)]
+        assert block_rows == [arity == 2] * 4
 
     @pytest.mark.parametrize("scale", [2.0**1000, 2.0**-1000])
     @pytest.mark.parametrize("arity, grid_n", [(2, 65), (3, 17)])
@@ -1193,6 +1204,47 @@ class TestBlockBounds:
         for orientation in Orientation:
             with pytest.raises(ValueError, match="tol must be positive"):
                 tu_boundary(cloud, orientation, tol)
+
+
+class TestTUColumns:
+    """A lattice cloud's TU pass evaluates only the columns along its last
+    axis whose two ends can hold a witness, and keeps the bits of the pass
+    over every row."""
+
+    @pytest.mark.parametrize("arity, grid_n", [(2, 1025), (3, 129)])
+    def test_generic_lattices_read_few_columns(self, witness_rows, arity, grid_n):
+        cloud = sample_image(dense_shaped_map(np.random.default_rng([105, arity]), arity, "generic"), grid_n)
+        for orientation in Orientation:
+            tu_boundary(cloud, orientation)
+        assert len(witness_rows) == 2
+        assert all(rows % grid_n == 0 and rows < len(cloud) / 8 for rows in witness_rows)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**1000, 2.0**-1000], ids=["1", "2**1000", "2**-1000"])
+    @pytest.mark.parametrize("grid_n", [17, 65, 257])
+    @pytest.mark.parametrize("edge", ["x", "y"])
+    def test_square_optima_along_an_edge(self, witness_rows, edge, grid_n, scale):
+        # The payoff sum's x and xy terms cancel for an optimum along an
+        # x-edge, which every y column ends on, and its y and xy terms for
+        # one along a y-edge, which is one column.  A 17² cloud is below
+        # _PREFILTER_MIN_ROWS.
+        rng = np.random.default_rng([106, len(edge), grid_n])
+        cancel, keep = (1, 2) if edge == "x" else (2, 1)
+        for _ in range(3):
+            c = np.round(rng.uniform(-2.0, 2.0, size=(2, 5)), 3)
+            c[:, 3] = 0.0
+            c[1, [cancel, 4]] = -c[0, [cancel, 4]]
+            c[:, keep] = (np.abs(c[:, keep]) + 0.25) * rng.choice([-1.0, 1.0])
+            cloud = sample_image(PayoffMap(c * scale, 2), grid_n)
+            for orientation in Orientation:
+                for tol in (1e-9, 0.05):
+                    witness_rows.clear()
+                    got = tu_boundary(cloud, orientation, tol)
+                    assert_same_tu(got, whole_row_tu(cloud, orientation, tol))
+                    # Below scale 1 a tolerance of 1e-9 spans every sum.
+                    if edge == "x" or scale < 1:
+                        assert witness_rows[0] == grid_n**2
+                    elif tol == 1e-9:
+                        assert witness_rows[0] == grid_n
 
 
 def z_variants(payoff_map):
@@ -1557,6 +1609,14 @@ class TestValidation:
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
             PointCloud(np.zeros((0, 2)), np.zeros((0, 2)), 0.1)
+
+    def test_tu_of_an_empty_point_set_rejected(self, f0_boundary_513):
+        # A payoff core that no boundary point reaches is empty.
+        core = payoff_core(f0_boundary_513, PayoffPoint(-1e9, -1e9))
+        assert len(core) == 0
+        for orientation in Orientation:
+            with pytest.raises(ValueError, match="empty point set"):
+                tu_boundary(core, orientation)
 
     def test_grid_step_positive(self):
         with pytest.raises(ValueError):
